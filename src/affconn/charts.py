@@ -13,7 +13,6 @@ import numpy as np
 
 from . import algebra, dual
 from .errors import MetricNotSPD, PointOutOfDomain
-from .tensors import LOWER, TensorValue
 
 # Chart singularities (sphere poles, polar origin) are coordinate artifacts;
 # sampling stays this fraction of the axis range away from non-periodic ends.
@@ -104,19 +103,11 @@ class PointMetric:
     def sqrt_det(self):
         return float(np.sqrt(np.linalg.det(self.matrix)))
 
-    def as_tensor(self):
-        return TensorValue(self.matrix, (LOWER, LOWER))
-
-
-def metric_matrix(man, x):
-    """Raw metric components at ``x`` (generic scalars; no checks)."""
-    return man.metric(x)
-
 
 def eval_metric(man, x):
     """Metric at an admissible point, checked symmetric positive definite."""
     man.require_admissible(x)
-    g = np.array([[dual.value(e) for e in row] for row in man.metric(list(x))], dtype=float)
+    g = np.array(dual.value(man.metric(list(x))), dtype=float)
     if np.max(np.abs(g - g.T)) > 1e-12 * max(1.0, np.max(np.abs(g))):
         raise MetricNotSPD(f"metric not symmetric at {tuple(x)}")
     if np.linalg.eigvalsh(g)[0] <= 0.0:
@@ -285,11 +276,4 @@ def radial_weight(a):
             r2 = r2 + c * c
         return a * r2 / 2.0
     u.family = ("radial", a)
-    return u
-
-
-def constant_weight(c=0.0):
-    def u(x):
-        return c + 0.0 * x[0]
-    u.family = ("constant", c)
     return u

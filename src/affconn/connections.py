@@ -16,7 +16,7 @@ import numpy as np
 
 from . import algebra
 from .charts import WeightParams  # noqa: F401  (re-exported for convenience)
-from .dual import epsilon_part, exp, seed_axis, sqrt, value
+from .dual import exp, jacobian, sqrt, value
 from .errors import UnsupportedKind
 from .tensors import LOWER, TensorValue
 
@@ -34,32 +34,12 @@ class ConnectionCoeffs:
     kind: str
 
 
-def metric_derivatives(man, x):
-    """dg[l][i][j] = d_l g_ij at ``x`` (generic scalars allowed)."""
-    n = man.dim
-    dg = []
-    for axis in range(n):
-        z, lvl = seed_axis(x, axis)
-        gl = man.metric(z)
-        dg.append([[epsilon_part(e, lvl) for e in row] for row in gl])
-    return dg
-
-
-def weight_gradient(man, x):
-    """du_i at ``x`` (generic scalars allowed)."""
-    out = []
-    for axis in range(man.dim):
-        z, lvl = seed_axis(x, axis)
-        out.append(epsilon_part(man.weight(z), lvl))
-    return out
-
-
 def christoffel_generic(man, x):
     """Levi-Civita coefficients as a nested list, evaluable on dual points."""
     n = man.dim
     g = man.metric(x)
     gi = algebra.inv(g)
-    dg = metric_derivatives(man, x)
+    dg = jacobian(man.metric, x)  # dg[l][i][j] = d_l g_ij
     gamma = algebra.zeros(n, n, n)
     for k in range(n):
         for i in range(n):
@@ -81,7 +61,7 @@ def affine_gamma_generic(man, params, x, kind=WEIGHTED):
         return gamma
     g = man.metric(x)
     gi = algebra.inv(g)
-    du = weight_gradient(man, x)
+    du = jacobian(man.weight, x)
     grad_u = algebra.matvec(gi, du)
     if kind == WEIGHTED:
         c_sym, c_grad = params.alpha, params.beta
@@ -112,8 +92,7 @@ def gamma_field(man, params=None, kind=LEVI_CIVITA):
 
 def _as_coeffs(man, x, gamma, kind):
     man.require_admissible(x)
-    arr = np.array([[[value(gamma[k][i][j]) for j in range(man.dim)]
-                     for i in range(man.dim)] for k in range(man.dim)], dtype=float)
+    arr = np.array(value(gamma), dtype=float)
     return ConnectionCoeffs(point=tuple(float(c) for c in x), gamma=arr, kind=kind)
 
 
@@ -132,21 +111,12 @@ def dual_coeffs(man, params, x):
     return _as_coeffs(man, x, affine_gamma_generic(man, params, list(x), DUAL), DUAL)
 
 
-def _field_jacobian(field, x, n):
-    """dY[i][k] = d_i Y^k for a vector field given by coefficient functions."""
-    jac = []
-    for axis in range(n):
-        z, lvl = seed_axis(x, axis)
-        jac.append([epsilon_part(c, lvl) for c in field(z)])
-    return jac
-
-
 def covariant_derivative(man, gamma, X, Y, x):
     """(D_X Y)^k at ``x`` for connection coefficients ``gamma`` (nested list)."""
     n = man.dim
     xv = X(list(x))
     yv = Y(list(x))
-    dY = _field_jacobian(Y, x, n)
+    dY = jacobian(Y, x)  # dY[i][k] = d_i Y^k
     out = []
     for k in range(n):
         acc = 0.0
@@ -167,7 +137,6 @@ def duality_residual(man, params, x, X, Y, Z, perturb=0.0):
     coefficient entry so tests can confirm the residual is sensitive.
     """
     man.require_admissible(x)
-    n = man.dim
     e = params.conformal_exponent
 
     def pairing(z):
@@ -175,10 +144,8 @@ def duality_residual(man, params, x, X, Y, Z, perturb=0.0):
         return exp(e * man.weight(z)) * algebra.quadratic_form(g, Y(z), Z(z))
 
     lhs = 0.0
-    xv = X(list(x))
-    for axis in range(n):
-        z, lvl = seed_axis(x, axis)
-        lhs = lhs + xv[axis] * epsilon_part(pairing(z), lvl)
+    for xi, d in zip(X(list(x)), jacobian(pairing, x)):
+        lhs = lhs + xi * d
 
     gamma_w = affine_gamma_generic(man, params, list(x), WEIGHTED)
     gamma_d = affine_gamma_generic(man, params, list(x), DUAL)
@@ -205,11 +172,7 @@ def amari_chentsov(man, params, x):
     n = man.dim
     gamma = affine_gamma_generic(man, params, list(x), WEIGHTED)
     gbar = _conformal_metric(man, params, list(x))
-    dgbar = []
-    for axis in range(n):
-        z, lvl = seed_axis(x, axis)
-        gl = _conformal_metric(man, params, z)
-        dgbar.append([[epsilon_part(e, lvl) for e in row] for row in gl])
+    dgbar = jacobian(lambda z: _conformal_metric(man, params, z), x)
     c = np.empty((n, n, n))
     for i in range(n):
         for j in range(n):
@@ -225,8 +188,8 @@ def amari_chentsov_closed_form(man, params, x):
     """Fully symmetric closed form -(alpha+beta) * sym(du (x) gbar)."""
     man.require_admissible(x)
     n = man.dim
-    du = [value(d) for d in weight_gradient(man, list(x))]
-    gbar = [[value(e) for e in row] for row in _conformal_metric(man, params, list(x))]
+    du = value(jacobian(man.weight, list(x)))
+    gbar = value(_conformal_metric(man, params, list(x)))
     s = -(params.alpha + params.beta)
     c = np.empty((n, n, n))
     for i in range(n):
@@ -254,9 +217,8 @@ def equiaffine_residual(man, params, x, X, tau_shift=0.0):
 
     xv = X(list(x))
     deriv = 0.0
-    for axis in range(n):
-        z, lvl = seed_axis(x, axis)
-        deriv = deriv + xv[axis] * epsilon_part(density(z), lvl)
+    for xi, d in zip(xv, jacobian(density, x)):
+        deriv = deriv + xi * d
 
     gamma = affine_gamma_generic(man, params, list(x), WEIGHTED)
     trace = 0.0

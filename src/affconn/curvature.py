@@ -15,8 +15,8 @@ import scipy.linalg
 from . import algebra
 from .charts import halton_points
 from .connections import (LEVI_CIVITA, WEIGHTED, christoffel_generic,
-                          gamma_field, weight_gradient)
-from .dual import derivative, epsilon_part, exp, seed_axis, value
+                          gamma_field)
+from .dual import derivative, exp, jacobian, value
 from .errors import InvalidN, NonConstantFAtNEqualsN
 from .tensors import LOWER, UPPER, TensorValue
 
@@ -25,12 +25,7 @@ def riemann_generic(man, gfield, x):
     """R[l][k][i][j] coefficients of R(e_i, e_j) e_k = R^l_{kij} e_l."""
     n = man.dim
     gamma = gfield(list(x))
-    dgamma = []
-    for axis in range(n):
-        z, lvl = seed_axis(x, axis)
-        gl = gfield(z)
-        dgamma.append([[[epsilon_part(gl[a][b][c], lvl) for c in range(n)]
-                        for b in range(n)] for a in range(n)])
+    dgamma = jacobian(gfield, x)
     riem = algebra.zeros(n, n, n, n)
     for l in range(n):
         for k in range(n):
@@ -58,26 +53,18 @@ def ricci_generic(man, gfield, x):
     return ric
 
 
-def _nested_to_array(nested):
-    flat = np.asarray([[value(e) for e in row] for row in nested], dtype=float)
-    return flat
-
-
 def riemann_tensor(man, x, kind=LEVI_CIVITA, params=None):
     """Riemann tensor at ``x`` as a (1,3) tensor with slots [l, k, i, j]."""
     man.require_admissible(x)
-    n = man.dim
     riem = riemann_generic(man, gamma_field(man, params, kind), x)
-    arr = np.array([[[[value(riem[l][k][i][j]) for j in range(n)]
-                      for i in range(n)] for k in range(n)] for l in range(n)])
-    return TensorValue(arr, (UPPER, LOWER, LOWER, LOWER))
+    return TensorValue(value(riem), (UPPER, LOWER, LOWER, LOWER))
 
 
 def ricci_tensor(man, x, kind=LEVI_CIVITA, params=None):
     """Ricci tensor at ``x`` (coordinate-trace contraction)."""
     man.require_admissible(x)
     ric = ricci_generic(man, gamma_field(man, params, kind), x)
-    return TensorValue(_nested_to_array(ric), (LOWER, LOWER))
+    return TensorValue(value(ric), (LOWER, LOWER))
 
 
 def ricci_frame_sum(man, x, kind=LEVI_CIVITA, params=None):
@@ -94,11 +81,9 @@ def ricci_frame_sum(man, x, kind=LEVI_CIVITA, params=None):
 def scalar_hessian_lc(man, f, x):
     """Levi-Civita Hessian of a scalar field, as a nested list."""
     n = man.dim
-    df = []
+    df = jacobian(f, x)
     d2f = algebra.zeros(n, n)
     for i in range(n):
-        zi, lvl = seed_axis(x, i)
-        df.append(epsilon_part(f(zi), lvl))
         for j in range(i, n):
             d2f[i][j] = d2f[j][i] = derivative(f, x, (i, j))
     gamma = christoffel_generic(man, x)
@@ -133,7 +118,7 @@ def static_ricci(man, x):
     for i in range(n):
         for j in range(n):
             out[i][j] = ric[i][j] - hess_v[i][j] / v + (lap_v / v) * g[i][j]
-    return TensorValue(_nested_to_array(out), (LOWER, LOWER))
+    return TensorValue(value(out), (LOWER, LOWER))
 
 
 def weighted_ricci(man, f_field, n_eff, x):
@@ -148,10 +133,7 @@ def weighted_ricci(man, f_field, n_eff, x):
         raise InvalidN(f"effective dimension {n_eff} in excluded interval (1, {n})")
     ric = ricci_generic(man, gamma_field(man), x)
     hess_f = scalar_hessian_lc(man, f_field, list(x))
-    df = []
-    for axis in range(n):
-        z, lvl = seed_axis(x, axis)
-        df.append(epsilon_part(f_field(z), lvl))
+    df = jacobian(f_field, x)
     out = algebra.zeros(n, n)
     if n_eff == n:
         if max(abs(value(d)) for d in df) > 1e-12:
@@ -164,7 +146,7 @@ def weighted_ricci(man, f_field, n_eff, x):
     for i in range(n):
         for j in range(n):
             out[i][j] = ric[i][j] + hess_f[i][j] - scale * df[i] * df[j]
-    return TensorValue(_nested_to_array(out), (LOWER, LOWER))
+    return TensorValue(value(out), (LOWER, LOWER))
 
 
 @dataclass(frozen=True)

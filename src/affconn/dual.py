@@ -94,9 +94,11 @@ class Dual:
 
 
 def value(x):
-    """Strip all dual layers, returning the underlying float/array."""
+    """Strip all dual layers, entrywise through nested lists."""
     while isinstance(x, Dual):
         x = x.a
+    if isinstance(x, list):
+        return [value(e) for e in x]
     return x
 
 
@@ -113,14 +115,16 @@ def seed_axis(x, axis):
 
 
 def epsilon_part(v, lvl):
-    """Coefficient of eps_lvl inside ``v`` (0.0 if absent)."""
-    if not isinstance(v, Dual):
+    """Coefficient of eps_lvl inside ``v`` (0.0 if absent), entrywise."""
+    if isinstance(v, Dual):
+        if v.lvl == lvl:
+            return v.b
+        if v.lvl > lvl:
+            # Higher levels wrap lower ones; recurse into both components.
+            return Dual(epsilon_part(v.a, lvl), epsilon_part(v.b, lvl), v.lvl)
         return 0.0
-    if v.lvl == lvl:
-        return v.b
-    if v.lvl > lvl:
-        # Higher levels wrap lower ones; recurse into both components.
-        return Dual(epsilon_part(v.a, lvl), epsilon_part(v.b, lvl), v.lvl)
+    if isinstance(v, list):
+        return [epsilon_part(e, lvl) for e in v]
     return 0.0
 
 
@@ -128,6 +132,20 @@ def partial(f, x, axis):
     """d f / d x_axis at ``x``; composes with outer lifts safely."""
     z, lvl = seed_axis(x, axis)
     return epsilon_part(f(z), lvl)
+
+
+def jacobian(f, x):
+    """All first partials of ``f`` at ``x``: ``out[axis]`` is d f / d x_axis.
+
+    Each partial keeps the nesting of ``f(x)``, so scalars, vectors,
+    metrics and coefficient tables all work.  Axes are lifted at fresh
+    levels in ascending order, so the result composes with outer lifts.
+    """
+    out = []
+    for axis in range(len(x)):
+        z, lvl = seed_axis(x, axis)
+        out.append(epsilon_part(f(z), lvl))
+    return out
 
 
 def lift(f, axis):
@@ -220,7 +238,3 @@ def _fd_lift(f, axis, h):
         return (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
     return df
 
-
-def gradient(field, x):
-    """All first partials of a scalar field, as a list."""
-    return [partial(field, list(x), i) for i in range(len(x))]

@@ -5,7 +5,7 @@ and triangle areas of the embedded simplices supply the induced metric to
 the finite element assembly.  All generators are deterministic.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

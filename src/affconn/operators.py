@@ -18,28 +18,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra
-from .charts import eval_metric
-from .connections import (WEIGHTED, affine_gamma_generic, christoffel_generic,
-                          weight_gradient)
+from .connections import WEIGHTED, affine_gamma_generic, christoffel_generic
 from .curvature import ricci_generic, scalar_hessian_lc
-from .dual import epsilon_part, exp, seed_axis, sqrt, value
+from .dual import exp, jacobian, sqrt, value
 from .errors import DegenerateJacobian, QuadratureUnderResolved
 from .tensors import LOWER, TensorValue
-
-
-def _scalar_gradient(man, f, x):
-    out = []
-    for axis in range(man.dim):
-        z, lvl = seed_axis(x, axis)
-        out.append(epsilon_part(f(z), lvl))
-    return out
 
 
 def grad_D(man, params, phi, x):
     """Affine gradient V^{beta-alpha} g^{ij} d_j phi (contravariant)."""
     man.require_admissible(x)
     gi = algebra.inv(man.metric(list(x)))
-    dphi = _scalar_gradient(man, phi, list(x))
+    dphi = jacobian(phi, list(x))
     scale = exp((params.beta - params.alpha) * man.weight(list(x)))
     return np.array([value(scale * c) for c in algebra.matvec(gi, dphi)])
 
@@ -50,8 +40,8 @@ def hess_D_generic(man, params, phi, x):
     g = man.metric(list(x))
     gi = algebra.inv(g)
     hess = scalar_hessian_lc(man, phi, list(x))
-    du = weight_gradient(man, list(x))
-    dphi = _scalar_gradient(man, phi, list(x))
+    du = jacobian(man.weight, list(x))
+    dphi = jacobian(phi, list(x))
     cross = algebra.quadratic_form(gi, du, dphi)
     scale = exp((params.beta - params.alpha) * man.weight(list(x)))
     a, b = params.alpha, params.beta
@@ -67,9 +57,7 @@ def hess_D_generic(man, params, phi, x):
 def hess_D(man, params, phi, x):
     """Affine Hessian at ``x`` as a symmetric (0,2) tensor."""
     man.require_admissible(x)
-    h = hess_D_generic(man, params, phi, x)
-    n = man.dim
-    return TensorValue([[value(h[i][j]) for j in range(n)] for i in range(n)],
+    return TensorValue(value(hess_D_generic(man, params, phi, x)),
                        (LOWER, LOWER))
 
 
@@ -81,8 +69,8 @@ def lap_D_generic(man, params, phi, x, m=None):
     g = man.metric(list(x))
     gi = algebra.inv(g)
     hess = scalar_hessian_lc(man, phi, list(x))
-    du = weight_gradient(man, list(x))
-    dphi = _scalar_gradient(man, phi, list(x))
+    du = jacobian(man.weight, list(x))
+    dphi = jacobian(phi, list(x))
     lap = 0.0
     for i in range(n):
         for j in range(n):
@@ -124,23 +112,12 @@ class Hypersurface:
         return self.ambient.dim - 1
 
 
-def _tangent_frame(hyp, s):
-    """Ambient components of d(embedding)/d(parameter_a), generic scalars."""
-    n = hyp.ambient.dim
-    tangents = []
-    for a in range(hyp.pdim):
-        z, lvl = seed_axis(list(s), a)
-        emb = hyp.embedding(z)
-        tangents.append([epsilon_part(emb[k], lvl) for k in range(n)])
-    return tangents
-
-
 def _normal_generic(hyp, s):
     """Unit normal in ambient components at parameter point ``s``."""
     n = hyp.ambient.dim
     x = hyp.embedding(list(s))
     g = hyp.ambient.metric(x)
-    tangents = _tangent_frame(hyp, s)
+    tangents = jacobian(hyp.embedding, list(s))
     if n == 2:
         t = tangents[0]
         w = [t[1], -t[0]]
@@ -171,16 +148,12 @@ def _extrinsic_generic(hyp, params, s):
     man = hyp.ambient
     x = hyp.embedding(list(s))
     g = man.metric(x)
-    tangents = _tangent_frame(hyp, s)
+    tangents = jacobian(hyp.embedding, list(s))
     # Gram matrix of the pushforward = induced metric on parameters.
     gs = [[algebra.quadratic_form(g, tangents[a], tangents[b])
            for b in range(m)] for a in range(m)]
     # Ambient covariant derivative of the unit normal along each tangent.
-    dnu = []
-    for a in range(m):
-        z, lvl = seed_axis(list(s), a)
-        nu_l = _normal_generic(hyp, z)
-        dnu.append([epsilon_part(c, lvl) for c in nu_l])
+    dnu = jacobian(lambda z: _normal_generic(hyp, z), list(s))
     nu = _normal_generic(hyp, s)
     gamma = christoffel_generic(man, x)
     two_ff = algebra.zeros(m, m)
@@ -199,7 +172,7 @@ def _extrinsic_generic(hyp, params, s):
     for a in range(m):
         for b in range(m):
             h = h + gs_inv[a][b] * two_ff[a][b]
-    du = weight_gradient(man, x)
+    du = jacobian(man.weight, x)
     u_nu = algebra.dot(du, nu)
     return gs, two_ff, h, u_nu
 
@@ -211,10 +184,10 @@ def second_fundamental(hyp, params, s):
     # below converts that into the dedicated error.
     with np.errstate(divide="ignore", invalid="ignore"):
         gs, two_ff, h, u_nu = _extrinsic_generic(hyp, params, list(s))
-    gs_v = np.array([[value(gs[a][b]) for b in range(m)] for a in range(m)])
+    gs_v = np.array(value(gs))
     if np.linalg.matrix_rank(gs_v, tol=1e-10) < m:
         raise DegenerateJacobian(f"embedding Jacobian rank deficient at {tuple(s)}")
-    ii = np.array([[value(two_ff[a][b]) for b in range(m)] for a in range(m)])
+    ii = np.array(value(two_ff))
     h = float(value(h))
     u_nu = float(value(u_nu))
     n = hyp.ambient.dim
@@ -269,8 +242,8 @@ class DomainRegion:
         """Inward-offset test: x - eps*nu must stay inside the box."""
         mid = [0.5 * (lo + hi) for lo, hi in
                zip(self.boundary.lower, self.boundary.upper)]
-        x = [value(c) for c in self.boundary.embedding(mid)]
-        nu = [value(c) for c in _normal_generic(self.boundary, mid)]
+        x = value(self.boundary.embedding(mid))
+        nu = value(_normal_generic(self.boundary, mid))
         for i in range(self.ambient.dim):
             xi = x[i] - eps * nu[i]
             if not self.ambient.periodic[i] and not (self.lower[i] - 1e-12 <= xi <= self.upper[i] + 1e-12):
@@ -288,31 +261,11 @@ def _gauss_axis(lo, hi, cells, order):
     return nodes, weights
 
 
-def bulk_quadrature(region, grid=None, order=None):
+def box_quadrature(lower, upper, grid, order):
     """Tensor-product nodes (list of coord arrays) and combined weights."""
-    grid = region.grid if grid is None else grid
-    order = region.order if order is None else order
     axes, wts = [], []
-    for i in range(region.ambient.dim):
-        nodes, weights = _gauss_axis(region.lower[i], region.upper[i], grid, order)
-        axes.append(nodes)
-        wts.append(weights)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    wmesh = np.meshgrid(*wts, indexing="ij")
-    coords = [m.ravel() for m in mesh]
-    weights = np.ones_like(coords[0])
-    for w in wmesh:
-        weights = weights * w.ravel()
-    return coords, weights
-
-
-def boundary_quadrature(region, grid=None, order=None):
-    grid = region.boundary_grid if grid is None else grid
-    order = region.order if order is None else order
-    hyp = region.boundary
-    axes, wts = [], []
-    for a in range(hyp.pdim):
-        nodes, weights = _gauss_axis(hyp.lower[a], hyp.upper[a], grid, order)
+    for lo, hi in zip(lower, upper):
+        nodes, weights = _gauss_axis(lo, hi, grid, order)
         axes.append(nodes)
         wts.append(weights)
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -354,7 +307,7 @@ def _bulk_integrand(region, params, phi, coords):
         for j in range(n):
             hess_sq = hess_sq + hess[i][j] * hess_up[i][j]
 
-    dphi = _scalar_gradient(man, phi, x)
+    dphi = jacobian(phi, x)
     grad_d = [scale * c for c in algebra.matvec(gi, dphi)]
     ric = ricci_generic(man, lambda z: affine_gamma_generic(man, params, z, WEIGHTED), x)
     ric_term = algebra.quadratic_form(ric, grad_d, grad_d)
@@ -385,7 +338,7 @@ def _boundary_integrand(region, params, phi, svals):
         x = at(sq)
         g = man.metric(x)
         gi = algebra.inv(g)
-        dphi = _scalar_gradient(man, phi, x)
+        dphi = jacobian(phi, x)
         nu = _normal_generic(hyp, sq)
         # g(grad phi, nu) = dphi_k nu^k since dphi is already covariant.
         return algebra.dot(dphi, nu)
@@ -409,15 +362,8 @@ def _boundary_integrand(region, params, phi, svals):
     h_aff = h_aff + (n - 1) * params.alpha * u_nu
 
     # Tangential derivatives of boundary scalars, in parameter components.
-    def param_grad(fn):
-        out = []
-        for a in range(m):
-            z, lvl = seed_axis(s, a)
-            out.append(epsilon_part(fn(z), lvl))
-        return out
-
-    dpsi = param_grad(phi_of)
-    dflux = param_grad(vb_phi_nu_of)
+    dpsi = jacobian(phi_of, s)
+    dflux = jacobian(vb_phi_nu_of, s)
     phi_nu = phi_nu_of(s)
 
     # Raise one slot with the induced metric for the pairings below.
@@ -440,9 +386,13 @@ def _boundary_integrand(region, params, phi, svals):
 def reilly_residual(region, params, phi, grid=None, order=None,
                     boundary_grid=None):
     """Both sides of the weighted integral identity and their mismatch."""
-    coords, wts = bulk_quadrature(region, grid, order)
+    order = region.order if order is None else order
+    coords, wts = box_quadrature(region.lower, region.upper,
+                                 region.grid if grid is None else grid, order)
     lhs = float(np.sum(wts * _bulk_integrand(region, params, phi, coords)))
-    bcoords, bwts = boundary_quadrature(region, boundary_grid, order)
+    hyp = region.boundary
+    bgrid = region.boundary_grid if boundary_grid is None else boundary_grid
+    bcoords, bwts = box_quadrature(hyp.lower, hyp.upper, bgrid, order)
     rhs = float(np.sum(bwts * _boundary_integrand(region, params, phi, bcoords)))
     residual = abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
     return IntegralIdentityResult(lhs=lhs, rhs=rhs, residual=residual)

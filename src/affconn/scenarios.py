@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 from . import dual
 from .charts import (WeightParams, euclidean_chart, height_squared_weight,
-                     height_weight, linear_weight, polar_disk_chart,
-                     sphere3_chart, sphere_chart, zero_weight)
+                     height_weight, polar_disk_chart, sphere3_chart,
+                     sphere_chart)
 from .errors import UnsupportedKind
 from .meshes import build_mesh
 from .operators import DomainRegion, Hypersurface

@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .charts import halton_points, sphere_chart
+from .charts import halton_points
 from .connections import (DUAL, LEVI_CIVITA, WEIGHTED, affine_gamma_generic,
                           amari_chentsov, amari_chentsov_closed_form,
                           christoffel_generic, duality_residual,
@@ -50,17 +50,13 @@ def _poly_field(n, seed):
     return field
 
 
-def _sample(man, count):
-    return halton_points(man, count)
-
-
 # --- individual checks -----------------------------------------------------
 
 
 def check_torsion(scn):
     man = scn.manifold()
     worst = 0.0
-    for x in _sample(man, 20):
+    for x in halton_points(man, 20):
         for kind in (LEVI_CIVITA, WEIGHTED, DUAL):
             if kind == LEVI_CIVITA:
                 gamma = christoffel_generic(man, list(x))
@@ -81,12 +77,12 @@ def check_duality(scn):
     man = scn.manifold()
     n = man.dim
     worst = 0.0
-    for x in _sample(man, POINT_COUNT):
+    for x in halton_points(man, POINT_COUNT):
         for t in range(3):
             fields = [_poly_field(n, 3 * t + k) for k in range(3)]
             worst = max(worst, duality_residual(man, scn.params, list(x),
                                                 *fields))
-    x0 = _sample(man, 1)[0]
+    x0 = halton_points(man, 1)[0]
     fields = [_poly_field(n, k) for k in range(3)]
     perturbed = duality_residual(man, scn.params, list(x0), *fields,
                                  perturb=0.01)
@@ -101,7 +97,7 @@ def check_statistical(scn):
     man = scn.manifold()
     worst_sym = 0.0
     worst_form = 0.0
-    for x in _sample(man, 20):
+    for x in halton_points(man, 20):
         c = amari_chentsov(man, scn.params, list(x)).entries
         cf = amari_chentsov_closed_form(man, scn.params, list(x)).entries
         worst_form = max(worst_form, float(np.max(np.abs(c - cf))))
@@ -121,14 +117,14 @@ def check_equiaffine(scn):
     n = man.dim
     xfield = _poly_field(n, 1)
     worst = 0.0
-    for x in _sample(man, 20):
+    for x in halton_points(man, 20):
         worst = max(worst, equiaffine_residual(man, scn.params, list(x), xfield))
     record = {"values": {"max_residual": worst}, "threshold": 1e-9,
               "passed": worst <= 1e-9,
               "statement": "the weighted volume form is parallel for the "
                            "connection"}
     if scn.weighted:
-        x0 = list(_sample(man, 1)[0])
+        x0 = list(halton_points(man, 1)[0])
         shifted = min(equiaffine_residual(man, scn.params, x0, xfield, 0.1),
                       equiaffine_residual(man, scn.params, x0, xfield, -0.1))
         record["values"]["shifted_exponent_residual"] = shifted
@@ -155,7 +151,7 @@ def check_curvature_oracles(scn):
     wy_params = WeightParams(1.0 / (man.dim - 1), 0.0)
     worst_static = 0.0
     worst_wy = 0.0
-    for x in _sample(man, 20):
+    for x in halton_points(man, 20):
         ric_static = ricci_tensor(man, x, WEIGHTED, static_params).entries
         oracle_static = static_ricci(man, x).entries
         worst_static = max(worst_static,
@@ -327,7 +323,7 @@ def check_names():
 
 # --- configuration and suite run -------------------------------------------
 
-_CONFIG_KEYS = {"scenarios", "checks", "workers", "scan_count"}
+_CONFIG_KEYS = {"scenarios", "checks", "workers"}
 
 
 def normalize_config(config):
@@ -340,7 +336,8 @@ def normalize_config(config):
     scenarios = config.get("scenarios", scenario_names())
     checks = config.get("checks", check_names())
     workers = config.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
+    # bool is an int subclass, so `true` would pass an isinstance check.
+    if type(workers) is not int or workers < 1:
         raise ConfigInvalid("workers must be a positive integer")
     for name in scenarios:
         if name not in scenario_names():
@@ -354,13 +351,9 @@ def normalize_config(config):
 
 
 def _run_one(scenario_name, check_id):
-    scn = get_scenario(scenario_name)
-    fn, applies = CHECKS[check_id]
     record = {"scenario": scenario_name, "check": check_id}
-    if not applies(scn):
-        return None
     try:
-        record.update(fn(scn))
+        record.update(CHECKS[check_id][0](get_scenario(scenario_name)))
     except GeometryError as err:
         record.update({"error": f"{type(err).__name__}: {err}",
                        "passed": False})
@@ -370,13 +363,15 @@ def _run_one(scenario_name, check_id):
 def run_suite(config=None):
     """Execute the configured checks and return the report dictionary."""
     cfg = normalize_config(config or {})
-    tasks = [(s, c) for s in cfg["scenarios"] for c in cfg["checks"]]
+    tasks = [(s, c) for s in cfg["scenarios"] for c in cfg["checks"]
+             if CHECKS[c][1](get_scenario(s))]
+    if not tasks:
+        raise ConfigInvalid("no selected check applies to a selected scenario")
     if cfg["workers"] > 1:
         with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool:
-            results = list(pool.map(lambda t: _run_one(*t), tasks))
+            records = list(pool.map(lambda t: _run_one(*t), tasks))
     else:
-        results = [_run_one(*t) for t in tasks]
-    records = [r for r in results if r is not None]
+        records = [_run_one(*t) for t in tasks]
     order = {c: i for i, c in enumerate(CHECK_ORDER)}
     records.sort(key=lambda r: (r["scenario"], order[r["check"]]))
     # The stamp excludes the worker count so reports stay byte-identical
@@ -418,14 +413,13 @@ def convergence_rows(scenario_name, check_id, levels):
             raise CheckNotRefinable(
                 f"scenario {scenario_name!r} has no eigenvalue reference")
         expected = scn.expected["lambda1"]
-        kind = "circle" if scn.mesh().cell_dim == 1 else "icosphere"
-        weight_fn = None
         base = scn.mesh()
+        if base.u is not None and np.any(base.u):
+            raise CheckNotRefinable("refinement with nonconstant mesh "
+                                    "weights is not supported")
+        kind = "circle" if base.cell_dim == 1 else "icosphere"
         for level in levels:
             mesh = build_mesh(kind, level)
-            if base.u is not None and np.any(base.u):
-                raise CheckNotRefinable("refinement with nonconstant mesh "
-                                        "weights is not supported")
             lam = smallest_nonzero_eigenvalue(assemble(mesh, scn.params))
             h = 1.0 / len(mesh.vertices) ** (1.0 / mesh.cell_dim)
             rows.append([level, h, lam, abs(lam - expected)])

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affconn import dual
-from affconn.dual import Dual, derivative, epsilon_part, seed_axis, value
+from affconn.dual import (Dual, derivative, epsilon_part, jacobian, seed_axis,
+                          value)
 from affconn.errors import OrderUnsupported
 
 
@@ -20,6 +21,20 @@ def df_dx0(x):
 
 def d2f_dx0dx1(x):
     return np.cos(x[0]) * np.exp(x[1]) + 2.0 * x[0]
+
+
+def f_matrix(x):
+    """Matrix-valued field mixing polynomial and trig entries."""
+    return [[x[0] * x[0] * x[1] + 3.0 * x[2], dual.sin(x[0]) * dual.cos(x[1])],
+            [x[1] ** 3 - x[0] * x[2], dual.cos(x[2]) * x[0] + dual.sin(x[1] * x[2])]]
+
+
+def entry(f, i, j):
+    return lambda z: f(z)[i][j]
+
+
+points = st.lists(st.floats(-2, 2), min_size=3, max_size=3)
+axes = st.integers(0, 2)
 
 
 class TestArithmetic:
@@ -48,6 +63,10 @@ class TestArithmetic:
         z0, _ = seed_axis([1.5], 0)
         z1, _ = seed_axis(z0, 0)
         assert value(dual.cos(z1[0])) == pytest.approx(np.cos(1.5))
+
+    def test_value_strips_nested_lists_entrywise(self):
+        z, _ = seed_axis([0.5, 2.0], 0)
+        assert value([[z[0], z[1]], [3.0 * z[0], 1.0]]) == [[0.5, 2.0], [1.5, 1.0]]
 
     @given(st.floats(-2, 2), st.floats(-2, 2))
     @settings(max_examples=50, deadline=None)
@@ -102,3 +121,27 @@ class TestFunctions:
     def test_plain_floats_pass_through(self):
         assert dual.sin(0.5) == pytest.approx(np.sin(0.5))
         assert not isinstance(dual.sqrt(4.0), Dual)
+
+
+class TestJacobian:
+    @given(points, axes)
+    @settings(max_examples=50, deadline=None)
+    def test_nested_field_matches_derivative(self, x, axis):
+        jac = jacobian(f_matrix, x)
+        assert len(jac) == 3
+        assert jac[axis] == derivative(f_matrix, x, (axis,))
+        for i in range(2):
+            for j in range(2):
+                fd = derivative(entry(f_matrix, i, j), x, (axis,), mode="fd")
+                assert jac[axis][i][j] == pytest.approx(fd, abs=1e-8)
+
+    @given(points, axes, axes)
+    @settings(max_examples=50, deadline=None)
+    def test_outer_lift_gives_mixed_partial(self, x, a, b):
+        z, lvl = seed_axis(x, a)
+        mixed = epsilon_part(jacobian(f_matrix, z)[b], lvl)
+        assert mixed == derivative(f_matrix, x, (a, b))
+        for i in range(2):
+            for j in range(2):
+                fd = derivative(entry(f_matrix, i, j), x, (a, b), mode="fd")
+                assert mixed[i][j] == pytest.approx(fd, abs=1e-6)

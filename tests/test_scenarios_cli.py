@@ -59,8 +59,14 @@ class TestConfig:
             normalize_config({"checks": ["nope"]})
 
     def test_bad_workers_rejected(self):
+        for workers in (0, True):
+            with pytest.raises(ConfigInvalid):
+                normalize_config({"workers": workers})
+
+    def test_scan_count_rejected(self):
+        # The suite's sample counts are fixed, so the key means nothing.
         with pytest.raises(ConfigInvalid):
-            normalize_config({"workers": 0})
+            normalize_config({"scan_count": 10})
 
     def test_round_trip_is_identity(self):
         cfg = normalize_config(SMALL_CONFIG)
@@ -141,6 +147,14 @@ class TestCli:
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"mystery": true}')
         assert main(["verify", "--config", str(cfg)]) == 2
+
+    def test_verify_empty_selection_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        # Valid names, but no check applies: the plane has no mesh.
+        cfg.write_text(json.dumps({"scenarios": ["euclidean-flat"],
+                                   "checks": ["eigenvalue"]}))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_converge(self, tmp_path, capsys):
         out = tmp_path / "table.csv"
