@@ -13,7 +13,8 @@ import sys
 
 from .errors import CheckNotRefinable, ConfigInvalid, GeometryError
 from .scenarios import get_scenario, scenario_names
-from .suite import check_names, emit_convergence, report_json, run_suite
+from .suite import (check_names, emit_convergence, normalize_config,
+                    report_json, run_suite)
 
 
 def _build_parser():
@@ -55,8 +56,8 @@ def _load_config(path, workers):
             raise ConfigInvalid(f"cannot read config: {err}") from err
         except json.JSONDecodeError as err:
             raise ConfigInvalid(f"config is not valid JSON: {err}") from err
+    config = normalize_config(config)
     if workers != 1:
-        config = dict(config)
         config["workers"] = workers
     return config
 
@@ -96,6 +97,8 @@ def _parse_levels(text):
         lo, hi = int(lo), int(hi)
     except ValueError:
         raise ConfigInvalid(f"levels must look like a..b, got {text!r}") from None
+    if lo < 0:
+        raise ConfigInvalid("levels must be >= 0")
     if hi < lo:
         raise ConfigInvalid("empty level range")
     return list(range(lo, hi + 1))

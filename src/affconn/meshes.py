@@ -29,11 +29,11 @@ _ICO_FACES = np.array([
 
 @dataclass
 class SurfaceMesh:
-    """Simplicial mesh with optional per-vertex weight samples."""
+    """Simplicial mesh with per-vertex weight samples."""
 
     vertices: np.ndarray              # (V, 2) or (V, 3) embedded coordinates
     cells: np.ndarray                 # (C, 2) segments or (C, 3) triangles
-    u: np.ndarray = None              # weight u at vertices
+    u: np.ndarray                     # weight u at vertices
     boundary_loop: np.ndarray = None  # ordered boundary vertex ids (open meshes)
     name: str = ""
 
@@ -196,7 +196,6 @@ def export_mesh(mesh, stream):
     stream.write(f"cells {len(mesh.cells)} {mesh.cells.shape[1]}\n")
     for c in mesh.cells:
         stream.write(" ".join(str(int(i)) for i in c) + "\n")
-    if mesh.u is not None:
-        stream.write(f"weights {len(mesh.u)}\n")
-        for w in mesh.u:
-            stream.write(f"{w:.17g}\n")
+    stream.write(f"weights {len(mesh.u)}\n")
+    for w in mesh.u:
+        stream.write(f"{w:.17g}\n")

@@ -13,7 +13,7 @@ identity relating bulk Bochner-type terms to second-fundamental-form
 terms is verified by tensor-product Gauss quadrature.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,11 +61,9 @@ def hess_D(man, params, phi, x):
                        (LOWER, LOWER))
 
 
-def lap_D_generic(man, params, phi, x, m=None):
-    """Affine Laplacian; ``m`` overrides the dimension coefficient."""
+def lap_D_generic(man, params, phi, x):
+    """Affine Laplacian as a generic scalar; evaluable on dual/array points."""
     n = man.dim
-    if m is None:
-        m = n
     g = man.metric(list(x))
     gi = algebra.inv(g)
     hess = scalar_hessian_lc(man, phi, list(x))
@@ -77,12 +75,12 @@ def lap_D_generic(man, params, phi, x, m=None):
             lap = lap + gi[i][j] * hess[i][j]
     drift = algebra.quadratic_form(gi, du, dphi)
     scale = exp((params.beta - params.alpha) * man.weight(list(x)))
-    return scale * (lap + (m * params.alpha + 2.0 * params.beta) * drift)
+    return scale * (lap + (n * params.alpha + 2.0 * params.beta) * drift)
 
 
-def lap_D(man, params, phi, x, m=None):
+def lap_D(man, params, phi, x):
     man.require_admissible(x)
-    return value(lap_D_generic(man, params, phi, x, m=m))
+    return value(lap_D_generic(man, params, phi, x))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +280,6 @@ class IntegralIdentityResult:
     lhs: float
     rhs: float
     residual: float
-    detail: dict = field(default_factory=dict)
 
 
 def _bulk_integrand(region, params, phi, coords):
@@ -355,11 +352,7 @@ def _boundary_integrand(region, params, phi, svals):
     gs_inv = algebra.inv(data_gs)
     ii_aff = [[two_ff[a][b] - params.beta * u_nu * data_gs[a][b]
                for b in range(m)] for a in range(m)]
-    h_aff = 0.0
-    for a in range(m):
-        for b in range(m):
-            h_aff = h_aff + gs_inv[a][b] * two_ff[a][b]
-    h_aff = h_aff + (n - 1) * params.alpha * u_nu
+    h_aff = h_plain + (n - 1) * params.alpha * u_nu
 
     # Tangential derivatives of boundary scalars, in parameter components.
     dpsi = jacobian(phi_of, s)

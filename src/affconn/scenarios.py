@@ -2,9 +2,11 @@
 
 A scenario bundles an ambient chart with its weight, the connection
 parameters (alpha, beta), and optional geometric attachments: a D-minimal
-hypersurface for the eigenvalue bound, a surface mesh for the spectral
-solver, and a coordinate region for the integral identity.  Factories are
-stored unevaluated so listing scenarios stays cheap.
+hypersurface for the eigenvalue bound, a spectral mesh spec, a coordinate
+region for the integral identity, and the meshes of the harmonic-extension
+and proof-inequality checks.  Factories are stored unevaluated so listing
+scenarios stays cheap; hypersurface and region factories take the
+scenario's manifold.
 """
 
 import numpy as np
@@ -14,9 +16,9 @@ from dataclasses import dataclass, field
 from . import dual
 from .charts import (WeightParams, euclidean_chart, height_squared_weight,
                      height_weight, polar_disk_chart, sphere3_chart,
-                     sphere_chart)
+                     sphere_chart, zero_weight)
 from .errors import UnsupportedKind
-from .meshes import build_mesh
+from .meshes import build_mesh, disk_mesh, hemisphere_mesh
 from .operators import DomainRegion, Hypersurface
 
 HALF_PI = 0.5 * np.pi
@@ -30,24 +32,39 @@ class Scenario:
     description: str
     params: WeightParams
     manifold_factory: object
-    hypersurface_factory: object = None
-    mesh_factory: object = None
-    region_factory: object = None
+    hypersurface_factory: object = None  # manifold -> Hypersurface
+    mesh_spec: tuple = None              # (kind, level) for build_mesh
+    region_factory: object = None        # manifold -> DomainRegion
     reilly_fields: tuple = ()     # (label, phi_field) pairs for the identity
     expected: dict = field(default_factory=dict)
-    weighted: bool = False
+    extension_mesh: object = None  # () -> flat disk mesh, harmonic extension
+    proof_mesh: object = None      # () -> weighted hemisphere mesh, proof chain
+
+    @property
+    def weighted(self):
+        """True unless the chart carries the trivial weight."""
+        return self.manifold().weight is not zero_weight
 
     def manifold(self):
         return self.manifold_factory()
 
     def hypersurface(self):
-        return None if self.hypersurface_factory is None else self.hypersurface_factory()
+        if self.hypersurface_factory is None:
+            return None
+        return self.hypersurface_factory(self.manifold())
 
-    def mesh(self):
-        return None if self.mesh_factory is None else self.mesh_factory()
+    def mesh(self, level=None):
+        """Spectral mesh at the scenario's level, or at ``level``; the
+        hypersurfaces lie where the ambient weight vanishes, so u = 0."""
+        if self.mesh_spec is None:
+            return None
+        kind, default = self.mesh_spec
+        return build_mesh(kind, default if level is None else level)
 
     def region(self):
-        return None if self.region_factory is None else self.region_factory()
+        if self.region_factory is None:
+            return None
+        return self.region_factory(self.manifold())
 
 
 # Field helpers evaluable on lifted coordinates.
@@ -98,22 +115,6 @@ def _disk_region(man, grid=24, order=8):
                         name="unit-disk")
 
 
-def _mesh_circle(level, u_fn):
-    def factory():
-        return build_mesh("circle", level).with_weight(u_fn)
-    return factory
-
-
-def _mesh_icosphere(level, u_fn):
-    def factory():
-        return build_mesh("icosphere", level).with_weight(u_fn)
-    return factory
-
-
-def _u_zero(v):
-    return 0.0
-
-
 _REGISTRY = {}
 
 
@@ -126,7 +127,7 @@ _add(Scenario(
     description="Flat plane, trivial weight; every affine structure reduces "
                 "to the Euclidean one.",
     params=WeightParams(0.0, 0.0),
-    manifold_factory=lambda: euclidean_chart(2),
+    manifold_factory=euclidean_chart,
     expected={"k_best": 0.0},
 ))
 
@@ -135,12 +136,13 @@ _add(Scenario(
     description="Round 2-sphere without weight; equator circle with the "
                 "classical bound K = 1, lambda1 = 1.",
     params=WeightParams(0.0, 0.0),
-    manifold_factory=lambda: sphere_chart(),
-    hypersurface_factory=lambda: _equator_circle(sphere_chart()),
-    mesh_factory=_mesh_circle(6, _u_zero),
-    region_factory=lambda: _hemisphere_region(sphere_chart()),
+    manifold_factory=sphere_chart,
+    hypersurface_factory=_equator_circle,
+    mesh_spec=("circle", 6),
+    region_factory=_hemisphere_region,
     reilly_fields=(("height", _phi_height),),
     expected={"k_best": 1.0, "lambda1": 1.0, "lambda1_rtol": 1e-4},
+    proof_mesh=lambda: hemisphere_mesh(5),
 ))
 
 _add(Scenario(
@@ -148,9 +150,9 @@ _add(Scenario(
     description="Round 3-sphere without weight; equatorial 2-sphere with "
                 "K = 2 and lambda1 near 2.",
     params=WeightParams(0.0, 0.0),
-    manifold_factory=lambda: sphere3_chart(),
-    hypersurface_factory=lambda: _equator_sphere(sphere3_chart()),
-    mesh_factory=_mesh_icosphere(5, _u_zero),
+    manifold_factory=sphere3_chart,
+    hypersurface_factory=_equator_sphere,
+    mesh_spec=("icosphere", 5),
     expected={"k_best": 2.0, "lambda1": 2.0, "lambda1_rtol": 5e-3},
 ))
 
@@ -160,12 +162,11 @@ _add(Scenario(
                 "equator stays minimal for the affine mean curvature.",
     params=WeightParams(1.0, 0.0),
     manifold_factory=lambda: sphere_chart(weight=height_squared_weight(0.1)),
-    hypersurface_factory=lambda: _equator_circle(
-        sphere_chart(weight=height_squared_weight(0.1))),
-    # the ambient weight restricts to 0 on the equator (z = 0 there)
-    mesh_factory=_mesh_circle(6, _u_zero),
+    hypersurface_factory=_equator_circle,
+    mesh_spec=("circle", 6),
     expected={"lambda1": 1.0, "lambda1_rtol": 1e-4},
-    weighted=True,
+    proof_mesh=lambda: hemisphere_mesh(5).with_weight(
+        lambda v: 0.1 * v[2] ** 2),
 ))
 
 _add(Scenario(
@@ -174,11 +175,9 @@ _add(Scenario(
                 "affine Ricci tensor equals the static Ricci tensor.",
     params=WeightParams(0.0, 1.0),
     manifold_factory=lambda: sphere_chart(weight=height_weight(0.3)),
-    hypersurface_factory=lambda: _equator_circle(
-        sphere_chart(weight=height_weight(0.3))),
-    mesh_factory=_mesh_circle(6, _u_zero),
+    hypersurface_factory=_equator_circle,
+    mesh_spec=("circle", 6),
     expected={"lambda1": 1.0, "lambda1_rtol": 1e-4},
-    weighted=True,
 ))
 
 _add(Scenario(
@@ -188,7 +187,6 @@ _add(Scenario(
                 "with f = -u.",
     params=WeightParams(1.0, 0.0),
     manifold_factory=lambda: sphere_chart(weight=height_weight(0.3)),
-    weighted=True,
 ))
 
 _add(Scenario(
@@ -197,7 +195,6 @@ _add(Scenario(
                 "(0.4, -0.2); exercises the full two-parameter family.",
     params=WeightParams(0.4, -0.2),
     manifold_factory=lambda: sphere_chart(weight=height_weight(0.3)),
-    weighted=True,
 ))
 
 _add(Scenario(
@@ -206,10 +203,8 @@ _add(Scenario(
                 "(alpha, beta) = (0.5, 0.3); integral identity testbed.",
     params=WeightParams(0.5, 0.3),
     manifold_factory=lambda: sphere_chart(weight=height_weight(0.2)),
-    region_factory=lambda: _hemisphere_region(
-        sphere_chart(weight=height_weight(0.2))),
+    region_factory=_hemisphere_region,
     reilly_fields=(("height", _phi_height),),
-    weighted=True,
 ))
 
 _add(Scenario(
@@ -217,10 +212,11 @@ _add(Scenario(
     description="Flat unit disk in polar coordinates, trivial weight; the "
                 "integral identity reduces to the classical Reilly formula.",
     params=WeightParams(0.0, 0.0),
-    manifold_factory=lambda: polar_disk_chart(),
-    region_factory=lambda: _disk_region(polar_disk_chart()),
+    manifold_factory=polar_disk_chart,
+    region_factory=_disk_region,
     reilly_fields=(("coordinate", _phi_x1), ("radial-square", _phi_r2)),
     expected={"k_best": 0.0},
+    extension_mesh=lambda: disk_mesh(5),
 ))
 
 

@@ -37,8 +37,6 @@ class SpectralProblem:
     stiffness: scipy.sparse.csr_matrix
     mass: scipy.sparse.csr_matrix
     mesh: object
-    stiffness_exponent: float  # u-exponent in the stiffness weight
-    mass_exponent: float       # u-exponent in the mass weight
 
     @property
     def size(self):
@@ -83,35 +81,37 @@ def _accumulate(cells, local, size):
     return mat.tocsr()
 
 
-def assemble(mesh, params, u_fn=None):
-    """Weighted stiffness/mass pair for the hypersurface eigenproblem."""
-    if u_fn is not None:
-        mesh = mesh.with_weight(u_fn)
-    u = mesh.u if mesh.u is not None else np.zeros(len(mesh.vertices))
-    m = mesh.cell_dim
-    stiff_exp = m * params.alpha + 2.0 * params.beta
-    mass_exp = stiff_exp + params.alpha - params.beta
-    u_cell = np.mean(u[mesh.cells], axis=1)
-    w_stiff = np.exp(stiff_exp * u_cell)
-    w_mass = np.exp(mass_exp * u_cell)
-    size = len(mesh.vertices)
-    if m == 1:
-        length = cell_measures(mesh)
-        if np.min(length) <= 1e-14:
+def _cell_weight(mesh, exponent):
+    """exp(exponent * u) with u averaged over each cell's vertices."""
+    return np.exp(exponent * np.mean(mesh.u[mesh.cells], axis=1))
+
+
+def _stiffness(mesh, exponent):
+    """P1 stiffness matrix weighted by V^exponent, and the cell measures."""
+    w = _cell_weight(mesh, exponent)
+    if mesh.cell_dim == 1:
+        measure = cell_measures(mesh)
+        if np.min(measure) <= 1e-14:
             raise DegenerateCell("segment with vanishing length")
         k_local = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        local_a = (w_stiff / length)[:, None, None] * k_local[None, :, :]
-        local_b = (w_mass * length)[:, None, None] * _MASS_SEG[None, :, :]
-    elif m == 2:
-        area, k_local = _triangle_gradients(mesh.vertices, mesh.cells)
-        local_a = w_stiff[:, None, None] * k_local
-        local_b = (w_mass * area)[:, None, None] * _MASS_TRI[None, :, :]
+        local = (w / measure)[:, None, None] * k_local[None, :, :]
+    elif mesh.cell_dim == 2:
+        measure, local = _triangle_gradients(mesh.vertices, mesh.cells)
+        local *= w[:, None, None]
     else:
-        raise MeshNotTwoDim(f"unsupported cell dimension {m}")
-    a = _accumulate(mesh.cells, local_a, size)
-    b = _accumulate(mesh.cells, local_b, size)
-    return SpectralProblem(stiffness=a, mass=b, mesh=mesh,
-                           stiffness_exponent=stiff_exp, mass_exponent=mass_exp)
+        raise MeshNotTwoDim(f"unsupported cell dimension {mesh.cell_dim}")
+    return _accumulate(mesh.cells, local, len(mesh.vertices)), measure
+
+
+def assemble(mesh, params):
+    """Weighted stiffness/mass pair for the hypersurface eigenproblem."""
+    stiff_exp = mesh.cell_dim * params.alpha + 2.0 * params.beta
+    a, measure = _stiffness(mesh, stiff_exp)
+    w_mass = _cell_weight(mesh, stiff_exp + params.alpha - params.beta)
+    local_mass = _MASS_SEG if mesh.cell_dim == 1 else _MASS_TRI
+    local_b = (w_mass * measure)[:, None, None] * local_mass[None, :, :]
+    b = _accumulate(mesh.cells, local_b, len(mesh.vertices))
+    return SpectralProblem(stiffness=a, mass=b, mesh=mesh)
 
 
 def eigenvalues(prob, count=6, method="auto"):
@@ -195,16 +195,9 @@ def harmonic_extension_2d(mesh, params, boundary_values):
         raise MeshNotTwoDim("harmonic extension needs a triangle mesh")
     if mesh.boundary_loop is None:
         raise MeshNotTwoDim("mesh has no boundary loop")
-    u = mesh.u if mesh.u is not None else np.zeros(len(mesh.vertices))
     n_ambient = 2
-    w_exp = n_ambient * params.alpha + 2.0 * params.beta
-    u_cell = np.mean(u[mesh.cells], axis=1)
-    w = np.exp(w_exp * u_cell)
-    area, k_local = _triangle_gradients(mesh.vertices, mesh.cells)
-    local = w[:, None, None] * k_local
+    a = _stiffness(mesh, n_ambient * params.alpha + 2.0 * params.beta)[0]
     size = len(mesh.vertices)
-    a = _accumulate(mesh.cells, local, size)
-
     boundary = np.asarray(mesh.boundary_loop)
     interior = np.setdiff1d(np.arange(size), boundary)
     phi = np.zeros(size)
@@ -244,22 +237,20 @@ def recover_normal_flux(mesh, a, phi):
     return residual / lumped
 
 
-def proof_chain_inequality(mesh, params, boundary_values, k_constant,
-                           boundary_ii_affine=None):
+def proof_chain_inequality(mesh, params, boundary_values, k_constant):
     """Evaluate the intermediate inequality of the eigenvalue bound's proof.
 
-    Returns the quantity Q = K * E + B_II - 2 T, where E is the weighted
-    Dirichlet energy of the harmonic extension, B_II the second-fundamental
-    boundary term (0 for geodesic boundaries), and T the tangential pairing
-    of the boundary data with the weighted normal flux.  The inequality
-    asserts Q <= 0; ``positive_scale`` normalizes the tolerance.
+    Returns the quantity Q = K * E - 2 T, where E is the weighted Dirichlet
+    energy of the harmonic extension and T the tangential pairing of the
+    boundary data with the weighted normal flux; the second-fundamental
+    boundary term vanishes on the geodesic boundaries used here.  The
+    inequality asserts Q <= 0; ``positive_scale`` normalizes the tolerance.
     """
     phi, a = harmonic_extension_2d(mesh, params, boundary_values)
     energy = float(phi @ (a @ phi))
 
-    u = mesh.u if mesh.u is not None else np.zeros(len(mesh.vertices))
     loop = np.asarray(mesh.boundary_loop)
-    u_b = u[loop]
+    u_b = mesh.u[loop]
     n_ambient = 2
     tau = params.tau(n_ambient)
 
@@ -281,18 +272,10 @@ def proof_chain_inequality(mesh, params, boundary_values, k_constant,
     w_edge = np.exp((tau + params.beta - 2.0 * params.alpha) * u_mid)
     t_pairing = float(np.sum(w_edge * dpsi * dh * lengths))
 
-    b_ii = 0.0
-    if boundary_ii_affine is not None:
-        # II^D applied to the affine tangential gradient of psi, integrated
-        # with weight V^tau; caller supplies II^D per boundary edge.
-        scale = np.exp(2.0 * (params.beta - params.alpha) * u_mid)
-        b_ii = float(np.sum(np.exp(tau * u_mid) * boundary_ii_affine
-                            * scale * dpsi ** 2 * lengths))
-
-    quantity = k_constant * energy + b_ii - 2.0 * t_pairing
-    positive_scale = k_constant * energy + max(b_ii, 0.0) + 2.0 * abs(t_pairing)
+    quantity = k_constant * energy - 2.0 * t_pairing
+    positive_scale = k_constant * energy + 2.0 * abs(t_pairing)
     return {"quantity": quantity, "energy": energy, "pairing": t_pairing,
-            "ii_term": b_ii, "positive_scale": positive_scale, "phi": phi}
+            "positive_scale": positive_scale, "phi": phi}
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +294,7 @@ class Certificate:
     d_minimal_residual: float
 
 
-def choi_wang_certificate(man, params, hypersurface, mesh, scan_count=100,
-                          d_minimal_tol=1e-8, tol_factor=1e-3):
+def choi_wang_certificate(man, params, hypersurface, mesh, scan_count=100):
     """Certify lambda_1 >= K/2 on a D-minimal hypersurface scenario.
 
     ``mesh`` must discretize ``hypersurface`` with vertex weights already
@@ -322,14 +304,14 @@ def choi_wang_certificate(man, params, hypersurface, mesh, scan_count=100,
     from .operators import d_minimal_residual
 
     dmin = d_minimal_residual(hypersurface, params)
-    if dmin > d_minimal_tol:
-        raise NotDMinimal(f"max |H^D| = {dmin} exceeds {d_minimal_tol}")
+    if dmin > 1e-8:
+        raise NotDMinimal(f"max |H^D| = {dmin} exceeds 1e-08")
     report = curvature_bound_scan(man, params, scan_count)
     if report.k_best <= 0.0:
         raise NonpositiveK(f"scan found K = {report.k_best}")
     prob = assemble(mesh, params)
     lam1 = smallest_nonzero_eigenvalue(prob)
-    tol = tol_factor * report.k_best
+    tol = 1e-3 * report.k_best
     margin = lam1 - report.k_best / 2.0
     return Certificate(k_best=report.k_best, lambda1=lam1, margin=margin,
                        tolerance=tol, passed=margin >= -tol,

@@ -23,7 +23,6 @@ from .curvature import (curvature_bound_scan, ricci_tensor, static_ricci,
 from .dual import value
 from .errors import (CheckNotRefinable, ConfigInvalid, GeometryError,
                      NonpositiveK)
-from .meshes import build_mesh, disk_mesh, hemisphere_mesh
 from .operators import d_minimal_residual, reilly_refinement, reilly_residual
 from .scenarios import get_scenario, scenario_names
 from .spectral import (assemble, choi_wang_certificate, harmonic_extension_2d,
@@ -238,7 +237,7 @@ def check_reilly(scn):
 
 
 def check_harmonic_extension(scn):
-    mesh = disk_mesh(5)
+    mesh = scn.extension_mesh()
     psi = mesh.vertices[mesh.boundary_loop, 0]
     phi, _ = harmonic_extension_2d(mesh, scn.params, psi)
     err = float(np.max(np.abs(phi - mesh.vertices[:, 0])))
@@ -248,15 +247,8 @@ def check_harmonic_extension(scn):
                          "harmonic function on the flat disk"}
 
 
-# Hemisphere vertex weights for the proof-chain check, keyed by scenario.
-_PROOF_WEIGHTS = {
-    "s2-classical": lambda v: 0.0,
-    "s2-weighted-quadratic": lambda v: 0.1 * v[2] ** 2,
-}
-
-
 def check_proof_inequality(scn):
-    mesh = hemisphere_mesh(5).with_weight(_PROOF_WEIGHTS[scn.name])
+    mesh = scn.proof_mesh()
     loop = mesh.boundary_loop
     angle = np.arctan2(mesh.vertices[loop, 1], mesh.vertices[loop, 0])
     report = curvature_bound_scan(scn.manifold(), scn.params, SCAN_COUNT)
@@ -284,11 +276,11 @@ def _has_hypersurface(scn):
 
 
 def _has_mesh_expected(scn):
-    return scn.mesh_factory is not None and "lambda1" in scn.expected
+    return scn.mesh_spec is not None and "lambda1" in scn.expected
 
 
 def _has_certificate(scn):
-    return (_has_hypersurface(scn) and scn.mesh_factory is not None
+    return (_has_hypersurface(scn) and scn.mesh_spec is not None
             and scn.expected.get("k_best", 1.0) > 0.0)
 
 
@@ -309,9 +301,9 @@ CHECKS = {
     "choi-wang": (check_choi_wang, _has_certificate),
     "reilly": (check_reilly, _has_region),
     "harmonic-extension": (check_harmonic_extension,
-                           lambda s: s.name == "disk-flat"),
+                           lambda s: s.extension_mesh is not None),
     "proof-inequality": (check_proof_inequality,
-                         lambda s: s.name in _PROOF_WEIGHTS),
+                         lambda s: s.proof_mesh is not None),
 }
 
 CHECK_ORDER = list(CHECKS)
@@ -326,6 +318,19 @@ def check_names():
 _CONFIG_KEYS = {"scenarios", "checks", "workers"}
 
 
+def _config_names(config, key, known):
+    """The list of names under ``key``; each known, none repeated."""
+    names = config.get(key, known)
+    if not isinstance(names, list):
+        raise ConfigInvalid(f"{key} must be a list of names")
+    for name in names:
+        if name not in known:
+            raise ConfigInvalid(f"unknown {key[:-1]} {name!r}")
+    if len(set(names)) < len(names):
+        raise ConfigInvalid(f"duplicate names in {key}")
+    return names
+
+
 def normalize_config(config):
     """Validate a config mapping and fill defaults; unknown keys are errors."""
     if not isinstance(config, dict):
@@ -333,18 +338,12 @@ def normalize_config(config):
     unknown = set(config) - _CONFIG_KEYS
     if unknown:
         raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
-    scenarios = config.get("scenarios", scenario_names())
-    checks = config.get("checks", check_names())
+    scenarios = _config_names(config, "scenarios", scenario_names())
+    checks = _config_names(config, "checks", check_names())
     workers = config.get("workers", 1)
     # bool is an int subclass, so `true` would pass an isinstance check.
     if type(workers) is not int or workers < 1:
         raise ConfigInvalid("workers must be a positive integer")
-    for name in scenarios:
-        if name not in scenario_names():
-            raise ConfigInvalid(f"unknown scenario {name!r}")
-    for cid in checks:
-        if cid not in CHECKS:
-            raise ConfigInvalid(f"unknown check {cid!r}")
     return {"scenarios": sorted(scenarios),
             "checks": [c for c in CHECK_ORDER if c in checks],
             "workers": workers}
@@ -362,18 +361,14 @@ def _run_one(scenario_name, check_id):
 
 def run_suite(config=None):
     """Execute the configured checks and return the report dictionary."""
-    cfg = normalize_config(config or {})
+    cfg = normalize_config({} if config is None else config)
     tasks = [(s, c) for s in cfg["scenarios"] for c in cfg["checks"]
              if CHECKS[c][1](get_scenario(s))]
     if not tasks:
         raise ConfigInvalid("no selected check applies to a selected scenario")
-    if cfg["workers"] > 1:
-        with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool:
-            records = list(pool.map(lambda t: _run_one(*t), tasks))
-    else:
-        records = [_run_one(*t) for t in tasks]
-    order = {c: i for i, c in enumerate(CHECK_ORDER)}
-    records.sort(key=lambda r: (r["scenario"], order[r["check"]]))
+    # Tasks are built in report order, and map keeps that order.
+    with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool:
+        records = list(pool.map(lambda t: _run_one(*t), tasks))
     # The stamp excludes the worker count so reports stay byte-identical
     # across different degrees of parallelism.
     return {"stamp": {"version": __version__, "precision": "float64"},
@@ -413,13 +408,8 @@ def convergence_rows(scenario_name, check_id, levels):
             raise CheckNotRefinable(
                 f"scenario {scenario_name!r} has no eigenvalue reference")
         expected = scn.expected["lambda1"]
-        base = scn.mesh()
-        if base.u is not None and np.any(base.u):
-            raise CheckNotRefinable("refinement with nonconstant mesh "
-                                    "weights is not supported")
-        kind = "circle" if base.cell_dim == 1 else "icosphere"
         for level in levels:
-            mesh = build_mesh(kind, level)
+            mesh = scn.mesh(level)
             lam = smallest_nonzero_eigenvalue(assemble(mesh, scn.params))
             h = 1.0 / len(mesh.vertices) ** (1.0 / mesh.cell_dim)
             rows.append([level, h, lam, abs(lam - expected)])

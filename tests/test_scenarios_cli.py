@@ -9,8 +9,9 @@ import pytest
 from affconn.cli import main
 from affconn.errors import CheckNotRefinable, ConfigInvalid, UnsupportedKind
 from affconn.scenarios import get_scenario, scenario_names, weighted_scenarios
-from affconn.suite import (check_names, convergence_rows, emit_convergence,
-                           normalize_config, report_json, run_suite)
+from affconn.suite import (CHECKS, check_names, convergence_rows,
+                           emit_convergence, normalize_config, report_json,
+                           run_suite)
 
 SMALL_CONFIG = {"scenarios": ["euclidean-flat", "disk-flat"],
                 "checks": ["torsion", "statistical", "curvature-bound"]}
@@ -32,6 +33,33 @@ class TestRegistry:
         with pytest.raises(UnsupportedKind):
             get_scenario("s17-exotic")
 
+    def test_weighted_scenarios_in_registry_order(self):
+        assert [s.name for s in weighted_scenarios()] == [
+            "s2-weighted-quadratic", "s2-substatic", "s2-wylie-yeroshkin",
+            "s2-generic", "s2-hemisphere-weighted"]
+
+    def test_applicable_pairs(self):
+        pointwise = check_names()[:7]
+        expected = {
+            "disk-flat": ["reilly", "harmonic-extension"],
+            "euclidean-flat": [],
+            "s2-classical": ["d-minimal", "eigenvalue", "choi-wang",
+                             "reilly", "proof-inequality"],
+            "s2-generic": [],
+            "s2-hemisphere-weighted": ["reilly"],
+            "s2-substatic": ["d-minimal", "eigenvalue", "choi-wang"],
+            "s2-weighted-quadratic": ["d-minimal", "eigenvalue", "choi-wang",
+                                      "proof-inequality"],
+            "s2-wylie-yeroshkin": [],
+            "s3-classical": ["d-minimal", "eigenvalue", "choi-wang"],
+        }
+        table = {name: [c for c in check_names()
+                        if CHECKS[c][1](get_scenario(name))]
+                 for name in scenario_names()}
+        assert table == {name: pointwise + extra
+                         for name, extra in expected.items()}
+        assert sum(len(checks) for checks in table.values()) == 81
+
     def test_parameter_specializations(self):
         assert get_scenario("s2-substatic").params.alpha == 0.0
         assert get_scenario("s2-substatic").params.beta == 1.0
@@ -51,12 +79,16 @@ class TestConfig:
             normalize_config({"scenarios": [], "typo": 1})
 
     def test_unknown_scenario_rejected(self):
-        with pytest.raises(ConfigInvalid):
-            normalize_config({"scenarios": ["nope"]})
+        # A bare string is not a list of names, and a repeat is an error.
+        for scenarios in (["nope"], "disk-flat", [1],
+                          ["disk-flat", "disk-flat"]):
+            with pytest.raises(ConfigInvalid):
+                normalize_config({"scenarios": scenarios})
 
     def test_unknown_check_rejected(self):
-        with pytest.raises(ConfigInvalid):
-            normalize_config({"checks": ["nope"]})
+        for checks in (["nope"], 5, "torsion", ["torsion", "torsion"]):
+            with pytest.raises(ConfigInvalid):
+                normalize_config({"checks": checks})
 
     def test_bad_workers_rejected(self):
         for workers in (0, True):
@@ -148,6 +180,12 @@ class TestCli:
         cfg.write_text('{"mystery": true}')
         assert main(["verify", "--config", str(cfg)]) == 2
 
+    def test_verify_non_object_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1]")
+        assert main(["--workers", "2", "verify", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_verify_empty_selection_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         # Valid names, but no check applies: the plane has no mesh.
@@ -164,8 +202,9 @@ class TestCli:
         assert out.read_text().startswith("level,h,value,error")
 
     def test_converge_bad_levels_exits_2(self, capsys):
-        assert main(["converge", "--scenario", "s2-classical",
-                     "--check", "eigenvalue", "--levels", "oops"]) == 2
+        for levels in ("oops", "-1..0"):
+            assert main(["converge", "--scenario", "s2-classical",
+                         "--check", "eigenvalue", f"--levels={levels}"]) == 2
 
     def test_converge_unrefinable_exits_2(self, capsys):
         assert main(["converge", "--scenario", "s2-classical",
