@@ -7,8 +7,8 @@ matches its closed form and that the weighted volume form is parallel.
 
 import numpy as np
 
-from affconn import (WeightParams, affine_coeffs, amari_chentsov,
-                     amari_chentsov_closed_form, christoffel_lc, dual_coeffs,
+from affconn import (LEVI_CIVITA, WeightParams, amari_chentsov,
+                     amari_chentsov_closed_form, connection_coeffs,
                      duality_residual, equiaffine_residual, halton_points)
 from affconn.charts import height_weight, sphere_chart
 
@@ -21,9 +21,9 @@ def main():
     print("Weighted 2-sphere, u = 0.3 z, (alpha, beta) = (0.4, 0.1)")
     print(f"point (theta, phi) = {tuple(x)}\n")
 
-    lc = christoffel_lc(man, x).gamma
-    aff = affine_coeffs(man, params, x).gamma
-    dl = dual_coeffs(man, params, x).gamma
+    lc = connection_coeffs(man, LEVI_CIVITA, x).entries
+    aff = connection_coeffs(man, params, x).entries
+    dl = connection_coeffs(man, params.dual(), x).entries
     print("Gamma^0_00:  Levi-Civita %.6f   weighted %.6f   dual %.6f"
           % (lc[0][0][0], aff[0][0][0], dl[0][0][0]))
     print("Gamma^1_01:  Levi-Civita %.6f   weighted %.6f   dual %.6f\n"

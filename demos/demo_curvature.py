@@ -11,7 +11,6 @@ import numpy as np
 from affconn import (WeightParams, curvature_bound_scan, ricci_tensor,
                      static_ricci, weighted_ricci)
 from affconn.charts import height_weight, sphere3_chart, sphere_chart
-from affconn.connections import WEIGHTED
 
 
 def main():
@@ -19,17 +18,17 @@ def main():
     x = [1.0, 0.4]
 
     print("Weighted 2-sphere, u = 0.3 z\n")
-    ric = ricci_tensor(man, x, WEIGHTED, WeightParams(0.4, -0.2)).entries
+    ric = ricci_tensor(man, x, WeightParams(0.4, -0.2)).entries
     print("affine Ricci at (0.4, -0.2):")
     print(np.array_str(ric, precision=6), "\n")
 
     gap_static = np.max(np.abs(
-        ricci_tensor(man, x, WEIGHTED, WeightParams(0.0, 1.0)).entries
+        ricci_tensor(man, x, WeightParams(0.0, 1.0)).entries
         - static_ricci(man, x).entries))
     print(f"(0, 1) vs static Ricci oracle:      {gap_static:.3e}")
 
     gap_wy = np.max(np.abs(
-        ricci_tensor(man, x, WEIGHTED, WeightParams(1.0, 0.0)).entries
+        ricci_tensor(man, x, WeightParams(1.0, 0.0)).entries
         - weighted_ricci(man, lambda z: -man.weight(z), 1.0, x).entries))
     print(f"(1, 0) vs 1-weighted Ricci oracle:  {gap_wy:.3e}\n")
 

@@ -4,9 +4,9 @@ from .charts import (ChartedManifold, FramePoint, WeightParams,
                      euclidean_chart, eval_metric, halton_points,
                      orthonormal_frame, polar_disk_chart, sphere3_chart,
                      sphere_chart)
-from .connections import (ConnectionCoeffs, affine_coeffs, amari_chentsov,
-                          amari_chentsov_closed_form, christoffel_lc,
-                          dual_coeffs, duality_residual, equiaffine_residual)
+from .connections import (LEVI_CIVITA, amari_chentsov,
+                          amari_chentsov_closed_form, connection_coeffs,
+                          duality_residual, equiaffine_residual)
 from .curvature import (CurvatureReport, curvature_bound_scan, ricci_tensor,
                         riemann_tensor, static_ricci, weighted_ricci)
 from .dual import Dual, derivative
@@ -25,10 +25,10 @@ from .suite import emit_convergence, report_json, run_suite
 
 __all__ = [
     "ChartedManifold", "FramePoint", "WeightParams", "TensorValue",
-    "ConnectionCoeffs", "CurvatureReport", "Dual",
+    "CurvatureReport", "Dual",
     "euclidean_chart", "sphere_chart", "sphere3_chart", "polar_disk_chart",
     "eval_metric", "orthonormal_frame", "halton_points", "derivative",
-    "christoffel_lc", "affine_coeffs", "dual_coeffs", "duality_residual",
+    "LEVI_CIVITA", "connection_coeffs", "duality_residual",
     "amari_chentsov", "amari_chentsov_closed_form", "equiaffine_residual",
     "riemann_tensor", "ricci_tensor", "static_ricci", "weighted_ricci",
     "curvature_bound_scan",

@@ -80,6 +80,10 @@ class WeightParams:
         """Exponent of the conformal factor e^{(alpha-beta)u} pairing with g."""
         return self.alpha - self.beta
 
+    def dual(self):
+        """Parameters of the dual connection for e^{(alpha-beta)u} g."""
+        return WeightParams(-self.beta, -self.alpha)
+
 
 @dataclass(frozen=True)
 class FramePoint:

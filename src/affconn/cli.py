@@ -3,8 +3,7 @@
 Subcommands: ``verify`` runs the configured checks and emits the JSON
 report, ``list`` prints the scenario registry, and ``converge`` writes a
 CSV refinement study.  Exit codes: 0 all pass, 1 any check failed, 2
-configuration or usage error.  Sampling is Halton-based throughout, so
-``--seedless`` is accepted for compatibility and is always in effect.
+configuration or usage error.  Sampling is Halton-based throughout.
 """
 
 import argparse
@@ -24,9 +23,6 @@ def _build_parser():
                     "geometry")
     parser.add_argument("--workers", type=int, default=1,
                         help="number of concurrent check workers")
-    parser.add_argument("--seedless", action="store_true",
-                        help="use only deterministic low-discrepancy "
-                             "sampling (always on; flag kept for scripts)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run verification checks")

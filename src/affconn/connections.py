@@ -1,37 +1,24 @@
-"""Connection coefficients: Levi-Civita, the weighted affine family, its dual.
+"""Connection coefficients of the weighted affine family.
 
-The weighted family perturbs the Levi-Civita connection by the weight u and
-two real parameters (alpha, beta):
+The family perturbs the Levi-Civita connection by the weight u and two
+real parameters (alpha, beta):
 
     Gamma^D_k(i,j) = Gamma_k(i,j) + alpha (du_i d^k_j + du_j d^k_i)
                      + beta g_ij (grad u)^k
 
-and the dual connection (with respect to e^{(alpha-beta)u} g) swaps the
-roles of the two perturbation terms with opposite signs.
+A connection is named by its ``WeightParams``: Levi-Civita is (0, 0), and
+the dual of (alpha, beta) with respect to e^{(alpha-beta)u} g is
+(-beta, -alpha), which ``WeightParams.dual`` returns.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra
-from .charts import WeightParams  # noqa: F401  (re-exported for convenience)
+from .charts import WeightParams
 from .dual import exp, jacobian, sqrt, value
-from .errors import UnsupportedKind
-from .tensors import LOWER, TensorValue
+from .tensors import LOWER, UPPER, TensorValue
 
-LEVI_CIVITA = "levi_civita"
-WEIGHTED = "weighted"
-DUAL = "dual"
-
-
-@dataclass(frozen=True)
-class ConnectionCoeffs:
-    """Coefficients Gamma[k, i, j] of a torsion-free connection at a point."""
-
-    point: tuple
-    gamma: np.ndarray
-    kind: str
+LEVI_CIVITA = WeightParams(0.0, 0.0)
 
 
 def christoffel_generic(man, x):
@@ -53,62 +40,33 @@ def christoffel_generic(man, x):
     return gamma
 
 
-def affine_gamma_generic(man, params, x, kind=WEIGHTED):
-    """Weighted or dual connection coefficients as a nested list."""
+def affine_gamma_generic(man, params, x):
+    """Coefficients of the connection ``params`` as a nested list."""
     n = man.dim
     gamma = christoffel_generic(man, x)
-    if kind == LEVI_CIVITA or (params.alpha == 0.0 and params.beta == 0.0):
+    if params.alpha == 0.0 and params.beta == 0.0:
         return gamma
     g = man.metric(x)
     gi = algebra.inv(g)
     du = jacobian(man.weight, x)
     grad_u = algebra.matvec(gi, du)
-    if kind == WEIGHTED:
-        c_sym, c_grad = params.alpha, params.beta
-    elif kind == DUAL:
-        c_sym, c_grad = -params.beta, -params.alpha
-    else:
-        raise UnsupportedKind(f"unknown connection kind {kind!r}")
     for k in range(n):
         for i in range(n):
             for j in range(n):
-                term = c_grad * g[i][j] * grad_u[k]
+                term = params.beta * g[i][j] * grad_u[k]
                 if k == j:
-                    term = term + c_sym * du[i]
+                    term = term + params.alpha * du[i]
                 if k == i:
-                    term = term + c_sym * du[j]
+                    term = term + params.alpha * du[j]
                 gamma[k][i][j] = gamma[k][i][j] + term
     return gamma
 
 
-def gamma_field(man, params=None, kind=LEVI_CIVITA):
-    """Callable point -> coefficients, for curvature differentiation."""
-    if kind == LEVI_CIVITA:
-        return lambda x: christoffel_generic(man, x)
-    if params is None:
-        raise ValueError("weighted/dual coefficients need connection parameters")
-    return lambda x: affine_gamma_generic(man, params, x, kind)
-
-
-def _as_coeffs(man, x, gamma, kind):
+def connection_coeffs(man, params, x):
+    """Coefficients Gamma[k, i, j] of the connection ``params`` at ``x``."""
     man.require_admissible(x)
-    arr = np.array(value(gamma), dtype=float)
-    return ConnectionCoeffs(point=tuple(float(c) for c in x), gamma=arr, kind=kind)
-
-
-def christoffel_lc(man, x):
-    """Levi-Civita connection coefficients at ``x``."""
-    return _as_coeffs(man, x, christoffel_generic(man, list(x)), LEVI_CIVITA)
-
-
-def affine_coeffs(man, params, x):
-    """Weighted affine connection coefficients at ``x``."""
-    return _as_coeffs(man, x, affine_gamma_generic(man, params, list(x), WEIGHTED), WEIGHTED)
-
-
-def dual_coeffs(man, params, x):
-    """Dual connection coefficients at ``x``."""
-    return _as_coeffs(man, x, affine_gamma_generic(man, params, list(x), DUAL), DUAL)
+    gamma = affine_gamma_generic(man, params, list(x))
+    return TensorValue(value(gamma), (UPPER, LOWER, LOWER))
 
 
 def covariant_derivative(man, gamma, X, Y, x):
@@ -147,8 +105,8 @@ def duality_residual(man, params, x, X, Y, Z, perturb=0.0):
     for xi, d in zip(X(list(x)), jacobian(pairing, x)):
         lhs = lhs + xi * d
 
-    gamma_w = affine_gamma_generic(man, params, list(x), WEIGHTED)
-    gamma_d = affine_gamma_generic(man, params, list(x), DUAL)
+    gamma_w = affine_gamma_generic(man, params, list(x))
+    gamma_d = affine_gamma_generic(man, params.dual(), list(x))
     if perturb:
         gamma_d[0][0][0] = gamma_d[0][0][0] + perturb
     dxy = covariant_derivative(man, gamma_w, X, Y, x)
@@ -170,7 +128,7 @@ def amari_chentsov(man, params, x):
     """Cubic tensor C(X,Y,Z) = (D_X gbar)(Y,Z), computed from coefficients."""
     man.require_admissible(x)
     n = man.dim
-    gamma = affine_gamma_generic(man, params, list(x), WEIGHTED)
+    gamma = affine_gamma_generic(man, params, list(x))
     gbar = _conformal_metric(man, params, list(x))
     dgbar = jacobian(lambda z: _conformal_metric(man, params, z), x)
     c = np.empty((n, n, n))
@@ -220,7 +178,7 @@ def equiaffine_residual(man, params, x, X, tau_shift=0.0):
     for xi, d in zip(xv, jacobian(density, x)):
         deriv = deriv + xi * d
 
-    gamma = affine_gamma_generic(man, params, list(x), WEIGHTED)
+    gamma = affine_gamma_generic(man, params, list(x))
     trace = 0.0
     for j in range(n):
         for i in range(n):

@@ -13,17 +13,20 @@ import numpy as np
 import scipy.linalg
 
 from . import algebra
-from .charts import halton_points
-from .connections import (LEVI_CIVITA, WEIGHTED, christoffel_generic,
-                          gamma_field)
+from .charts import eval_metric, halton_points, orthonormal_frame
+from .connections import LEVI_CIVITA, affine_gamma_generic, christoffel_generic
 from .dual import derivative, exp, jacobian, value
 from .errors import InvalidN, NonConstantFAtNEqualsN
 from .tensors import LOWER, UPPER, TensorValue
 
 
-def riemann_generic(man, gfield, x):
+def riemann_generic(man, params, x):
     """R[l][k][i][j] coefficients of R(e_i, e_j) e_k = R^l_{kij} e_l."""
     n = man.dim
+
+    def gfield(z):
+        return affine_gamma_generic(man, params, z)
+
     gamma = gfield(list(x))
     dgamma = jacobian(gfield, x)
     riem = algebra.zeros(n, n, n, n)
@@ -39,10 +42,10 @@ def riemann_generic(man, gfield, x):
     return riem
 
 
-def ricci_generic(man, gfield, x):
+def ricci_generic(man, params, x):
     """Ric[p][q] as the coordinate trace of Z -> R(Z, e_p) e_q."""
     n = man.dim
-    riem = riemann_generic(man, gfield, x)
+    riem = riemann_generic(man, params, x)
     ric = algebra.zeros(n, n)
     for p in range(n):
         for q in range(n):
@@ -53,25 +56,24 @@ def ricci_generic(man, gfield, x):
     return ric
 
 
-def riemann_tensor(man, x, kind=LEVI_CIVITA, params=None):
+def riemann_tensor(man, x, params=LEVI_CIVITA):
     """Riemann tensor at ``x`` as a (1,3) tensor with slots [l, k, i, j]."""
     man.require_admissible(x)
-    riem = riemann_generic(man, gamma_field(man, params, kind), x)
+    riem = riemann_generic(man, params, x)
     return TensorValue(value(riem), (UPPER, LOWER, LOWER, LOWER))
 
 
-def ricci_tensor(man, x, kind=LEVI_CIVITA, params=None):
+def ricci_tensor(man, x, params=LEVI_CIVITA):
     """Ricci tensor at ``x`` (coordinate-trace contraction)."""
     man.require_admissible(x)
-    ric = ricci_generic(man, gamma_field(man, params, kind), x)
+    ric = ricci_generic(man, params, x)
     return TensorValue(value(ric), (LOWER, LOWER))
 
 
-def ricci_frame_sum(man, x, kind=LEVI_CIVITA, params=None):
+def ricci_frame_sum(man, x, params=LEVI_CIVITA):
     """Ricci via the orthonormal-frame sum; cross-checks the trace form."""
-    from .charts import eval_metric, orthonormal_frame
     man.require_admissible(x)
-    riem = riemann_tensor(man, x, kind, params).entries
+    riem = riemann_tensor(man, x, params).entries
     frame = orthonormal_frame(man, x).frame
     g = eval_metric(man, x).matrix
     ric = np.einsum("ai,bi,lb,lqap->pq", frame, frame, g, riem)
@@ -105,7 +107,7 @@ def static_ricci(man, x):
     def vfun(z):
         return exp(man.weight(z))
 
-    ric = ricci_generic(man, gamma_field(man), x)
+    ric = ricci_generic(man, LEVI_CIVITA, x)
     hess_v = scalar_hessian_lc(man, vfun, list(x))
     g = man.metric(list(x))
     gi = algebra.inv(g)
@@ -131,7 +133,7 @@ def weighted_ricci(man, f_field, n_eff, x):
     n = man.dim
     if 1.0 < n_eff < n:
         raise InvalidN(f"effective dimension {n_eff} in excluded interval (1, {n})")
-    ric = ricci_generic(man, gamma_field(man), x)
+    ric = ricci_generic(man, LEVI_CIVITA, x)
     hess_f = scalar_hessian_lc(man, f_field, list(x))
     df = jacobian(f_field, x)
     out = algebra.zeros(n, n)
@@ -166,9 +168,8 @@ def curvature_bound_scan(man, params, sample_count=200):
         raise ValueError("sample_count must be >= 1")
     pts = halton_points(man, sample_count)
     n = man.dim
-    gfield = gamma_field(man, params, WEIGHTED)
     coords = [pts[:, i].copy() for i in range(n)]
-    ric_nested = ricci_generic(man, gfield, coords)
+    ric_nested = ricci_generic(man, params, coords)
     shape = (sample_count,)
     ric = np.empty((sample_count, n, n))
     gmat = np.empty((sample_count, n, n))

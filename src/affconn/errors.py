@@ -34,7 +34,7 @@ class QuadratureUnderResolved(GeometryError):
 
 
 class UnsupportedKind(GeometryError):
-    """Unknown mesh or connection kind tag."""
+    """Unknown mesh kind or scenario name."""
 
 
 class DegenerateCell(GeometryError):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .connections import WEIGHTED, affine_gamma_generic, christoffel_generic
+from .connections import christoffel_generic
 from .curvature import ricci_generic, scalar_hessian_lc
 from .dual import exp, jacobian, sqrt, value
 from .errors import DegenerateJacobian, QuadratureUnderResolved
@@ -306,7 +306,7 @@ def _bulk_integrand(region, params, phi, coords):
 
     dphi = jacobian(phi, x)
     grad_d = [scale * c for c in algebra.matvec(gi, dphi)]
-    ric = ricci_generic(man, lambda z: affine_gamma_generic(man, params, z, WEIGHTED), x)
+    ric = ricci_generic(man, params, x)
     ric_term = algebra.quadratic_form(ric, grad_d, grad_d)
 
     dens = sqrt(algebra.det(g))

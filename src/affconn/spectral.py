@@ -23,9 +23,11 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from .curvature import curvature_bound_scan
 from .errors import (DegenerateCell, MeshNotTwoDim, NonpositiveK,
                      NotDMinimal, SingularSystem, SolverNoConvergence)
 from .meshes import cell_measures
+from .operators import d_minimal_residual
 
 DENSE_CUTOFF = 2000
 
@@ -212,10 +214,10 @@ def harmonic_extension_2d(mesh, params, boundary_values):
     return phi, a
 
 
-def _boundary_edges(mesh):
-    """Consecutive (i, j) vertex pairs around the boundary loop."""
-    loop = np.asarray(mesh.boundary_loop)
-    return np.stack([loop, np.roll(loop, -1)], axis=-1)
+def _boundary_lengths(mesh):
+    """Length of each boundary edge, from loop vertex i to vertex i + 1."""
+    verts = mesh.vertices[np.asarray(mesh.boundary_loop)]
+    return np.linalg.norm(np.roll(verts, -1, axis=0) - verts, axis=1)
 
 
 def recover_normal_flux(mesh, a, phi):
@@ -228,9 +230,7 @@ def recover_normal_flux(mesh, a, phi):
     """
     loop = np.asarray(mesh.boundary_loop)
     residual = np.asarray(a @ phi)[loop]
-    edges = _boundary_edges(mesh)
-    lengths = np.linalg.norm(mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]],
-                             axis=1)
+    lengths = _boundary_lengths(mesh)
     lumped = np.zeros(len(loop))
     lumped += 0.5 * lengths
     lumped += 0.5 * np.roll(lengths, 1)
@@ -259,16 +259,11 @@ def proof_chain_inequality(mesh, params, boundary_values, k_constant):
     h = np.exp(params.beta * u_b) * phi_nu              # V^beta phi_nu
     psi = np.asarray(boundary_values, dtype=float)
 
-    edges = _boundary_edges(mesh)
-    lengths = np.linalg.norm(mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]],
-                             axis=1)
+    lengths = _boundary_lengths(mesh)
     # P1 gradients along the boundary polyline; weights at edge midpoints.
-    idx = {v: i for i, v in enumerate(loop)}
-    i0 = np.array([idx[v] for v in edges[:, 0]])
-    i1 = np.array([idx[v] for v in edges[:, 1]])
-    dpsi = (psi[i1] - psi[i0]) / lengths
-    dh = (h[i1] - h[i0]) / lengths
-    u_mid = 0.5 * (u_b[i0] + u_b[i1])
+    dpsi = (np.roll(psi, -1) - psi) / lengths
+    dh = (np.roll(h, -1) - h) / lengths
+    u_mid = 0.5 * (u_b + np.roll(u_b, -1))
     w_edge = np.exp((tau + params.beta - 2.0 * params.alpha) * u_mid)
     t_pairing = float(np.sum(w_edge * dpsi * dh * lengths))
 
@@ -300,9 +295,6 @@ def choi_wang_certificate(man, params, hypersurface, mesh, scan_count=100):
     ``mesh`` must discretize ``hypersurface`` with vertex weights already
     sampled from the ambient weight.
     """
-    from .curvature import curvature_bound_scan
-    from .operators import d_minimal_residual
-
     dmin = d_minimal_residual(hypersurface, params)
     if dmin > 1e-8:
         raise NotDMinimal(f"max |H^D| = {dmin} exceeds 1e-08")

@@ -13,14 +13,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .charts import halton_points
-from .connections import (DUAL, LEVI_CIVITA, WEIGHTED, affine_gamma_generic,
-                          amari_chentsov, amari_chentsov_closed_form,
-                          christoffel_generic, duality_residual,
-                          equiaffine_residual)
+from .charts import WeightParams, halton_points
+from .connections import (LEVI_CIVITA, amari_chentsov,
+                          amari_chentsov_closed_form, connection_coeffs,
+                          duality_residual, equiaffine_residual)
 from .curvature import (curvature_bound_scan, ricci_tensor, static_ricci,
                         weighted_ricci)
-from .dual import value
 from .errors import (CheckNotRefinable, ConfigInvalid, GeometryError,
                      NonpositiveK)
 from .operators import d_minimal_residual, reilly_refinement, reilly_residual
@@ -56,17 +54,10 @@ def check_torsion(scn):
     man = scn.manifold()
     worst = 0.0
     for x in halton_points(man, 20):
-        for kind in (LEVI_CIVITA, WEIGHTED, DUAL):
-            if kind == LEVI_CIVITA:
-                gamma = christoffel_generic(man, list(x))
-            else:
-                gamma = affine_gamma_generic(man, scn.params, list(x), kind)
-            n = man.dim
-            for k in range(n):
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        worst = max(worst, abs(value(gamma[k][i][j])
-                                               - value(gamma[k][j][i])))
+        for params in (LEVI_CIVITA, scn.params, scn.params.dual()):
+            gamma = connection_coeffs(man, params, x).entries
+            worst = max(worst,
+                        float(np.max(np.abs(gamma - gamma.swapaxes(1, 2)))))
     return {"values": {"max_asymmetry": worst}, "threshold": 1e-12,
             "passed": worst <= 1e-12,
             "statement": "all three connection kinds are torsion-free"}
@@ -140,7 +131,6 @@ def check_ricci_symmetry(scn):
 
 
 def check_curvature_oracles(scn):
-    from .charts import WeightParams
     man = scn.manifold()
 
     def neg_u(z):
@@ -151,11 +141,11 @@ def check_curvature_oracles(scn):
     worst_static = 0.0
     worst_wy = 0.0
     for x in halton_points(man, 20):
-        ric_static = ricci_tensor(man, x, WEIGHTED, static_params).entries
+        ric_static = ricci_tensor(man, x, static_params).entries
         oracle_static = static_ricci(man, x).entries
         worst_static = max(worst_static,
                            float(np.max(np.abs(ric_static - oracle_static))))
-        ric_wy = ricci_tensor(man, x, WEIGHTED, wy_params).entries
+        ric_wy = ricci_tensor(man, x, wy_params).entries
         oracle_wy = weighted_ricci(man, neg_u, 1.0, x).entries
         worst_wy = max(worst_wy, float(np.max(np.abs(ric_wy - oracle_wy))))
     return {"values": {"static_gap": worst_static, "one_weighted_gap": worst_wy},

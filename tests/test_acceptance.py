@@ -12,7 +12,6 @@ from affconn.charts import WeightParams, halton_points
 from affconn.connections import (amari_chentsov, amari_chentsov_closed_form,
                                  duality_residual, equiaffine_residual)
 from affconn.curvature import ricci_tensor, static_ricci, weighted_ricci
-from affconn.connections import WEIGHTED
 from affconn.meshes import build_mesh, disk_mesh, hemisphere_mesh
 from affconn.operators import (d_minimal_residual, reilly_refinement,
                                reilly_residual)
@@ -87,10 +86,10 @@ def test_criterion_4_curvature_oracles():
 
         for x in halton_points(man, 20):
             gap_s = np.max(np.abs(
-                ricci_tensor(man, x, WEIGHTED, params_static).entries
+                ricci_tensor(man, x, params_static).entries
                 - static_ricci(man, x).entries))
             gap_w = np.max(np.abs(
-                ricci_tensor(man, x, WEIGHTED, params_wy).entries
+                ricci_tensor(man, x, params_wy).entries
                 - weighted_ricci(man, neg_u, 1.0, x).entries))
             ok = ok and gap_s <= 1e-9 and gap_w <= 1e-9
     _verdict(4, "curvature oracles", ok)

@@ -5,10 +5,9 @@ import pytest
 
 from affconn.charts import (WeightParams, euclidean_chart, halton_points,
                             height_weight, linear_weight, sphere_chart)
-from affconn.connections import (affine_coeffs, amari_chentsov,
-                                 amari_chentsov_closed_form, christoffel_lc,
-                                 dual_coeffs, duality_residual,
-                                 equiaffine_residual)
+from affconn.connections import (LEVI_CIVITA, amari_chentsov,
+                                 amari_chentsov_closed_form, connection_coeffs,
+                                 duality_residual, equiaffine_residual)
 
 S2_WEIGHTED = sphere_chart(weight=height_weight(0.3))
 GENERIC = WeightParams(0.4, 0.1)
@@ -30,7 +29,7 @@ class TestChristoffel:
     def test_sphere_closed_form(self):
         man = sphere_chart()
         th = 1.1
-        gamma = christoffel_lc(man, [th, 0.7]).gamma
+        gamma = connection_coeffs(man, LEVI_CIVITA, [th, 0.7]).entries
         assert gamma[0][1][1] == pytest.approx(-np.sin(th) * np.cos(th))
         assert gamma[1][0][1] == pytest.approx(np.cos(th) / np.sin(th))
         assert gamma[1][1][0] == pytest.approx(np.cos(th) / np.sin(th))
@@ -39,38 +38,52 @@ class TestChristoffel:
     def test_constant_weight_reduces_to_levi_civita(self):
         man = sphere_chart(weight=lambda x: 1.7 + 0.0 * x[0])
         x = [0.9, 0.4]
-        lc = christoffel_lc(man, x).gamma
-        aff = affine_coeffs(man, GENERIC, x).gamma
+        lc = connection_coeffs(man, LEVI_CIVITA, x).entries
+        aff = connection_coeffs(man, GENERIC, x).entries
         assert np.allclose(aff, lc, atol=1e-12)
 
     def test_zero_params_reduce_to_levi_civita(self):
         x = [1.0, 0.2]
-        lc = christoffel_lc(S2_WEIGHTED, x).gamma
-        aff = affine_coeffs(S2_WEIGHTED, WeightParams(0.0, 0.0), x).gamma
+        lc = connection_coeffs(S2_WEIGHTED, LEVI_CIVITA, x).entries
+        aff = connection_coeffs(S2_WEIGHTED, WeightParams(0.0, 0.0), x).entries
         assert np.allclose(aff, lc, atol=1e-14)
 
     def test_flat_substitution_example(self):
         # u = x1, alpha = 1, beta = 0 at the origin of the plane.
         man = euclidean_chart(2, weight=linear_weight(1.0))
-        gamma = affine_coeffs(man, WeightParams(1.0, 0.0), [0.0, 0.0]).gamma
+        gamma = connection_coeffs(man, WeightParams(1.0, 0.0),
+                                  [0.0, 0.0]).entries
         assert gamma[0][0][0] == pytest.approx(2.0)
         assert gamma[1][0][1] == pytest.approx(1.0)
         assert gamma[1][1][0] == pytest.approx(1.0)
         assert gamma[0][1][1] == pytest.approx(0.0, abs=1e-14)
 
-    @pytest.mark.parametrize("kind_fn", [christoffel_lc])
-    def test_torsion_free(self, kind_fn):
+    @pytest.mark.parametrize("params", [LEVI_CIVITA, GENERIC, GENERIC.dual()],
+                             ids=["levi-civita", "weighted", "dual"])
+    def test_torsion_free(self, params):
         for x in halton_points(S2_WEIGHTED, 10):
-            gamma = kind_fn(S2_WEIGHTED, list(x)).gamma
+            gamma = connection_coeffs(S2_WEIGHTED, params, list(x)).entries
             assert np.allclose(gamma, np.swapaxes(gamma, 1, 2), atol=1e-12)
 
     def test_dual_swap_identity(self):
-        # Dual of (alpha, beta) equals the direct family at (-beta, -alpha).
-        x = [1.2, 0.5]
-        d = dual_coeffs(S2_WEIGHTED, GENERIC, x).gamma
-        swapped = affine_coeffs(
-            S2_WEIGHTED, WeightParams(-GENERIC.beta, -GENERIC.alpha), x).gamma
-        assert np.allclose(d, swapped, atol=1e-12)
+        # The dual swaps the roles of the two terms with opposite signs:
+        # Gamma_LC - beta (du_i d^k_j + du_j d^k_i) - alpha g_ij (g^-1 du)^k,
+        # written out for u = 0.3 cos(theta) on the round sphere.
+        dual = GENERIC.dual()
+        assert dual.dual() == GENERIC
+        assert dual.conformal_exponent == GENERIC.conformal_exponent
+        th = 1.2
+        g = np.diag([1.0, np.sin(th) ** 2])
+        du = np.array([-0.3 * np.sin(th), 0.0])
+        lc = np.zeros((2, 2, 2))
+        lc[0, 1, 1] = -np.sin(th) * np.cos(th)
+        lc[1, 0, 1] = lc[1, 1, 0] = np.cos(th) / np.sin(th)
+        eye = np.eye(2)
+        sym = np.einsum("i,kj->kij", du, eye) + np.einsum("j,ki->kij", du, eye)
+        grad = np.einsum("ij,k->kij", g, np.linalg.solve(g, du))
+        expected = lc - GENERIC.beta * sym - GENERIC.alpha * grad
+        gamma = connection_coeffs(S2_WEIGHTED, dual, [th, 0.5]).entries
+        assert np.allclose(gamma, expected, atol=1e-12)
 
 
 class TestDuality:

@@ -6,7 +6,6 @@ import pytest
 from affconn.charts import (WeightParams, euclidean_chart, eval_metric,
                             halton_points, height_weight, sphere3_chart,
                             sphere_chart)
-from affconn.connections import WEIGHTED
 from affconn.curvature import (curvature_bound_scan, ricci_frame_sum,
                                ricci_tensor, riemann_tensor, static_ricci,
                                weighted_ricci)
@@ -38,8 +37,8 @@ class TestRiemannRicci:
     def test_frame_sum_matches_coordinate_trace(self):
         params = WeightParams(0.4, -0.2)
         for x in halton_points(S2_WEIGHTED, 6):
-            a = ricci_tensor(S2_WEIGHTED, x, WEIGHTED, params).entries
-            b = ricci_frame_sum(S2_WEIGHTED, x, WEIGHTED, params).entries
+            a = ricci_tensor(S2_WEIGHTED, x, params).entries
+            b = ricci_frame_sum(S2_WEIGHTED, x, params).entries
             assert np.allclose(a, b, atol=1e-10)
 
     def test_first_bianchi_antisymmetry(self):
@@ -52,7 +51,7 @@ class TestOracles:
     def test_static_oracle_matches_affine_ricci(self):
         params = WeightParams(0.0, 1.0)
         for x in halton_points(S2_WEIGHTED, 10):
-            ric_d = ricci_tensor(S2_WEIGHTED, x, WEIGHTED, params).entries
+            ric_d = ricci_tensor(S2_WEIGHTED, x, params).entries
             oracle = static_ricci(S2_WEIGHTED, x).entries
             assert np.max(np.abs(ric_d - oracle)) <= 1e-9
 
@@ -64,7 +63,7 @@ class TestOracles:
             return -man.weight(z)
 
         for x in halton_points(man, 10):
-            ric_d = ricci_tensor(man, x, WEIGHTED, params).entries
+            ric_d = ricci_tensor(man, x, params).entries
             oracle = weighted_ricci(man, f, 1.0, x).entries
             assert np.max(np.abs(ric_d - oracle)) <= 1e-9
 

@@ -1,5 +1,8 @@
 """Forward-mode dual-number arithmetic and the derivative helpers."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,3 +148,38 @@ class TestJacobian:
             for j in range(2):
                 fd = derivative(entry(f_matrix, i, j), x, (a, b), mode="fd")
                 assert mixed[i][j] == pytest.approx(fd, abs=1e-6)
+
+
+class TestThreads:
+    @given(st.lists(points, min_size=4, max_size=4))
+    @settings(max_examples=5, deadline=None)
+    def test_concurrent_nested_lifts_match_serial(self, xs):
+        # Every lift draws its level from one global counter, so lifts on
+        # different threads interleave; the levels held by one nested
+        # evaluation must still be distinct.  A counter that loses updates
+        # under contention fails this within a few dozen repeats.
+        def work(x):
+            return (jacobian(lambda z: jacobian(f_matrix, z), x),
+                    derivative(f_matrix, x, (0, 1, 2)))
+
+        serial = [work(x) for x in xs]
+        repeats = 50
+        results = [None] * len(xs)
+        barrier = threading.Barrier(len(xs))
+
+        def run(k):
+            barrier.wait()
+            results[k] = [work(xs[k]) for _ in range(repeats)]
+
+        threads = [threading.Thread(target=run, args=(k,))
+                   for k in range(len(xs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [[r] * repeats for r in serial]

@@ -210,5 +210,7 @@ class TestCli:
         assert main(["converge", "--scenario", "s2-classical",
                      "--check", "torsion", "--levels", "1..2"]) == 2
 
-    def test_seedless_flag_accepted(self, capsys):
-        assert main(["--seedless", "list"]) == 0
+    def test_seedless_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--seedless", "list"])
+        assert exc.value.code == 2
