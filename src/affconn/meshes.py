@@ -103,40 +103,38 @@ def disk_mesh(level, radius=1.0):
     Returns a mesh whose ``boundary_loop`` lists the outer ring in order.
     """
     rings = 2 ** level * 4
-    verts = [(0.0, 0.0)]
-    ring_start = [0]
-    for j in range(1, rings + 1):
-        ring_start.append(len(verts))
-        r = radius * j / rings
-        for k in range(6 * j):
-            a = 2.0 * np.pi * k / (6 * j)
-            verts.append((r * np.cos(a), r * np.sin(a)))
-    cells = []
+    # Ring j >= 1 holds vertices ring_start[j] .. ring_start[j] + 6j - 1.
+    ring_start = np.concatenate([[0], 1 + 3 * np.arange(1, rings + 1)
+                                 * np.arange(rings)])
+    ring = np.repeat(np.arange(1, rings + 1), 6 * np.arange(1, rings + 1))
+    k = np.arange(1, len(ring) + 1) - ring_start[ring]
+    r = radius * ring / rings
+    a = 2.0 * np.pi * k / (6 * ring)
+    vertices = np.concatenate([[[0.0, 0.0]],
+                               np.stack([r * np.cos(a), r * np.sin(a)], axis=-1)])
     # Innermost fan around the center.
-    for k in range(6):
-        cells.append((0, 1 + k, 1 + (k + 1) % 6))
-    # Between ring j (inner, 6j verts) and ring j+1 (outer, 6(j+1) verts):
-    # walk each of the 6 sectors, zig-zagging j inner and j+1 outer nodes.
-    for j in range(1, rings):
-        inner0, outer0 = ring_start[j], ring_start[j + 1]
-        ni, no = 6 * j, 6 * (j + 1)
-        for sector in range(6):
-            ii = sector * j          # index within inner ring
-            oo = sector * (j + 1)    # index within outer ring
-            for step in range(j):
-                cells.append((inner0 + (ii + step) % ni,
-                              outer0 + (oo + step) % no,
-                              outer0 + (oo + step + 1) % no))
-                cells.append((inner0 + (ii + step) % ni,
-                              outer0 + (oo + step + 1) % no,
-                              inner0 + (ii + step + 1) % ni))
-            cells.append((inner0 + (ii + j) % ni,
-                          outer0 + (oo + j) % no,
-                          outer0 + (oo + j + 1) % no))
-    vertices = np.array(verts)
-    boundary = np.arange(ring_start[rings], len(verts))
-    return SurfaceMesh(vertices=vertices, cells=np.array(cells, dtype=int),
-                       u=np.zeros(len(verts)), boundary_loop=boundary,
+    fan = np.stack([np.zeros(6, dtype=int), 1 + np.arange(6),
+                    1 + (np.arange(6) + 1) % 6], axis=-1)
+    # Between ring j (inner, 6j verts) and ring j+1 (outer, 6(j+1) verts),
+    # each of the 6 sectors zig-zags j inner and j+1 outer nodes.  Slot q of
+    # the sector's 2j+1 triangles is at step q // 2 and spans two outer
+    # nodes (q even) or two inner nodes (q odd).
+    per_ring = 6 * (2 * np.arange(1, rings) + 1)
+    j = np.repeat(np.arange(1, rings), per_ring)
+    slot = np.arange(len(j)) - np.repeat(np.cumsum(per_ring) - per_ring, per_ring)
+    sector, q = np.divmod(slot, 2 * j + 1)
+    step, odd = np.divmod(q, 2)
+    inner0, outer0 = ring_start[j], ring_start[j + 1]
+    ni, no = 6 * j, 6 * (j + 1)
+    ii = sector * j + step       # index within inner ring
+    oo = sector * (j + 1) + step  # index within outer ring
+    zigzag = np.stack([inner0 + ii % ni,
+                       outer0 + (oo + odd) % no,
+                       np.where(odd == 1, inner0 + (ii + 1) % ni,
+                                outer0 + (oo + 1) % no)], axis=-1)
+    boundary = np.arange(ring_start[rings], len(vertices))
+    return SurfaceMesh(vertices=vertices, cells=np.concatenate([fan, zigzag]),
+                       u=np.zeros(len(vertices)), boundary_loop=boundary,
                        name=f"disk-{level}")
 
 

@@ -29,7 +29,8 @@ from .errors import (DegenerateCell, MeshNotTwoDim, NonpositiveK,
 from .meshes import cell_measures
 from .operators import d_minimal_residual
 
-DENSE_CUTOFF = 2000
+# Below this many vertices dense eigh beats shift-invert Lanczos.
+DENSE_CUTOFF = 300
 
 
 @dataclass
@@ -124,7 +125,10 @@ def eigenvalues(prob, count=6, method="auto"):
         vals = scipy.linalg.eigh(a.toarray(), b.toarray(), eigvals_only=True,
                                  subset_by_index=(0, min(count, n) - 1))
         return np.asarray(vals)
-    sigma = -0.1 * (a.diagonal().sum() / b.diagonal().sum())
+    # tr A / tr B grows like n^(2/d); dividing that out puts the shift at the
+    # scale of the lowest eigenvalues, where 1/(lambda - sigma) separates them.
+    sigma = -0.1 * (a.diagonal().sum() / b.diagonal().sum()) / n ** (
+        2.0 / prob.mesh.cell_dim)
     # Fixed start vector keeps the Lanczos iteration fully deterministic.
     v0 = 1.5 + np.sin(np.arange(n, dtype=float))
     try:
@@ -206,11 +210,15 @@ def harmonic_extension_2d(mesh, params, boundary_values):
     phi[boundary] = boundary_values
     rhs = -a[interior][:, boundary] @ phi[boundary]
     a_ii = a[interior][:, interior].tocsc()
+    # A_II is symmetric positive definite for positive weights, so a
+    # symmetric ordering keeps the LU fill low and needs no pivoting.
     try:
-        solve = scipy.sparse.linalg.factorized(a_ii)
+        lu = scipy.sparse.linalg.splu(a_ii, permc_spec="MMD_AT_PLUS_A",
+                                      diag_pivot_thresh=0.0,
+                                      options={"SymmetricMode": True})
     except RuntimeError as err:
         raise SingularSystem(str(err)) from err
-    phi[interior] = solve(rhs)
+    phi[interior] = lu.solve(rhs)
     return phi, a
 
 

@@ -42,12 +42,6 @@ class TestChristoffel:
         aff = connection_coeffs(man, GENERIC, x).entries
         assert np.allclose(aff, lc, atol=1e-12)
 
-    def test_zero_params_reduce_to_levi_civita(self):
-        x = [1.0, 0.2]
-        lc = connection_coeffs(S2_WEIGHTED, LEVI_CIVITA, x).entries
-        aff = connection_coeffs(S2_WEIGHTED, WeightParams(0.0, 0.0), x).entries
-        assert np.allclose(aff, lc, atol=1e-14)
-
     def test_flat_substitution_example(self):
         # u = x1, alpha = 1, beta = 0 at the origin of the plane.
         man = euclidean_chart(2, weight=linear_weight(1.0))

@@ -11,6 +11,37 @@ from affconn.meshes import (build_mesh, cell_measures, check_closed,
                             export_mesh, hemisphere_mesh, icosphere)
 
 
+def disk_mesh_by_loops(level, radius=1.0):
+    """Ring-by-ring loop construction of ``disk_mesh``, kept as reference."""
+    rings = 2 ** level * 4
+    verts = [(0.0, 0.0)]
+    ring_start = [0]
+    for j in range(1, rings + 1):
+        ring_start.append(len(verts))
+        r = radius * j / rings
+        for k in range(6 * j):
+            a = 2.0 * np.pi * k / (6 * j)
+            verts.append((r * np.cos(a), r * np.sin(a)))
+    cells = [(0, 1 + k, 1 + (k + 1) % 6) for k in range(6)]
+    for j in range(1, rings):
+        inner0, outer0 = ring_start[j], ring_start[j + 1]
+        ni, no = 6 * j, 6 * (j + 1)
+        for sector in range(6):
+            ii, oo = sector * j, sector * (j + 1)
+            for step in range(j):
+                cells.append((inner0 + (ii + step) % ni,
+                              outer0 + (oo + step) % no,
+                              outer0 + (oo + step + 1) % no))
+                cells.append((inner0 + (ii + step) % ni,
+                              outer0 + (oo + step + 1) % no,
+                              inner0 + (ii + step + 1) % ni))
+            cells.append((inner0 + (ii + j) % ni,
+                          outer0 + (oo + j) % no,
+                          outer0 + (oo + j + 1) % no))
+    return np.array(verts), np.array(cells, dtype=int), np.arange(
+        ring_start[rings], len(verts))
+
+
 class TestClosedMeshes:
     def test_circle_level_0(self):
         mesh = build_mesh("circle", 0)
@@ -54,6 +85,15 @@ class TestOpenMeshes:
         boundary_edges = [e for e, k in counts.items() if k == 1]
         assert len(boundary_edges) == len(mesh.boundary_loop)
         assert set(v for e in boundary_edges for v in e) == set(mesh.boundary_loop)
+
+    @pytest.mark.parametrize("level,radius", [(0, 1.0), (1, 2.5), (2, 1.0),
+                                              (3, 0.7), (4, 1.0)])
+    def test_disk_matches_loop_construction(self, level, radius):
+        mesh = disk_mesh(level, radius)
+        verts, cells, boundary = disk_mesh_by_loops(level, radius)
+        assert np.array_equal(mesh.vertices, verts)
+        assert np.array_equal(mesh.cells, cells)
+        assert np.array_equal(mesh.boundary_loop, boundary)
 
     def test_disk_area(self):
         assert np.sum(cell_measures(disk_mesh(3))) == pytest.approx(

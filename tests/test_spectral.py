@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from affconn.charts import WeightParams, height_weight, sphere_chart
-from affconn.errors import (MeshNotTwoDim, NonpositiveK, NotDMinimal)
-from affconn.meshes import build_mesh, disk_mesh, hemisphere_mesh
+from affconn.errors import (MeshNotTwoDim, NonpositiveK, NotDMinimal,
+                            SingularSystem)
+from affconn.meshes import (SurfaceMesh, build_mesh, disk_mesh,
+                            hemisphere_mesh)
 from affconn.operators import Hypersurface
 from affconn.spectral import (assemble, choi_wang_certificate,
                               circle_collocation_eigenvalues, eigenvalues,
@@ -15,6 +17,19 @@ from affconn.spectral import (assemble, choi_wang_certificate,
 
 P0 = WeightParams(0.0, 0.0)
 PW = WeightParams(1.0, 0.0)
+
+
+def polygon_eigenvalues(n, k):
+    """Exact P1 eigenvalues of the uniform n-gon inscribed in the unit circle.
+
+    lambda_k = 6 (1 - cos t) / (h^2 (2 + cos t)) with t = 2 pi k / n and
+    h = 2 sin(pi / n); 1 - cos t is written as 2 sin^2(t / 2) to avoid
+    cancellation at small t.
+    """
+    t = 2.0 * np.pi * np.asarray(k) / n
+    h = 2.0 * np.sin(np.pi / n)
+    one_minus_cos = 2.0 * np.sin(0.5 * t) ** 2
+    return 6.0 * one_minus_cos / (h * h * (3.0 - one_minus_cos))
 
 
 class TestAssembly:
@@ -49,6 +64,19 @@ class TestEigenvalues:
         vals = eigenvalues(assemble(build_mesh("circle", 5), P0), count=6)
         expected = [0.0, 1.0, 1.0, 4.0, 4.0, 9.0]
         assert np.allclose(vals, expected, atol=2e-3)
+
+    @pytest.mark.parametrize("level", [4, 5, 6])
+    def test_circle_matches_polygon_closed_form(self, level):
+        vals = eigenvalues(assemble(build_mesh("circle", level), P0), count=6)
+        exact = polygon_eigenvalues(2 ** (level + 4), [1, 1, 2, 2, 3])
+        assert abs(vals[0]) <= 1e-10
+        assert np.max(np.abs(vals[1:] - exact) / exact) <= 2e-11
+
+    def test_circle_level_11_converges(self):
+        # 32,768 vertices, where a shift at the 1/h^2 scale stalled Lanczos.
+        lam = smallest_nonzero_eigenvalue(
+            assemble(build_mesh("circle", 11), P0))
+        assert abs(lam - polygon_eigenvalues(2 ** 15, 1)) <= 1e-9
 
     def test_circle_first_eigenvalue_level_6(self):
         lam = smallest_nonzero_eigenvalue(assemble(build_mesh("circle", 6), P0))
@@ -133,6 +161,26 @@ class TestHarmonicExtension:
         phi, a = harmonic_extension_2d(mesh, P0, np.sin(angle))
         flux = recover_normal_flux(mesh, a, phi)
         assert np.max(np.abs(flux - np.sin(angle))) <= 5e-3
+
+    def test_dirichlet_residual_on_weighted_hemisphere(self):
+        mesh = hemisphere_mesh(3).with_weight(lambda v: 0.1 * v[2] ** 2)
+        loop = mesh.boundary_loop
+        angle = np.arctan2(mesh.vertices[loop, 1], mesh.vertices[loop, 0])
+        phi, a = harmonic_extension_2d(mesh, PW, np.sin(angle))
+        interior = np.setdiff1d(np.arange(len(phi)), loop)
+        rows = a[interior]
+        load = rows[:, loop] @ phi[loop]
+        residual = rows[:, interior] @ phi[interior] + load
+        assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(load))
+
+    def test_isolated_interior_vertex_is_singular(self):
+        disk = disk_mesh(0)
+        verts = np.vstack([disk.vertices, [[0.01, 0.02]]])  # in no cell
+        mesh = SurfaceMesh(vertices=verts, cells=disk.cells,
+                           u=np.zeros(len(verts)),
+                           boundary_loop=disk.boundary_loop)
+        with pytest.raises(SingularSystem):
+            harmonic_extension_2d(mesh, P0, np.zeros(len(disk.boundary_loop)))
 
     def test_segment_mesh_rejected(self):
         with pytest.raises(MeshNotTwoDim):
