@@ -21,9 +21,9 @@ def main():
     print("Weighted 2-sphere, u = 0.3 z, (alpha, beta) = (0.4, 0.1)")
     print(f"point (theta, phi) = {tuple(x)}\n")
 
-    lc = connection_coeffs(man, LEVI_CIVITA, x).entries
-    aff = connection_coeffs(man, params, x).entries
-    dl = connection_coeffs(man, params.dual(), x).entries
+    lc = connection_coeffs(man, LEVI_CIVITA, x)
+    aff = connection_coeffs(man, params, x)
+    dl = connection_coeffs(man, params.dual(), x)
     print("Gamma^0_00:  Levi-Civita %.6f   weighted %.6f   dual %.6f"
           % (lc[0][0][0], aff[0][0][0], dl[0][0][0]))
     print("Gamma^1_01:  Levi-Civita %.6f   weighted %.6f   dual %.6f\n"
@@ -44,8 +44,8 @@ def main():
     broken = duality_residual(man, params, x, xf, yf, zf, perturb=0.01)
     print(f"same defect with one dual coefficient perturbed: {broken:.3e}\n")
 
-    c = amari_chentsov(man, params, x).entries
-    cf = amari_chentsov_closed_form(man, params, x).entries
+    c = amari_chentsov(man, params, x)
+    cf = amari_chentsov_closed_form(man, params, x)
     print(f"cubic tensor vs closed form: {np.max(np.abs(c - cf)):.3e}")
     sym = max(np.max(np.abs(c - np.transpose(c, p)))
               for p in [(0, 2, 1), (1, 0, 2), (2, 1, 0)])

@@ -18,18 +18,18 @@ def main():
     x = [1.0, 0.4]
 
     print("Weighted 2-sphere, u = 0.3 z\n")
-    ric = ricci_tensor(man, x, WeightParams(0.4, -0.2)).entries
+    ric = ricci_tensor(man, x, WeightParams(0.4, -0.2))
     print("affine Ricci at (0.4, -0.2):")
     print(np.array_str(ric, precision=6), "\n")
 
     gap_static = np.max(np.abs(
-        ricci_tensor(man, x, WeightParams(0.0, 1.0)).entries
-        - static_ricci(man, x).entries))
+        ricci_tensor(man, x, WeightParams(0.0, 1.0))
+        - static_ricci(man, x)))
     print(f"(0, 1) vs static Ricci oracle:      {gap_static:.3e}")
 
     gap_wy = np.max(np.abs(
-        ricci_tensor(man, x, WeightParams(1.0, 0.0)).entries
-        - weighted_ricci(man, lambda z: -man.weight(z), 1.0, x).entries))
+        ricci_tensor(man, x, WeightParams(1.0, 0.0))
+        - weighted_ricci(man, lambda z: -man.weight(z), 1.0, x)))
     print(f"(1, 0) vs 1-weighted Ricci oracle:  {gap_wy:.3e}\n")
 
     for chart, params, label in [

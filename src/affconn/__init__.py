@@ -1,16 +1,14 @@
 """Numerical verification engine for weighted affine-connection geometry."""
 
-from .charts import (ChartedManifold, FramePoint, WeightParams,
-                     euclidean_chart, eval_metric, halton_points,
-                     orthonormal_frame, polar_disk_chart, sphere3_chart,
-                     sphere_chart)
+from .charts import (ChartedManifold, WeightParams, euclidean_chart,
+                     eval_metric, halton_points, polar_disk_chart,
+                     sphere3_chart, sphere_chart)
 from .connections import (LEVI_CIVITA, amari_chentsov,
                           amari_chentsov_closed_form, connection_coeffs,
                           duality_residual, equiaffine_residual)
 from .curvature import (CurvatureReport, curvature_bound_scan, ricci_tensor,
                         riemann_tensor, static_ricci, weighted_ricci)
 from .dual import Dual, derivative
-from .tensors import TensorValue
 
 __version__ = "0.1.0"
 
@@ -24,10 +22,9 @@ from .spectral import (SpectralProblem, assemble, choi_wang_certificate,
 from .suite import emit_convergence, report_json, run_suite
 
 __all__ = [
-    "ChartedManifold", "FramePoint", "WeightParams", "TensorValue",
-    "CurvatureReport", "Dual",
+    "ChartedManifold", "WeightParams", "CurvatureReport", "Dual",
     "euclidean_chart", "sphere_chart", "sphere3_chart", "polar_disk_chart",
-    "eval_metric", "orthonormal_frame", "halton_points", "derivative",
+    "eval_metric", "halton_points", "derivative",
     "LEVI_CIVITA", "connection_coeffs", "duality_residual",
     "amari_chentsov", "amari_chentsov_closed_form", "equiaffine_residual",
     "riemann_tensor", "ricci_tensor", "static_ricci", "weighted_ricci",

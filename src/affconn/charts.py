@@ -7,7 +7,6 @@ floats, numpy arrays, and nested dual numbers alike.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -49,19 +48,12 @@ class ChartedManifold:
             bounds.append((lo, hi))
         return bounds
 
-    def contains(self, x, with_margin=True):
-        box = self.admissible_box() if with_margin else list(zip(self.lower, self.upper))
-        for i in range(self.dim):
-            if self.periodic[i]:
-                continue
-            lo, hi = box[i]
-            if not (lo <= x[i] <= hi):
-                return False
-        return True
-
     def require_admissible(self, x):
-        if not self.contains(x):
-            raise PointOutOfDomain(f"point {tuple(x)} outside admissible box of {self.name or 'chart'}")
+        for i, (lo, hi) in enumerate(self.admissible_box()):
+            if not self.periodic[i] and not (lo <= x[i] <= hi):
+                raise PointOutOfDomain(
+                    f"point {tuple(x)} outside admissible box of "
+                    f"{self.name or 'chart'}")
 
 
 @dataclass(frozen=True)
@@ -85,52 +77,15 @@ class WeightParams:
         return WeightParams(-self.beta, -self.alpha)
 
 
-@dataclass(frozen=True)
-class FramePoint:
-    """A point together with a g-orthonormal basis (columns of ``frame``)."""
-
-    point: tuple
-    frame: np.ndarray
-
-
-class PointMetric:
-    """Metric matrix at a point, with inverse and volume factor on demand."""
-
-    def __init__(self, matrix):
-        self.matrix = np.asarray(matrix, dtype=float)
-
-    @cached_property
-    def inverse(self):
-        return np.linalg.inv(self.matrix)
-
-    @cached_property
-    def sqrt_det(self):
-        return float(np.sqrt(np.linalg.det(self.matrix)))
-
-
 def eval_metric(man, x):
-    """Metric at an admissible point, checked symmetric positive definite."""
+    """Metric matrix at an admissible point, checked SPD."""
     man.require_admissible(x)
     g = np.array(dual.value(man.metric(list(x))), dtype=float)
     if np.max(np.abs(g - g.T)) > 1e-12 * max(1.0, np.max(np.abs(g))):
         raise MetricNotSPD(f"metric not symmetric at {tuple(x)}")
     if np.linalg.eigvalsh(g)[0] <= 0.0:
         raise MetricNotSPD(f"metric not positive definite at {tuple(x)}")
-    return PointMetric(g)
-
-
-def orthonormal_frame(man, x):
-    """Gram-Schmidt of the coordinate basis, in fixed axis order."""
-    g = eval_metric(man, x).matrix
-    n = man.dim
-    frame = np.zeros((n, n))
-    for i in range(n):
-        v = np.zeros(n)
-        v[i] = 1.0
-        for j in range(i):
-            v = v - (frame[:, j] @ g @ v) * frame[:, j]
-        frame[:, i] = v / np.sqrt(v @ g @ v)
-    return FramePoint(tuple(float(c) for c in x), frame)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +104,17 @@ def _radical_inverse(i, base):
     return r
 
 
-def halton_points(man, count, skip=20):
+# Leading Halton points that sampling skips; every sampled set depends on it.
+HALTON_SKIP = 20
+
+
+def halton_points(man, count):
     """``count`` quasi-random admissible points inside the chart box."""
     box = man.admissible_box()
     pts = np.empty((count, man.dim))
     for k in range(count):
         for axis in range(man.dim):
-            t = _radical_inverse(k + skip + 1, _PRIMES[axis])
+            t = _radical_inverse(k + HALTON_SKIP + 1, _PRIMES[axis])
             lo, hi = box[axis]
             pts[k, axis] = lo + t * (hi - lo)
     return pts
@@ -261,23 +220,4 @@ def height_squared_weight(a):
         c = dual.cos(x[0])
         return a * c * c
     u.family = ("height-squared", a)
-    return u
-
-
-def linear_weight(a, axis=0):
-    """u = a * x_axis on flat charts."""
-    def u(x):
-        return a * x[axis]
-    u.family = ("linear", a, axis)
-    return u
-
-
-def radial_weight(a):
-    """u = a * r^2 / 2 on flat charts (r = Euclidean distance to the origin)."""
-    def u(x):
-        r2 = 0.0
-        for c in x:
-            r2 = r2 + c * c
-        return a * r2 / 2.0
-    u.family = ("radial", a)
     return u

@@ -21,8 +21,9 @@ def _build_parser():
         prog="affconn",
         description="numerical verification of weighted affine-connection "
                     "geometry")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="number of concurrent check workers")
+    parser.add_argument("--workers", type=int,
+                        help="number of concurrent check workers (overrides "
+                             "the config file; default 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run verification checks")
@@ -53,7 +54,7 @@ def _load_config(path, workers):
         except json.JSONDecodeError as err:
             raise ConfigInvalid(f"config is not valid JSON: {err}") from err
     config = normalize_config(config)
-    if workers != 1:
+    if workers is not None:
         config["workers"] = workers
     return config
 

@@ -16,7 +16,6 @@ import numpy as np
 from . import algebra
 from .charts import WeightParams
 from .dual import exp, jacobian, sqrt, value
-from .tensors import LOWER, UPPER, TensorValue
 
 LEVI_CIVITA = WeightParams(0.0, 0.0)
 
@@ -65,8 +64,8 @@ def affine_gamma_generic(man, params, x):
 def connection_coeffs(man, params, x):
     """Coefficients Gamma[k, i, j] of the connection ``params`` at ``x``."""
     man.require_admissible(x)
-    gamma = affine_gamma_generic(man, params, list(x))
-    return TensorValue(value(gamma), (UPPER, LOWER, LOWER))
+    return np.array(value(affine_gamma_generic(man, params, list(x))),
+                    dtype=float)
 
 
 def covariant_derivative(man, gamma, X, Y, x):
@@ -125,7 +124,7 @@ def _conformal_metric(man, params, z):
 
 
 def amari_chentsov(man, params, x):
-    """Cubic tensor C(X,Y,Z) = (D_X gbar)(Y,Z), computed from coefficients."""
+    """Cubic tensor C[i, j, k] = (D_i gbar)(e_j, e_k), from coefficients."""
     man.require_admissible(x)
     n = man.dim
     gamma = affine_gamma_generic(man, params, list(x))
@@ -139,11 +138,14 @@ def amari_chentsov(man, params, x):
                 for m in range(n):
                     acc = acc - gbar[m][k] * gamma[m][i][j] - gbar[j][m] * gamma[m][i][k]
                 c[i, j, k] = value(acc)
-    return TensorValue(c, (LOWER, LOWER, LOWER))
+    return c
 
 
 def amari_chentsov_closed_form(man, params, x):
-    """Fully symmetric closed form -(alpha+beta) * sym(du (x) gbar)."""
+    """Fully symmetric closed form -(alpha+beta) * sym(du (x) gbar).
+
+    Slots as in :func:`amari_chentsov`: C[i, j, k].
+    """
     man.require_admissible(x)
     n = man.dim
     du = value(jacobian(man.weight, list(x)))
@@ -156,7 +158,7 @@ def amari_chentsov_closed_form(man, params, x):
                 c[i, j, k] = s * (du[i] * gbar[j][k]
                                   + du[k] * gbar[i][j]
                                   + du[j] * gbar[i][k])
-    return TensorValue(c, (LOWER, LOWER, LOWER))
+    return c
 
 
 def equiaffine_residual(man, params, x, X, tau_shift=0.0):

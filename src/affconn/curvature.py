@@ -13,11 +13,10 @@ import numpy as np
 import scipy.linalg
 
 from . import algebra
-from .charts import eval_metric, halton_points, orthonormal_frame
+from .charts import halton_points
 from .connections import LEVI_CIVITA, affine_gamma_generic, christoffel_generic
 from .dual import derivative, exp, jacobian, value
 from .errors import InvalidN, NonConstantFAtNEqualsN
-from .tensors import LOWER, UPPER, TensorValue
 
 
 def riemann_generic(man, params, x):
@@ -57,27 +56,15 @@ def ricci_generic(man, params, x):
 
 
 def riemann_tensor(man, x, params=LEVI_CIVITA):
-    """Riemann tensor at ``x`` as a (1,3) tensor with slots [l, k, i, j]."""
+    """Riemann tensor R[l, k, i, j] = R^l_{kij} at ``x``."""
     man.require_admissible(x)
-    riem = riemann_generic(man, params, x)
-    return TensorValue(value(riem), (UPPER, LOWER, LOWER, LOWER))
+    return np.array(value(riemann_generic(man, params, x)), dtype=float)
 
 
 def ricci_tensor(man, x, params=LEVI_CIVITA):
-    """Ricci tensor at ``x`` (coordinate-trace contraction)."""
+    """Ricci tensor Ric[p, q] at ``x`` (coordinate-trace contraction)."""
     man.require_admissible(x)
-    ric = ricci_generic(man, params, x)
-    return TensorValue(value(ric), (LOWER, LOWER))
-
-
-def ricci_frame_sum(man, x, params=LEVI_CIVITA):
-    """Ricci via the orthonormal-frame sum; cross-checks the trace form."""
-    man.require_admissible(x)
-    riem = riemann_tensor(man, x, params).entries
-    frame = orthonormal_frame(man, x).frame
-    g = eval_metric(man, x).matrix
-    ric = np.einsum("ai,bi,lb,lqap->pq", frame, frame, g, riem)
-    return TensorValue(ric, (LOWER, LOWER))
+    return np.array(value(ricci_generic(man, params, x)), dtype=float)
 
 
 def scalar_hessian_lc(man, f, x):
@@ -100,7 +87,7 @@ def scalar_hessian_lc(man, f, x):
 
 
 def static_ricci(man, x):
-    """Ric - Hess(V)/V + (Lap(V)/V) g for V = e^u; the substatic tensor."""
+    """Substatic tensor S[i, j] = Ric - Hess(V)/V + (Lap(V)/V) g, V = e^u."""
     man.require_admissible(x)
     n = man.dim
 
@@ -120,11 +107,11 @@ def static_ricci(man, x):
     for i in range(n):
         for j in range(n):
             out[i][j] = ric[i][j] - hess_v[i][j] / v + (lap_v / v) * g[i][j]
-    return TensorValue(value(out), (LOWER, LOWER))
+    return np.array(value(out), dtype=float)
 
 
 def weighted_ricci(man, f_field, n_eff, x):
-    """N-weighted Ricci tensor Ric + Hess f - df (x) df / (N - n).
+    """N-weighted Ricci tensor W[i, j] = Ric + Hess f - df (x) df / (N - n).
 
     ``n_eff`` must lie in (-inf, 1] or [n, inf]; N = inf drops the last
     term and N = n admits only constant f.
@@ -148,7 +135,7 @@ def weighted_ricci(man, f_field, n_eff, x):
     for i in range(n):
         for j in range(n):
             out[i][j] = ric[i][j] + hess_f[i][j] - scale * df[i] * df[j]
-    return TensorValue(value(out), (LOWER, LOWER))
+    return np.array(value(out), dtype=float)
 
 
 @dataclass(frozen=True)

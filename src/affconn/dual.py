@@ -167,10 +167,6 @@ def cos(x):
     return np.cos(x)
 
 
-def tan(x):
-    return sin(x) / cos(x)
-
-
 def exp(x):
     if isinstance(x, Dual):
         e = exp(x.a)
@@ -178,29 +174,11 @@ def exp(x):
     return np.exp(x)
 
 
-def log(x):
-    if isinstance(x, Dual):
-        return Dual(log(x.a), x.b / x.a, x.lvl)
-    return np.log(x)
-
-
 def sqrt(x):
     if isinstance(x, Dual):
         s = sqrt(x.a)
         return Dual(s, x.b / (2.0 * s), x.lvl)
     return np.sqrt(x)
-
-
-def cosh(x):
-    if isinstance(x, Dual):
-        return Dual(cosh(x.a), sinh(x.a) * x.b, x.lvl)
-    return np.cosh(x)
-
-
-def sinh(x):
-    if isinstance(x, Dual):
-        return Dual(sinh(x.a), cosh(x.a) * x.b, x.lvl)
-    return np.sinh(x)
 
 
 def derivative(field, x, multi_index, mode="dual", step=1e-3):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCell, UnsupportedKind
+from .errors import UnsupportedKind
 
 _PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -69,31 +69,39 @@ def circle_mesh(level, radius=1.0):
                        u=np.zeros(count), name=f"circle-{level}")
 
 
+def _normalize(m):
+    """Each row of ``m`` divided by its length.
+
+    The length is the square root of the row's dot product, as
+    np.linalg.norm computes it for one vector; norm(axis=1), einsum or a
+    plain sum can differ in the last bit, which moves every icosphere
+    eigenvalue.
+    """
+    return m / np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0]
+
+
 def icosphere(level, radius=1.0):
     """Icosahedron subdivided ``level`` times, vertices projected to the sphere."""
     if level < 0:
         raise ValueError("level must be >= 0")
-    verts = [v / np.linalg.norm(v) for v in _ICO_VERTS]
-    faces = [tuple(f) for f in _ICO_FACES]
+    verts = _normalize(_ICO_VERTS)
+    faces = _ICO_FACES.copy()
     for _ in range(level):
-        midpoint = {}
-        new_faces = []
-
-        def mid(a, b):
-            key = (a, b) if a < b else (b, a)
-            if key not in midpoint:
-                m = verts[a] + verts[b]
-                verts.append(m / np.linalg.norm(m))
-                midpoint[key] = len(verts) - 1
-            return midpoint[key]
-
-        for a, b, c in faces:
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = new_faces
-    vertices = radius * np.array(verts)
-    cells = np.array(faces, dtype=int)
-    return SurfaceMesh(vertices=vertices, cells=cells,
+        # Edges ab, bc, ca of every face in face order; each distinct edge
+        # gets the next vertex id at its first appearance.
+        edges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        _, first, inverse = np.unique(edges[:, 0] * len(verts) + edges[:, 1],
+                                      return_index=True, return_inverse=True)
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(len(first))
+        ab, bc, ca = (len(verts) + rank[inverse]).reshape(-1, 3).T
+        new = edges[np.sort(first)]
+        verts = np.concatenate(
+            [verts, _normalize(verts[new[:, 0]] + verts[new[:, 1]])])
+        a, b, c = faces.T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca],
+                         axis=1).reshape(-1, 3)
+    return SurfaceMesh(vertices=radius * verts, cells=faces,
                        u=np.zeros(len(verts)), name=f"icosphere-{level}")
 
 
@@ -165,35 +173,3 @@ def cell_measures(mesh):
         return 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
     return 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
 
-
-def check_closed(mesh):
-    """True iff every facet is shared by exactly two cells."""
-    facets = {}
-    for cell in mesh.cells:
-        if mesh.cell_dim == 1:
-            keys = [(cell[0],), (cell[1],)]
-        else:
-            keys = [tuple(sorted((cell[i], cell[(i + 1) % 3]))) for i in range(3)]
-        for k in keys:
-            facets[k] = facets.get(k, 0) + 1
-    return all(count == 2 for count in facets.values())
-
-
-def check_nondegenerate(mesh, tol=1e-14):
-    measures = cell_measures(mesh)
-    if np.min(measures) <= tol:
-        raise DegenerateCell(f"smallest cell measure {np.min(measures)}")
-    return True
-
-
-def export_mesh(mesh, stream):
-    """Plain-text dump: vertex table then cell table, 17 significant digits."""
-    stream.write(f"vertices {len(mesh.vertices)} {mesh.vertices.shape[1]}\n")
-    for v in mesh.vertices:
-        stream.write(" ".join(f"{c:.17g}" for c in v) + "\n")
-    stream.write(f"cells {len(mesh.cells)} {mesh.cells.shape[1]}\n")
-    for c in mesh.cells:
-        stream.write(" ".join(str(int(i)) for i in c) + "\n")
-    stream.write(f"weights {len(mesh.u)}\n")
-    for w in mesh.u:
-        stream.write(f"{w:.17g}\n")

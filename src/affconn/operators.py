@@ -22,7 +22,6 @@ from .connections import christoffel_generic
 from .curvature import ricci_generic, scalar_hessian_lc
 from .dual import exp, jacobian, sqrt, value
 from .errors import DegenerateJacobian, QuadratureUnderResolved
-from .tensors import LOWER, TensorValue
 
 
 def grad_D(man, params, phi, x):
@@ -55,10 +54,9 @@ def hess_D_generic(man, params, phi, x):
 
 
 def hess_D(man, params, phi, x):
-    """Affine Hessian at ``x`` as a symmetric (0,2) tensor."""
+    """Affine Hessian H[i, j] at ``x``, symmetric."""
     man.require_admissible(x)
-    return TensorValue(value(hess_D_generic(man, params, phi, x)),
-                       (LOWER, LOWER))
+    return np.array(value(hess_D_generic(man, params, phi, x)), dtype=float)
 
 
 def lap_D_generic(man, params, phi, x):
@@ -197,23 +195,27 @@ def second_fundamental(hyp, params, s):
                          normal_weight_derivative=u_nu)
 
 
-def _param_grid(hyp, per_axis=32):
+# Parameter grid points per axis for the D-minimality residual.
+GRID_PER_AXIS = 32
+
+
+def _param_grid(hyp):
     axes = []
     for a in range(hyp.pdim):
         lo, hi = hyp.lower[a], hyp.upper[a]
         if hyp.periodic[a]:
-            pts = np.linspace(lo, hi, per_axis, endpoint=False)
+            pts = np.linspace(lo, hi, GRID_PER_AXIS, endpoint=False)
         else:
-            pts = np.linspace(lo, hi, per_axis + 2)[1:-1]
+            pts = np.linspace(lo, hi, GRID_PER_AXIS + 2)[1:-1]
         axes.append(pts)
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def d_minimal_residual(hyp, params, per_axis=32):
+def d_minimal_residual(hyp, params):
     """max |H^D| over a parameter grid; ~0 certifies D-minimality."""
     worst = 0.0
-    for s in _param_grid(hyp, per_axis):
+    for s in _param_grid(hyp):
         data = second_fundamental(hyp, params, s)
         worst = max(worst, abs(data.mean_curvature_affine))
     return worst
@@ -235,18 +237,6 @@ class DomainRegion:
     order: int = 8           # Gauss points per cell per axis
     boundary_grid: int = 64
     name: str = ""
-
-    def validate_orientation(self, eps=1e-4):
-        """Inward-offset test: x - eps*nu must stay inside the box."""
-        mid = [0.5 * (lo + hi) for lo, hi in
-               zip(self.boundary.lower, self.boundary.upper)]
-        x = value(self.boundary.embedding(mid))
-        nu = value(_normal_generic(self.boundary, mid))
-        for i in range(self.ambient.dim):
-            xi = x[i] - eps * nu[i]
-            if not self.ambient.periodic[i] and not (self.lower[i] - 1e-12 <= xi <= self.upper[i] + 1e-12):
-                return False
-        return True
 
 
 def _gauss_axis(lo, hi, cells, order):

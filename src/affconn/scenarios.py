@@ -229,7 +229,3 @@ def get_scenario(name):
         return _REGISTRY[name]
     except KeyError:
         raise UnsupportedKind(f"unknown scenario {name!r}") from None
-
-
-def weighted_scenarios():
-    return [s for s in _REGISTRY.values() if s.weighted]

@@ -12,8 +12,7 @@ weak form
     int_S w g(grad psi, grad chi) = lambda int_S w V^{alpha-beta} psi chi,
 
 which is what :func:`assemble` discretizes with piecewise-linear elements
-and cell-averaged weights.  A Fourier collocation discretization of the
-raw (non-symmetric) operator on circles provides an independent oracle.
+and cell-averaged weights.
 """
 
 from dataclasses import dataclass
@@ -118,7 +117,13 @@ def assemble(mesh, params):
 
 
 def eigenvalues(prob, count=6, method="auto"):
-    """Smallest ``count`` eigenvalues of the generalized pair (A, B)."""
+    """Smallest ``count`` eigenvalues of the generalized pair (A, B).
+
+    ``method`` is ``"dense"``, ``"iterative"`` (shift-invert Lanczos) or
+    ``"auto"``, which picks dense below ``DENSE_CUTOFF`` vertices.
+    """
+    if method not in ("auto", "dense", "iterative"):
+        raise ValueError(f"unknown eigensolver method {method!r}")
     a, b = prob.stiffness, prob.mass
     n = prob.size
     if method == "dense" or (method == "auto" and n < DENSE_CUTOFF):
@@ -149,40 +154,6 @@ def smallest_nonzero_eigenvalue(prob, method="auto"):
         raise SolverNoConvergence(
             f"constant kernel mode missing: smallest eigenvalue {vals[0]}")
     return float(vals[1])
-
-
-# ---------------------------------------------------------------------------
-# Independent oracle: Fourier collocation of the non-symmetric operator on
-# a circle.  Exponentially accurate for smooth weights, so FEM eigenvalues
-# can be validated against it directly.
-
-
-def _fourier_diff_matrices(count, length):
-    h = 2.0 * np.pi / count
-    j = np.arange(count)
-    diff = j[:, None] - j[None, :]
-    signs = np.where(diff % 2 == 0, 1.0, -1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d1 = np.where(diff != 0, 0.5 * signs / np.tan(0.5 * h * diff), 0.0)
-        d2 = np.where(diff != 0, -0.5 * signs / np.sin(0.5 * h * diff) ** 2,
-                      -np.pi ** 2 / (3.0 * h ** 2) - 1.0 / 6.0)
-    scale = 2.0 * np.pi / length
-    return scale * d1, scale * scale * d2
-
-
-def circle_collocation_eigenvalues(length, u_of_arclength, params, count=128,
-                                   howmany=6):
-    """Eigenvalues of the raw weighted operator on a circle of given length."""
-    s = length * np.arange(count) / count
-    d1, d2 = _fourier_diff_matrices(count, length)
-    u = np.array([u_of_arclength(t) for t in s])
-    du = d1 @ u
-    coeff = params.alpha + 2.0 * params.beta  # m = 1
-    scale = np.exp((params.beta - params.alpha) * u)
-    op = -scale[:, None] * (d2 + du[:, None] * coeff * d1)
-    vals = np.linalg.eigvals(op)
-    vals = np.sort(vals.real[np.abs(vals.imag) < 1e-8 * (1 + np.max(np.abs(vals)))])
-    return vals[:howmany]
 
 
 # ---------------------------------------------------------------------------

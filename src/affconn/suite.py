@@ -55,7 +55,7 @@ def check_torsion(scn):
     worst = 0.0
     for x in halton_points(man, 20):
         for params in (LEVI_CIVITA, scn.params, scn.params.dual()):
-            gamma = connection_coeffs(man, params, x).entries
+            gamma = connection_coeffs(man, params, x)
             worst = max(worst,
                         float(np.max(np.abs(gamma - gamma.swapaxes(1, 2)))))
     return {"values": {"max_asymmetry": worst}, "threshold": 1e-12,
@@ -88,8 +88,8 @@ def check_statistical(scn):
     worst_sym = 0.0
     worst_form = 0.0
     for x in halton_points(man, 20):
-        c = amari_chentsov(man, scn.params, list(x)).entries
-        cf = amari_chentsov_closed_form(man, scn.params, list(x)).entries
+        c = amari_chentsov(man, scn.params, list(x))
+        cf = amari_chentsov_closed_form(man, scn.params, list(x))
         worst_form = max(worst_form, float(np.max(np.abs(c - cf))))
         for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
             worst_sym = max(worst_sym,
@@ -141,12 +141,12 @@ def check_curvature_oracles(scn):
     worst_static = 0.0
     worst_wy = 0.0
     for x in halton_points(man, 20):
-        ric_static = ricci_tensor(man, x, static_params).entries
-        oracle_static = static_ricci(man, x).entries
+        ric_static = ricci_tensor(man, x, static_params)
+        oracle_static = static_ricci(man, x)
         worst_static = max(worst_static,
                            float(np.max(np.abs(ric_static - oracle_static))))
-        ric_wy = ricci_tensor(man, x, wy_params).entries
-        oracle_wy = weighted_ricci(man, neg_u, 1.0, x).entries
+        ric_wy = ricci_tensor(man, x, wy_params)
+        oracle_wy = weighted_ricci(man, neg_u, 1.0, x)
         worst_wy = max(worst_wy, float(np.max(np.abs(ric_wy - oracle_wy))))
     return {"values": {"static_gap": worst_static, "one_weighted_gap": worst_wy},
             "threshold": 1e-9,

@@ -1,0 +1,138 @@
+"""Reference oracles and fixtures that only the tests use.
+
+Each one cross-checks the engine by an independent route (a spectral
+collocation, an orthonormal-frame contraction, a facet count), or builds
+an input that no built-in scenario needs.
+"""
+
+import numpy as np
+
+from affconn.charts import eval_metric
+from affconn.curvature import riemann_tensor
+from affconn.dual import value
+from affconn.errors import DegenerateCell
+from affconn.meshes import cell_measures
+from affconn.operators import _normal_generic
+from affconn.scenarios import _REGISTRY
+
+# --- charts ----------------------------------------------------------------
+
+
+def linear_weight(a, axis=0):
+    """u = a * x_axis on flat charts."""
+    def u(x):
+        return a * x[axis]
+    u.family = ("linear", a, axis)
+    return u
+
+
+def radial_weight(a):
+    """u = a * r^2 / 2 on flat charts (r = Euclidean distance to the origin)."""
+    def u(x):
+        r2 = 0.0
+        for c in x:
+            r2 = r2 + c * c
+        return a * r2 / 2.0
+    u.family = ("radial", a)
+    return u
+
+
+def orthonormal_frame(man, x):
+    """Gram-Schmidt of the coordinate basis in axis order, frame as columns."""
+    g = eval_metric(man, x)
+    n = man.dim
+    frame = np.zeros((n, n))
+    for i in range(n):
+        v = np.zeros(n)
+        v[i] = 1.0
+        for j in range(i):
+            v = v - (frame[:, j] @ g @ v) * frame[:, j]
+        frame[:, i] = v / np.sqrt(v @ g @ v)
+    return frame
+
+
+def weighted_scenarios():
+    """Built-in scenarios with a nontrivial weight, in registry order."""
+    return [s for s in _REGISTRY.values() if s.weighted]
+
+
+# --- curvature -------------------------------------------------------------
+
+
+def ricci_frame_sum(man, x, params):
+    """Ricci via the orthonormal-frame sum; cross-checks the trace form."""
+    riem = riemann_tensor(man, x, params)
+    frame = orthonormal_frame(man, x)
+    g = eval_metric(man, x)
+    return np.einsum("ai,bi,lb,lqap->pq", frame, frame, g, riem)
+
+
+# --- regions and meshes ----------------------------------------------------
+
+
+def validate_orientation(region, eps=1e-4):
+    """Inward-offset test: x - eps*nu must stay inside the region's box."""
+    boundary = region.boundary
+    mid = [0.5 * (lo + hi) for lo, hi in zip(boundary.lower, boundary.upper)]
+    x = value(boundary.embedding(mid))
+    nu = value(_normal_generic(boundary, mid))
+    for i in range(region.ambient.dim):
+        xi = x[i] - eps * nu[i]
+        if not region.ambient.periodic[i] and not (
+                region.lower[i] - 1e-12 <= xi <= region.upper[i] + 1e-12):
+            return False
+    return True
+
+
+def check_closed(mesh):
+    """True iff every facet is shared by exactly two cells."""
+    facets = {}
+    for cell in mesh.cells:
+        if mesh.cell_dim == 1:
+            keys = [(cell[0],), (cell[1],)]
+        else:
+            keys = [tuple(sorted((cell[i], cell[(i + 1) % 3]))) for i in range(3)]
+        for k in keys:
+            facets[k] = facets.get(k, 0) + 1
+    return all(count == 2 for count in facets.values())
+
+
+def check_nondegenerate(mesh, tol=1e-14):
+    measures = cell_measures(mesh)
+    if np.min(measures) <= tol:
+        raise DegenerateCell(f"smallest cell measure {np.min(measures)}")
+    return True
+
+
+# --- spectrum --------------------------------------------------------------
+# Fourier collocation of the non-symmetric weighted operator on a circle.
+# Exponentially accurate for smooth weights, so FEM eigenvalues can be
+# validated against it directly.
+
+
+def _fourier_diff_matrices(count, length):
+    h = 2.0 * np.pi / count
+    j = np.arange(count)
+    diff = j[:, None] - j[None, :]
+    signs = np.where(diff % 2 == 0, 1.0, -1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d1 = np.where(diff != 0, 0.5 * signs / np.tan(0.5 * h * diff), 0.0)
+        d2 = np.where(diff != 0, -0.5 * signs / np.sin(0.5 * h * diff) ** 2,
+                      -np.pi ** 2 / (3.0 * h ** 2) - 1.0 / 6.0)
+    scale = 2.0 * np.pi / length
+    return scale * d1, scale * scale * d2
+
+
+def circle_collocation_eigenvalues(length, u_of_arclength, params, count=128,
+                                   howmany=6):
+    """Eigenvalues of the raw weighted operator on a circle of given length."""
+    s = length * np.arange(count) / count
+    d1, d2 = _fourier_diff_matrices(count, length)
+    u = np.array([u_of_arclength(t) for t in s])
+    du = d1 @ u
+    coeff = params.alpha + 2.0 * params.beta  # m = 1
+    scale = np.exp((params.beta - params.alpha) * u)
+    op = -scale[:, None] * (d2 + du[:, None] * coeff * d1)
+    vals = np.linalg.eigvals(op)
+    vals = np.sort(vals.real[np.abs(vals.imag) < 1e-8 * (1 + np.max(np.abs(vals)))])
+    return vals[:howmany]

@@ -5,10 +5,15 @@ import pytest
 
 from affconn.charts import (WeightParams, euclidean_chart, eval_metric,
                             halton_points, height_squared_weight,
-                            height_weight, linear_weight, orthonormal_frame,
-                            polar_disk_chart, radial_weight, sphere3_chart,
+                            height_weight, polar_disk_chart, sphere3_chart,
                             sphere_chart)
+from affconn.connections import (amari_chentsov, amari_chentsov_closed_form,
+                                 connection_coeffs)
+from affconn.curvature import (ricci_tensor, riemann_tensor, static_ricci,
+                               weighted_ricci)
 from affconn.errors import MetricNotSPD, PointOutOfDomain
+from affconn.operators import hess_D
+from oracles import linear_weight, orthonormal_frame, radial_weight
 
 
 class TestAdmissibility:
@@ -44,15 +49,32 @@ class TestMetric:
         (euclidean_chart(2), [0.1, -0.2]),
     ])
     def test_spd_everywhere_sampled(self, man, x):
-        pm = eval_metric(man, x)
-        assert np.linalg.eigvalsh(pm.matrix)[0] > 0
-        assert pm.sqrt_det == pytest.approx(np.sqrt(np.linalg.det(pm.matrix)))
-        assert np.allclose(pm.matrix @ pm.inverse, np.eye(man.dim), atol=1e-12)
+        g = eval_metric(man, x)
+        assert type(g) is np.ndarray and g.dtype == np.float64
+        assert g.shape == (man.dim, man.dim)
+        assert np.array_equal(g, g.T)
+        assert np.linalg.eigvalsh(g)[0] > 0
+        # Every point-tensor function returns a plain float64 array with one
+        # axis of length n per slot.
+        p = WeightParams(0.4, -0.2)
+        tensors = [
+            (connection_coeffs(man, p, x), 3),
+            (riemann_tensor(man, x, p), 4),
+            (ricci_tensor(man, x, p), 2),
+            (static_ricci(man, x), 2),
+            (weighted_ricci(man, lambda z: z[0] * z[-1], np.inf, x), 2),
+            (amari_chentsov(man, p, x), 3),
+            (amari_chentsov_closed_form(man, p, x), 3),
+            (hess_D(man, p, lambda z: z[0] * z[-1], x), 2),
+        ]
+        for value, rank in tensors:
+            assert type(value) is np.ndarray and value.dtype == np.float64
+            assert value.shape == (man.dim,) * rank
 
     def test_sphere_components(self):
-        pm = eval_metric(sphere_chart(radius=2.0), [0.8, 0.1])
-        assert pm.matrix[0, 0] == pytest.approx(4.0)
-        assert pm.matrix[1, 1] == pytest.approx(4.0 * np.sin(0.8) ** 2)
+        g = eval_metric(sphere_chart(radius=2.0), [0.8, 0.1])
+        assert g[0, 0] == pytest.approx(4.0)
+        assert g[1, 1] == pytest.approx(4.0 * np.sin(0.8) ** 2)
 
     def test_degenerate_metric_rejected(self):
         man = euclidean_chart(2)
@@ -64,12 +86,12 @@ class TestMetric:
 
     def test_orthonormal_frame(self):
         man = sphere_chart()
-        fp = orthonormal_frame(man, [1.0, 2.0])
-        g = eval_metric(man, [1.0, 2.0]).matrix
-        gram = fp.frame.T @ g @ fp.frame
+        frame = orthonormal_frame(man, [1.0, 2.0])
+        g = eval_metric(man, [1.0, 2.0])
+        gram = frame.T @ g @ frame
         assert np.allclose(gram, np.eye(2), atol=1e-12)
         # Gram-Schmidt in coordinate order keeps the first leg along axis 0.
-        assert fp.frame[1, 0] == pytest.approx(0.0)
+        assert frame[1, 0] == pytest.approx(0.0)
 
 
 class TestWeights:

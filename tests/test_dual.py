@@ -110,11 +110,9 @@ class TestDerivative:
 class TestFunctions:
     @pytest.mark.parametrize("fn,deriv", [
         (dual.sin, np.cos),
+        (dual.cos, lambda t: -np.sin(t)),
         (dual.exp, np.exp),
         (dual.sqrt, lambda t: 0.5 / np.sqrt(t)),
-        (dual.log, lambda t: 1.0 / t),
-        (dual.cosh, np.sinh),
-        (dual.tan, lambda t: 1.0 / np.cos(t) ** 2),
     ])
     def test_elementary_derivatives(self, fn, deriv):
         t = 0.6

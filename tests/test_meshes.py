@@ -1,14 +1,35 @@
-"""Mesh generators: combinatorics, geometry, and export format."""
-
-import io
+"""Mesh generators: combinatorics and geometry."""
 
 import numpy as np
 import pytest
 
 from affconn.errors import DegenerateCell, UnsupportedKind
-from affconn.meshes import (build_mesh, cell_measures, check_closed,
-                            check_nondegenerate, circle_mesh, disk_mesh,
-                            export_mesh, hemisphere_mesh, icosphere)
+from affconn.meshes import (_ICO_FACES, _ICO_VERTS, build_mesh, cell_measures,
+                            circle_mesh, disk_mesh, hemisphere_mesh, icosphere)
+from oracles import check_closed, check_nondegenerate
+
+
+def icosphere_by_loops(level, radius=1.0):
+    """Edge-dictionary construction of ``icosphere``, kept as reference."""
+    verts = [v / np.linalg.norm(v) for v in _ICO_VERTS]
+    faces = [tuple(f) for f in _ICO_FACES]
+    for _ in range(level):
+        midpoint = {}
+        new_faces = []
+
+        def mid(a, b):
+            key = (a, b) if a < b else (b, a)
+            if key not in midpoint:
+                m = verts[a] + verts[b]
+                verts.append(m / np.linalg.norm(m))
+                midpoint[key] = len(verts) - 1
+            return midpoint[key]
+
+        for a, b, c in faces:
+            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        faces = new_faces
+    return radius * np.array(verts), np.array(faces, dtype=int)
 
 
 def disk_mesh_by_loops(level, radius=1.0):
@@ -54,6 +75,15 @@ class TestClosedMeshes:
         assert len(mesh.vertices) == verts
         assert len(mesh.cells) == cells
         assert check_closed(mesh)
+
+    @pytest.mark.parametrize("level,radius", [(0, 1.0), (1, 2.5), (3, 1.0),
+                                              (5, 1.0)])
+    def test_icosphere_matches_loop_construction(self, level, radius):
+        mesh = icosphere(level, radius)
+        verts, cells = icosphere_by_loops(level, radius)
+        assert np.array_equal(mesh.vertices, verts)
+        assert np.array_equal(mesh.cells, cells)
+        assert mesh.cells.dtype == cells.dtype
 
     def test_icosphere_vertices_on_sphere(self):
         mesh = icosphere(3, radius=2.0)
@@ -132,16 +162,3 @@ class TestQuality:
         mesh = icosphere(1).with_weight(lambda v: 0.2 * v[2] ** 2)
         assert mesh.u == pytest.approx(0.2 * mesh.vertices[:, 2] ** 2)
 
-
-class TestExport:
-    def test_roundtrippable_text_dump(self):
-        mesh = circle_mesh(0).with_weight(lambda v: v[0])
-        buf = io.StringIO()
-        export_mesh(mesh, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "vertices 16 2"
-        assert lines[17] == "cells 16 2"
-        assert lines[34] == "weights 16"
-        # 17 significant digits reproduce the float64 values exactly.
-        x0 = float(lines[1].split()[0])
-        assert x0 == mesh.vertices[0, 0]

@@ -6,11 +6,12 @@ import pytest
 from affconn import dual
 from affconn.charts import (WeightParams, euclidean_chart, halton_points,
                             height_squared_weight, height_weight,
-                            linear_weight, polar_disk_chart, sphere_chart)
+                            polar_disk_chart, sphere_chart)
 from affconn.errors import DegenerateJacobian, QuadratureUnderResolved
 from affconn.operators import (DomainRegion, Hypersurface, d_minimal_residual,
                                grad_D, hess_D, lap_D, reilly_refinement,
                                reilly_residual, second_fundamental)
+from oracles import linear_weight, validate_orientation
 
 P0 = WeightParams(0.0, 0.0)
 HALF_PI = 0.5 * np.pi
@@ -61,7 +62,7 @@ class TestScalarOperators:
             return dual.sin(z[0]) * dual.cos(z[1])
 
         for x in halton_points(man, 12):
-            h = hess_D(man, params, phi, x).entries
+            h = hess_D(man, params, phi, x)
             gi = np.linalg.inv(np.array(
                 [[float(e) for e in row] for row in man.metric(list(x))]))
             assert np.trace(gi @ h) == pytest.approx(
@@ -100,7 +101,7 @@ class TestExtrinsic:
     def test_even_weight_keeps_equator_minimal(self):
         man = sphere_chart(weight=height_squared_weight(0.1))
         params = WeightParams(1.0, 0.0)
-        assert d_minimal_residual(equator(man), params, per_axis=16) <= 1e-12
+        assert d_minimal_residual(equator(man), params) <= 1e-12
 
     def test_degenerate_embedding_rejected(self):
         bad = Hypersurface(ambient=sphere_chart(), lower=(0.0,),
@@ -130,8 +131,8 @@ def hemisphere_region(weight, grid=16, order=6):
 
 class TestIntegralIdentity:
     def test_orientation_validates(self):
-        assert disk_region().validate_orientation()
-        assert hemisphere_region(height_weight(0.2)).validate_orientation()
+        assert validate_orientation(disk_region())
+        assert validate_orientation(hemisphere_region(height_weight(0.2)))
 
     @pytest.mark.parametrize("phi", [
         lambda z: z[0] * dual.cos(z[1]),

@@ -8,10 +8,11 @@ import pytest
 
 from affconn.cli import main
 from affconn.errors import CheckNotRefinable, ConfigInvalid, UnsupportedKind
-from affconn.scenarios import get_scenario, scenario_names, weighted_scenarios
+from affconn.scenarios import get_scenario, scenario_names
 from affconn.suite import (CHECKS, check_names, convergence_rows,
                            emit_convergence, normalize_config, report_json,
                            run_suite)
+from oracles import weighted_scenarios
 
 SMALL_CONFIG = {"scenarios": ["euclidean-flat", "disk-flat"],
                 "checks": ["torsion", "statistical", "curvature-bound"]}
@@ -174,6 +175,27 @@ class TestCli:
         written = out.read_text()
         assert written == capsys.readouterr().out
         assert json.loads(written)["passed"]
+
+    @pytest.mark.parametrize("flag, expected", [
+        ([], 2), (["--workers", "1"], 1), (["--workers", "3"], 3),
+    ], ids=["config", "flag-1", "flag-3"])
+    def test_workers_flag_overrides_config(self, tmp_path, monkeypatch,
+                                           capsys, flag, expected):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL_CONFIG, "workers": 2}))
+        seen = []
+
+        def spy(config):
+            seen.append(config["workers"])
+            return {"passed": True}
+
+        monkeypatch.setattr("affconn.cli.run_suite", spy)
+        assert main([*flag, "verify", "--config", str(cfg)]) == 0
+        assert seen == [expected]
+
+    def test_verify_bad_workers_flag_exits_2(self, capsys):
+        assert main(["--workers", "0", "verify"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_verify_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -9,11 +9,11 @@ from affconn.errors import (MeshNotTwoDim, NonpositiveK, NotDMinimal,
 from affconn.meshes import (SurfaceMesh, build_mesh, disk_mesh,
                             hemisphere_mesh)
 from affconn.operators import Hypersurface
-from affconn.spectral import (assemble, choi_wang_certificate,
-                              circle_collocation_eigenvalues, eigenvalues,
+from affconn.spectral import (assemble, choi_wang_certificate, eigenvalues,
                               harmonic_extension_2d, proof_chain_inequality,
                               recover_normal_flux,
                               smallest_nonzero_eigenvalue)
+from oracles import circle_collocation_eigenvalues
 
 P0 = WeightParams(0.0, 0.0)
 PW = WeightParams(1.0, 0.0)
@@ -93,6 +93,14 @@ class TestEigenvalues:
         dense = smallest_nonzero_eigenvalue(prob, method="dense")
         iterative = smallest_nonzero_eigenvalue(prob, method="iterative")
         assert abs(dense - iterative) / dense <= 1e-8
+
+    @pytest.mark.parametrize("method", ["dnese", "Dense", "", None])
+    def test_unknown_method_rejected(self, method):
+        prob = assemble(build_mesh("circle", 0), P0)
+        with pytest.raises(ValueError, match="unknown eigensolver method"):
+            eigenvalues(prob, method=method)
+        with pytest.raises(ValueError):
+            smallest_nonzero_eigenvalue(prob, method=method)
 
     def test_weight_shift_scales_first_eigenvalue(self):
         params = WeightParams(1.0, 0.0)
