@@ -11,8 +11,8 @@ from .dual import sqrt
 
 def dot(u, v):
     out = u[0] * v[0]
-    for a, b in zip(u[1:], v[1:]):
-        out = out + a * b
+    for i in range(1, len(u)):
+        out = out + u[i] * v[i]
     return out
 
 
@@ -43,11 +43,36 @@ def det(m):
 
 
 def inv(m):
-    """Matrix inverse via the adjugate; safe for SPD metrics (det > 0)."""
+    """Matrix inverse via the adjugate; safe for SPD metrics (det > 0).
+
+    For n = 2 and n = 3 the cofactors are written out: each is the minor's
+    determinant in the minor's row and column order, then ``s / d`` or
+    ``-s / d``, computed column by column of the adjugate.  That is the
+    arithmetic of the general cofactor loop, operation for operation.
+    """
     n = len(m)
     d = det(m)
     if n == 1:
         return [[1.0 / d]]
+    if n == 2:
+        (m00, m01), (m10, m11) = m
+        c00 = m11 / d
+        c10 = -m10 / d
+        c01 = -m01 / d
+        c11 = m00 / d
+        return [[c00, c01], [c10, c11]]
+    if n == 3:
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+        c00 = (m11 * m22 - m12 * m21) / d
+        c10 = -(m10 * m22 - m12 * m20) / d
+        c20 = (m10 * m21 - m11 * m20) / d
+        c01 = -(m01 * m22 - m02 * m21) / d
+        c11 = (m00 * m22 - m02 * m20) / d
+        c21 = -(m00 * m21 - m01 * m20) / d
+        c02 = (m01 * m12 - m02 * m11) / d
+        c12 = -(m00 * m12 - m02 * m10) / d
+        c22 = (m00 * m11 - m01 * m10) / d
+        return [[c00, c01, c02], [c10, c11, c12], [c20, c21, c22]]
     cof = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):

@@ -210,7 +210,6 @@ def height_weight(a):
     """u = a * z on sphere charts (z = cos of the first coordinate)."""
     def u(x):
         return a * dual.cos(x[0])
-    u.family = ("height", a)
     return u
 
 
@@ -219,5 +218,4 @@ def height_squared_weight(a):
     def u(x):
         c = dual.cos(x[0])
         return a * c * c
-    u.family = ("height-squared", a)
     return u

@@ -27,15 +27,19 @@ def christoffel_generic(man, x):
     gi = algebra.inv(g)
     dg = jacobian(man.metric, x)  # dg[l][i][j] = d_l g_ij
     gamma = algebra.zeros(n, n, n)
-    for k in range(n):
-        for i in range(n):
+    axes = range(n)
+    for k in axes:
+        gi_k, gamma_k = gi[k], gamma[k]
+        for i in axes:
+            dg_i = dg[i]
             for j in range(i, n):
+                dg_ij, dg_ji = dg_i[j], dg[j][i]
                 acc = 0.0
-                for l in range(n):
-                    acc = acc + gi[k][l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
+                for l in axes:
+                    acc = acc + gi_k[l] * (dg_ij[l] + dg_ji[l] - dg[l][i][j])
                 acc = 0.5 * acc
-                gamma[k][i][j] = acc
-                gamma[k][j][i] = acc
+                gamma_k[i][j] = acc
+                gamma_k[j][i] = acc
     return gamma
 
 

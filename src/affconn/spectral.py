@@ -147,8 +147,12 @@ def eigenvalues(prob, count=6, method="auto"):
 
 
 def smallest_nonzero_eigenvalue(prob, method="auto"):
-    """First nonzero eigenvalue; the constant mode is deflated by sorting."""
-    vals = eigenvalues(prob, count=min(6, prob.size), method=method)
+    """First nonzero eigenvalue, read from the two lowest eigenpairs.
+
+    The lowest is the constant mode; it must vanish against
+    max(|lambda_1|, 1), or the solve is refused.
+    """
+    vals = eigenvalues(prob, count=min(2, prob.size), method=method)
     scale = max(abs(vals[-1]), 1.0)
     if abs(vals[0]) > 1e-6 * scale:
         raise SolverNoConvergence(

@@ -1,12 +1,13 @@
 """Reference oracles and fixtures that only the tests use.
 
 Each one cross-checks the engine by an independent route (a spectral
-collocation, an orthonormal-frame contraction, a facet count), or builds
-an input that no built-in scenario needs.
+collocation, an orthonormal-frame contraction, a facet count, the general
+cofactor loop), or builds an input that no built-in scenario needs.
 """
 
 import numpy as np
 
+from affconn.algebra import det
 from affconn.charts import eval_metric
 from affconn.curvature import riemann_tensor
 from affconn.dual import value
@@ -15,6 +16,34 @@ from affconn.meshes import cell_measures
 from affconn.operators import _normal_generic
 from affconn.scenarios import _REGISTRY
 
+# --- dense algebra ---------------------------------------------------------
+
+
+def slice_dot(u, v):
+    """Dot product over ``zip`` of the tails, the reference for ``dot``."""
+    out = u[0] * v[0]
+    for a, b in zip(u[1:], v[1:]):
+        out = out + a * b
+    return out
+
+
+def cofactor_inv(m):
+    """Inverse by the general cofactor loop at every size, the reference for
+    ``inv``: each minor's determinant, then ``s / d`` or ``-s / d``."""
+    n = len(m)
+    d = det(m)
+    if n == 1:
+        return [[1.0 / d]]
+    cof = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [[m[r][c] for c in range(n) if c != j]
+                     for r in range(n) if r != i]
+            s = det(minor)
+            cof[j][i] = s / d if (i + j) % 2 == 0 else -s / d
+    return cof
+
+
 # --- charts ----------------------------------------------------------------
 
 
@@ -22,7 +51,6 @@ def linear_weight(a, axis=0):
     """u = a * x_axis on flat charts."""
     def u(x):
         return a * x[axis]
-    u.family = ("linear", a, axis)
     return u
 
 
@@ -33,7 +61,6 @@ def radial_weight(a):
         for c in x:
             r2 = r2 + c * c
         return a * r2 / 2.0
-    u.family = ("radial", a)
     return u
 
 

@@ -109,4 +109,3 @@ class TestWeights:
     def test_families(self, factory, x, expected):
         u = factory()
         assert u(x) == pytest.approx(expected)
-        assert hasattr(u, "family")

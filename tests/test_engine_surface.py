@@ -4,6 +4,12 @@ Every module-level function or class in ``src/affconn`` is either public
 (listed in ``affconn.__all__``) or called from outside its own body by
 the package, the CLI or a demo.  Code that only tests call belongs in
 ``tests/``.
+
+A reference counts only when it resolves to the definition: a bare name
+inside the defining module, a name brought in by ``from .module import
+name`` (or ``from affconn[.module] import name``), or an attribute
+``module.name`` of an engine module brought in by ``from . import
+module``.  So ``np.log`` is not a caller of an engine ``log``.
 """
 
 import ast
@@ -16,43 +22,126 @@ PACKAGE = ROOT / "src" / "affconn"
 CALLERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
 
-def _used_names(node):
-    """Names a statement reads, directly or as an attribute."""
-    used = set()
-    for sub in ast.walk(node):
+def _module_of(path):
+    """Engine module name of a package file, or None for a demo."""
+    if path.parent != PACKAGE:
+        return None
+    return "" if path.stem == "__init__" else path.stem
+
+
+def _imported_module(node, path):
+    """Engine module an ``ImportFrom`` reads from, or None if it is not ours.
+
+    The package itself is ``""``.
+    """
+    if node.level:
+        if path.parent != PACKAGE or node.level != 1:
+            return None
+        return node.module or ""
+    if node.module == "affconn":
+        return ""
+    if node.module and node.module.startswith("affconn."):
+        return node.module[len("affconn."):]
+    return None
+
+
+def _reexports():
+    """Package-level name -> (module, name) for ``from .module import name``."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            for alias in node.names:
+                out[alias.asname or alias.name] = (node.module, alias.name)
+    return out
+
+
+REEXPORTS = _reexports()
+SUBMODULES = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+
+
+def _resolve_package_name(name):
+    """What ``name`` read from the package itself refers to."""
+    if name in SUBMODULES:
+        return ("module", name)
+    return ("def", REEXPORTS.get(name, ("", name)))
+
+
+def _bindings(tree, path):
+    """Local name -> ("module", engine module) or ("def", (module, name))."""
+    out = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = _imported_module(node, path)
+        if module is None:
+            continue
+        for alias in node.names:
+            local = alias.asname or alias.name
+            if module == "":
+                out[local] = _resolve_package_name(alias.name)
+            else:
+                out[local] = ("def", (module, alias.name))
+    return out
+
+
+def _references(stmt, own_module, bindings):
+    """(module, name) pairs of engine definitions a statement reads."""
+    refs = set()
+    for sub in ast.walk(stmt):
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            used.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            used.add(sub.attr)
-    return used
+            bound = bindings.get(sub.id)
+            if bound is not None and bound[0] == "def":
+                refs.add(bound[1])
+            elif bound is None and own_module is not None:
+                refs.add((own_module, sub.id))
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+            bound = bindings.get(sub.value.id)
+            if bound is not None and bound[0] == "module":
+                refs.add((bound[1], sub.attr))
+    return refs
 
 
 def _statements():
-    """(module, top-level statement, names it reads) for every caller file."""
+    """(module, top-level statement, definitions it reads) per caller file."""
     out = []
     for path in CALLERS:
         tree = ast.parse(path.read_text(), filename=str(path))
+        module = _module_of(path)
+        bindings = _bindings(tree, path)
         for stmt in tree.body:
-            out.append((path, stmt, _used_names(stmt)))
+            out.append((module, stmt, _references(stmt, module, bindings)))
     return out
 
 
 def test_every_engine_definition_has_a_caller():
     statements = _statements()
-    public = set(affconn.__all__)
+    public = {REEXPORTS.get(name, ("", name)) for name in affconn.__all__}
     dead = []
-    for path, stmt, _ in statements:
-        if path.parent != PACKAGE or not isinstance(
-                stmt, (ast.FunctionDef, ast.ClassDef)):
+    for module, stmt, _ in statements:
+        if module is None or not isinstance(stmt, (ast.FunctionDef,
+                                                   ast.ClassDef)):
             continue
-        if stmt.name in public:
+        target = (module, stmt.name)
+        if target in public:
             continue
-        if not any(stmt.name in used for _, other, used in statements
+        if not any(target in refs for _, other, refs in statements
                    if other is not stmt):
-            dead.append(f"{path.name}:{stmt.name}")
+            dead.append(f"{module or '__init__'}.py:{stmt.name}")
     assert not dead, f"no caller outside tests: {dead}"
 
 
 def test_every_public_name_resolves():
     missing = [name for name in affconn.__all__ if not hasattr(affconn, name)]
     assert not missing, f"__all__ names that do not resolve: {missing}"
+
+
+def test_a_same_named_attribute_is_not_a_caller():
+    tree = ast.parse("import numpy as np\nfrom . import dual\n"
+                     "y = np.log(2.0)\nz = dual.sqrt(2.0)\n")
+    path = PACKAGE / "suite.py"
+    bindings = _bindings(tree, path)
+    refs = set().union(*(_references(s, "suite", bindings)
+                         for s in tree.body[2:]))
+    assert ("dual", "log") not in refs
+    assert ("dual", "sqrt") in refs

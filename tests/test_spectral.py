@@ -5,7 +5,7 @@ import pytest
 
 from affconn.charts import WeightParams, height_weight, sphere_chart
 from affconn.errors import (MeshNotTwoDim, NonpositiveK, NotDMinimal,
-                            SingularSystem)
+                            SingularSystem, SolverNoConvergence)
 from affconn.meshes import (SurfaceMesh, build_mesh, disk_mesh,
                             hemisphere_mesh)
 from affconn.operators import Hypersurface
@@ -93,6 +93,35 @@ class TestEigenvalues:
         dense = smallest_nonzero_eigenvalue(prob, method="dense")
         iterative = smallest_nonzero_eigenvalue(prob, method="iterative")
         assert abs(dense - iterative) / dense <= 1e-8
+
+    # The dense path reads a subset of the spectrum by bisection, whose
+    # accuracy is eps * ||A||; past a few hundred vertices that alone moves
+    # lambda_1 by more than 1e-11 between two subset sizes.
+    @pytest.mark.parametrize("kind,level,method", [
+        *[("circle", level, "iterative") for level in range(4, 9)],
+        *[("icosphere", level, "iterative") for level in range(2, 5)],
+        ("circle", 4, "dense"), ("icosphere", 2, "dense"),
+        ("icosphere", 3, "dense"),
+    ])
+    def test_two_eigenpairs_give_the_sixfold_lambda1(self, kind, level,
+                                                     method):
+        prob = assemble(build_mesh(kind, level), P0)
+        six = eigenvalues(prob, method=method)
+        assert len(six) == 6
+        lam = smallest_nonzero_eigenvalue(prob, method=method)
+        assert abs(lam - six[1]) <= 1e-11 * six[1]
+
+    @pytest.mark.parametrize("kind,level,method", [
+        ("circle", 4, "dense"), ("circle", 5, "iterative"),
+        ("icosphere", 2, "dense"), ("icosphere", 3, "iterative"),
+    ])
+    def test_missing_constant_mode_is_refused(self, kind, level, method):
+        prob = assemble(build_mesh(kind, level), P0)
+        # Adding c * B shifts every eigenvalue by c, the constant mode too.
+        prob.stiffness = prob.stiffness + 0.5 * prob.mass
+        with pytest.raises(SolverNoConvergence,
+                           match="constant kernel mode missing"):
+            smallest_nonzero_eigenvalue(prob, method=method)
 
     @pytest.mark.parametrize("method", ["dnese", "Dense", "", None])
     def test_unknown_method_rejected(self, method):
