@@ -80,7 +80,7 @@ class WeightParams:
 def eval_metric(man, x):
     """Metric matrix at an admissible point, checked SPD."""
     man.require_admissible(x)
-    g = np.array(dual.value(man.metric(list(x))), dtype=float)
+    g = np.array(dual.value(man.metric(dual.floats(x))), dtype=float)
     if np.max(np.abs(g - g.T)) > 1e-12 * max(1.0, np.max(np.abs(g))):
         raise MetricNotSPD(f"metric not symmetric at {tuple(x)}")
     if np.linalg.eigvalsh(g)[0] <= 0.0:

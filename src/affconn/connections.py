@@ -15,7 +15,7 @@ import numpy as np
 
 from . import algebra
 from .charts import WeightParams
-from .dual import exp, jacobian, sqrt, value
+from .dual import exp, floats, jacobian, sqrt, value
 
 LEVI_CIVITA = WeightParams(0.0, 0.0)
 
@@ -68,7 +68,7 @@ def affine_gamma_generic(man, params, x):
 def connection_coeffs(man, params, x):
     """Coefficients Gamma[k, i, j] of the connection ``params`` at ``x``."""
     man.require_admissible(x)
-    return np.array(value(affine_gamma_generic(man, params, list(x))),
+    return np.array(value(affine_gamma_generic(man, params, floats(x))),
                     dtype=float)
 
 
@@ -98,6 +98,7 @@ def duality_residual(man, params, x, X, Y, Z, perturb=0.0):
     coefficient entry so tests can confirm the residual is sensitive.
     """
     man.require_admissible(x)
+    x = floats(x)
     e = params.conformal_exponent
 
     def pairing(z):
@@ -105,19 +106,19 @@ def duality_residual(man, params, x, X, Y, Z, perturb=0.0):
         return exp(e * man.weight(z)) * algebra.quadratic_form(g, Y(z), Z(z))
 
     lhs = 0.0
-    for xi, d in zip(X(list(x)), jacobian(pairing, x)):
+    for xi, d in zip(X(x), jacobian(pairing, x)):
         lhs = lhs + xi * d
 
-    gamma_w = affine_gamma_generic(man, params, list(x))
-    gamma_d = affine_gamma_generic(man, params.dual(), list(x))
+    gamma_w = affine_gamma_generic(man, params, x)
+    gamma_d = affine_gamma_generic(man, params.dual(), x)
     if perturb:
         gamma_d[0][0][0] = gamma_d[0][0][0] + perturb
     dxy = covariant_derivative(man, gamma_w, X, Y, x)
     dxz = covariant_derivative(man, gamma_d, X, Z, x)
-    g = man.metric(list(x))
-    conf = exp(e * man.weight(list(x)))
-    rhs = conf * (algebra.quadratic_form(g, dxy, Z(list(x)))
-                  + algebra.quadratic_form(g, Y(list(x)), dxz))
+    g = man.metric(x)
+    conf = exp(e * man.weight(x))
+    rhs = conf * (algebra.quadratic_form(g, dxy, Z(x))
+                  + algebra.quadratic_form(g, Y(x), dxz))
     return abs(value(lhs) - value(rhs))
 
 
@@ -130,9 +131,10 @@ def _conformal_metric(man, params, z):
 def amari_chentsov(man, params, x):
     """Cubic tensor C[i, j, k] = (D_i gbar)(e_j, e_k), from coefficients."""
     man.require_admissible(x)
+    x = floats(x)
     n = man.dim
-    gamma = affine_gamma_generic(man, params, list(x))
-    gbar = _conformal_metric(man, params, list(x))
+    gamma = affine_gamma_generic(man, params, x)
+    gbar = _conformal_metric(man, params, x)
     dgbar = jacobian(lambda z: _conformal_metric(man, params, z), x)
     c = np.empty((n, n, n))
     for i in range(n):
@@ -152,8 +154,9 @@ def amari_chentsov_closed_form(man, params, x):
     """
     man.require_admissible(x)
     n = man.dim
-    du = value(jacobian(man.weight, list(x)))
-    gbar = value(_conformal_metric(man, params, list(x)))
+    x = floats(x)
+    du = value(jacobian(man.weight, x))
+    gbar = value(_conformal_metric(man, params, x))
     s = -(params.alpha + params.beta)
     c = np.empty((n, n, n))
     for i in range(n):
@@ -173,20 +176,21 @@ def equiaffine_residual(man, params, x, X, tau_shift=0.0):
     offsets the exponent for sensitivity tests.
     """
     man.require_admissible(x)
+    x = floats(x)
     n = man.dim
     tau = params.tau(n) + tau_shift
 
     def density(z):
         return exp(tau * man.weight(z)) * sqrt(algebra.det(man.metric(z)))
 
-    xv = X(list(x))
+    xv = X(x)
     deriv = 0.0
     for xi, d in zip(xv, jacobian(density, x)):
         deriv = deriv + xi * d
 
-    gamma = affine_gamma_generic(man, params, list(x))
+    gamma = affine_gamma_generic(man, params, x)
     trace = 0.0
     for j in range(n):
         for i in range(n):
             trace = trace + xv[j] * gamma[i][j][i]
-    return abs(value(deriv) - value(density(list(x)) * trace))
+    return abs(value(deriv) - value(density(x) * trace))

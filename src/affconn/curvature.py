@@ -10,12 +10,11 @@ Ricci tensor at the matching parameter values.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import algebra
 from .charts import halton_points
 from .connections import LEVI_CIVITA, affine_gamma_generic, christoffel_generic
-from .dual import derivative, exp, jacobian, value
+from .dual import derivative, exp, floats, jacobian, value
 from .errors import InvalidN, NonConstantFAtNEqualsN
 
 
@@ -58,13 +57,14 @@ def ricci_generic(man, params, x):
 def riemann_tensor(man, x, params=LEVI_CIVITA):
     """Riemann tensor R[l, k, i, j] = R^l_{kij} at ``x``."""
     man.require_admissible(x)
-    return np.array(value(riemann_generic(man, params, x)), dtype=float)
+    return np.array(value(riemann_generic(man, params, floats(x))),
+                    dtype=float)
 
 
 def ricci_tensor(man, x, params=LEVI_CIVITA):
     """Ricci tensor Ric[p, q] at ``x`` (coordinate-trace contraction)."""
     man.require_admissible(x)
-    return np.array(value(ricci_generic(man, params, x)), dtype=float)
+    return np.array(value(ricci_generic(man, params, floats(x))), dtype=float)
 
 
 def scalar_hessian_lc(man, f, x):
@@ -89,16 +89,17 @@ def scalar_hessian_lc(man, f, x):
 def static_ricci(man, x):
     """Substatic tensor S[i, j] = Ric - Hess(V)/V + (Lap(V)/V) g, V = e^u."""
     man.require_admissible(x)
+    x = floats(x)
     n = man.dim
 
     def vfun(z):
         return exp(man.weight(z))
 
     ric = ricci_generic(man, LEVI_CIVITA, x)
-    hess_v = scalar_hessian_lc(man, vfun, list(x))
-    g = man.metric(list(x))
+    hess_v = scalar_hessian_lc(man, vfun, x)
+    g = man.metric(x)
     gi = algebra.inv(g)
-    v = vfun(list(x))
+    v = vfun(x)
     lap_v = 0.0
     for i in range(n):
         for j in range(n):
@@ -117,11 +118,12 @@ def weighted_ricci(man, f_field, n_eff, x):
     term and N = n admits only constant f.
     """
     man.require_admissible(x)
+    x = floats(x)
     n = man.dim
     if 1.0 < n_eff < n:
         raise InvalidN(f"effective dimension {n_eff} in excluded interval (1, {n})")
     ric = ricci_generic(man, LEVI_CIVITA, x)
-    hess_f = scalar_hessian_lc(man, f_field, list(x))
+    hess_f = scalar_hessian_lc(man, f_field, x)
     df = jacobian(f_field, x)
     out = algebra.zeros(n, n)
     if n_eff == n:
@@ -169,12 +171,12 @@ def curvature_bound_scan(man, params, sample_count=200):
 
     asym = float(np.max(np.abs(ric - np.transpose(ric, (0, 2, 1)))))
     sym = 0.5 * (ric + np.transpose(ric, (0, 2, 1)))
-    k_best = np.inf
-    min_point = tuple(pts[0])
-    for k in range(sample_count):
-        lam = scipy.linalg.eigh(sym[k], conf[k] * gmat[k], eigvals_only=True)[0]
-        if lam < k_best:
-            k_best = float(lam)
-            min_point = tuple(float(c) for c in pts[k])
+    # With B = conf g = L L^T, the pair (S, B) has the eigenvalues of the
+    # whitened L^-1 S L^-T, taken for all samples in one batched call.
+    chol = np.linalg.cholesky(conf[:, None, None] * gmat)
+    half = np.linalg.solve(chol, sym)                             # L^-1 S
+    lam = np.linalg.eigvalsh(np.linalg.solve(chol, np.swapaxes(half, 1, 2)))
+    k = int(np.argmin(lam[:, 0]))
     return CurvatureReport(points=pts, ricci_values=ric, asymmetry=asym,
-                           k_best=k_best, min_point=min_point)
+                           k_best=float(lam[k, 0]),
+                           min_point=tuple(float(c) for c in pts[k]))

@@ -42,8 +42,13 @@ class SurfaceMesh:
         return self.cells.shape[1] - 1
 
     def with_weight(self, u_fn):
-        """Copy with u sampled at the vertices by ``u_fn(vertex) -> float``."""
-        u = np.array([float(u_fn(v)) for v in self.vertices])
+        """Copy with u sampled at the vertices in one call.
+
+        ``u_fn`` receives the coordinate rows ``vertices.T``, so ``v[2]`` is
+        every vertex's z; a constant result is broadcast to all vertices.
+        """
+        u = np.empty(len(self.vertices))
+        u[:] = u_fn(self.vertices.T)
         return SurfaceMesh(vertices=self.vertices, cells=self.cells, u=u,
                            boundary_loop=self.boundary_loop, name=self.name)
 

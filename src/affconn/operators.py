@@ -20,16 +20,17 @@ import numpy as np
 from . import algebra
 from .connections import christoffel_generic
 from .curvature import ricci_generic, scalar_hessian_lc
-from .dual import exp, jacobian, sqrt, value
+from .dual import exp, floats, jacobian, sqrt, value
 from .errors import DegenerateJacobian, QuadratureUnderResolved
 
 
 def grad_D(man, params, phi, x):
     """Affine gradient V^{beta-alpha} g^{ij} d_j phi (contravariant)."""
     man.require_admissible(x)
-    gi = algebra.inv(man.metric(list(x)))
-    dphi = jacobian(phi, list(x))
-    scale = exp((params.beta - params.alpha) * man.weight(list(x)))
+    x = floats(x)
+    gi = algebra.inv(man.metric(x))
+    dphi = jacobian(phi, x)
+    scale = exp((params.beta - params.alpha) * man.weight(x))
     return np.array([value(scale * c) for c in algebra.matvec(gi, dphi)])
 
 
@@ -56,7 +57,8 @@ def hess_D_generic(man, params, phi, x):
 def hess_D(man, params, phi, x):
     """Affine Hessian H[i, j] at ``x``, symmetric."""
     man.require_admissible(x)
-    return np.array(value(hess_D_generic(man, params, phi, x)), dtype=float)
+    return np.array(value(hess_D_generic(man, params, phi, floats(x))),
+                    dtype=float)
 
 
 def lap_D_generic(man, params, phi, x):
@@ -78,7 +80,7 @@ def lap_D_generic(man, params, phi, x):
 
 def lap_D(man, params, phi, x):
     man.require_admissible(x)
-    return value(lap_D_generic(man, params, phi, x))
+    return value(lap_D_generic(man, params, phi, floats(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +178,16 @@ def _extrinsic_generic(hyp, params, s):
 def second_fundamental(hyp, params, s):
     """Extrinsic data of the hypersurface at parameter point ``s``."""
     m = hyp.pdim
-    # A rank-deficient Jacobian surfaces as inf/nan here; the rank check
-    # below converts that into the dedicated error.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gs, two_ff, h, u_nu = _extrinsic_generic(hyp, params, list(s))
-    gs_v = np.array(value(gs))
-    if np.linalg.matrix_rank(gs_v, tol=1e-10) < m:
+    # A rank-deficient Jacobian divides by a zero normal: Python floats
+    # raise, numpy scalars give inf/nan that the rank check below catches.
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gs, two_ff, h, u_nu = _extrinsic_generic(hyp, params, floats(s))
+        gs_v = np.array(value(gs))
+        full_rank = np.linalg.matrix_rank(gs_v, tol=1e-10) == m
+    except ZeroDivisionError:
+        full_rank = False
+    if not full_rank:
         raise DegenerateJacobian(f"embedding Jacobian rank deficient at {tuple(s)}")
     ii = np.array(value(two_ff))
     h = float(value(h))

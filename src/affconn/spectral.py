@@ -116,6 +116,74 @@ def assemble(mesh, params):
     return SpectralProblem(stiffness=a, mass=b, mesh=mesh)
 
 
+def _nested_dissection(mesh, keep):
+    """Nested-dissection order of the vertices ``keep`` (George 1973).
+
+    The graph is the mesh's edge graph restricted to ``keep``, the sparsity
+    pattern of the P1 matrices.  The domains are those of a k-d bisection
+    of the vertex coordinates at midpoints, cycling through the axes, i.e.
+    the prefixes of each vertex's Morton code.  At each cut, the low-side
+    vertices with a neighbour on the high side form the separator.  The
+    order is post-order: both halves first, then the separator.  Returns
+    ``keep`` reordered.
+    """
+    keep = np.asarray(keep)
+    if len(keep) < 2:
+        return keep
+    pts = mesh.vertices[keep].T.copy()
+    dim, size = pts.shape
+    bits = int(np.ceil(np.log2(size) / dim)) + 1  # cuts per axis
+    depth = bits * dim
+    lo = pts.min(axis=1, keepdims=True)
+    span = np.ptp(pts, axis=1, keepdims=True)
+    cell = np.floor((pts - lo) / np.where(span > 0, span, 1.0) * 2 ** bits)
+    cell = np.minimum(cell.astype(np.int64), 2 ** bits - 1)
+    code = np.zeros(size, dtype=np.int64)
+    for b in range(bits - 1, -1, -1):
+        for axis in range(dim):
+            code = (code << 1) | ((cell[axis] >> b) & 1)
+    local = np.full(len(mesh.vertices), -1)
+    local[keep] = np.arange(size)
+    corners = local[mesh.cells].T.copy()
+    ends = np.triu_indices(len(corners), 1)
+    i, j = corners[ends[0]].ravel(), corners[ends[1]].ravel()
+    inside = (i >= 0) & (j >= 0)
+    i, j = i[inside], j[inside]
+    ci, cj = code[i], code[j]
+    low, high = np.where(ci < cj, i, j), np.where(ci < cj, j, i)
+    # The first cut an edge crosses is its endpoints' first differing
+    # digit (depth for none); frexp reads it exactly while depth <= 53.
+    first = depth - np.frexp((ci ^ cj).astype(float))[1]
+    by_cut = np.argsort(first.astype(np.int8), kind="stable")
+    low, high, first = low[by_cut], high[by_cut], first[by_cut]
+    # level[v] is the cut whose separator holds v, or depth for none.  An
+    # edge whose endpoints are both still free at its first cut crosses it.
+    level = np.full(size, depth)
+    bounds = np.searchsorted(first, np.arange(depth + 1))
+    for d in range(depth):
+        v, w = low[bounds[d]:bounds[d + 1]], high[bounds[d]:bounds[d + 1]]
+        level[v[(level[v] > d) & (level[w] > d)]] = d
+    # A separator sorts after every vertex of its domain: its code with the
+    # digits below its level set to one, and after deeper levels on a tie
+    # (depth - level fits the low 6 bits).
+    key = code | ((np.int64(1) << (depth - level)) - 1)
+    return keep[np.argsort((key << 6) | (depth - level), kind="stable")]
+
+
+def _spd_lu(mat):
+    """LU of an SPD CSC matrix that is already in a fill-reducing order.
+
+    No column ordering and no pivoting: the diagonal of an SPD matrix is a
+    stable pivot.  A singular matrix raises :class:`SingularSystem`.
+    """
+    try:
+        return scipy.sparse.linalg.splu(mat, permc_spec="NATURAL",
+                                        diag_pivot_thresh=0.0,
+                                        options={"SymmetricMode": True})
+    except RuntimeError as err:
+        raise SingularSystem(str(err)) from err
+
+
 def eigenvalues(prob, count=6, method="auto"):
     """Smallest ``count`` eigenvalues of the generalized pair (A, B).
 
@@ -127,19 +195,35 @@ def eigenvalues(prob, count=6, method="auto"):
     a, b = prob.stiffness, prob.mass
     n = prob.size
     if method == "dense" or (method == "auto" and n < DENSE_CUTOFF):
-        vals = scipy.linalg.eigh(a.toarray(), b.toarray(), eigvals_only=True,
-                                 subset_by_index=(0, min(count, n) - 1))
-        return np.asarray(vals)
+        # The whole spectrum, then the slice: a bisection subset stops at
+        # about eps * ||A||, so its lowest values would depend on ``count``.
+        try:
+            vals = scipy.linalg.eigh(a.toarray(), b.toarray(),
+                                     eigvals_only=True)
+        except np.linalg.LinAlgError as err:
+            raise SingularSystem(f"dense eigensolve: {err}") from err
+        return vals[:count]
     # tr A / tr B grows like n^(2/d); dividing that out puts the shift at the
     # scale of the lowest eigenvalues, where 1/(lambda - sigma) separates them.
     sigma = -0.1 * (a.diagonal().sum() / b.diagonal().sum()) / n ** (
         2.0 / prob.mesh.cell_dim)
+    # A - sigma B is SPD; one nested-dissection LU of it applies the inverse.
+    order = _nested_dissection(prob.mesh, np.arange(n))
+    lu = _spd_lu((a - sigma * b)[order][:, order].tocsc())
+
+    def solve(x):
+        out = np.empty_like(x)
+        out[order] = lu.solve(x[order])
+        return out
+
+    opinv = scipy.sparse.linalg.LinearOperator((n, n), matvec=solve,
+                                               dtype=float)
     # Fixed start vector keeps the Lanczos iteration fully deterministic.
     v0 = 1.5 + np.sin(np.arange(n, dtype=float))
     try:
         vals = scipy.sparse.linalg.eigsh(a, k=count, M=b, sigma=sigma,
                                          which="LM", return_eigenvectors=False,
-                                         maxiter=2000, v0=v0)
+                                         maxiter=2000, v0=v0, OPinv=opinv)
     except scipy.sparse.linalg.ArpackNoConvergence as err:
         raise SolverNoConvergence("shift-invert Lanczos did not converge",
                                   residual=getattr(err, "eigenvalues", None)) from err
@@ -180,20 +264,14 @@ def harmonic_extension_2d(mesh, params, boundary_values):
     a = _stiffness(mesh, n_ambient * params.alpha + 2.0 * params.beta)[0]
     size = len(mesh.vertices)
     boundary = np.asarray(mesh.boundary_loop)
-    interior = np.setdiff1d(np.arange(size), boundary)
+    # A_II is symmetric positive definite for positive weights; its rows
+    # and columns are taken in nested-dissection order in one slice.
+    interior = _nested_dissection(
+        mesh, np.setdiff1d(np.arange(size), boundary))
     phi = np.zeros(size)
     phi[boundary] = boundary_values
     rhs = -a[interior][:, boundary] @ phi[boundary]
-    a_ii = a[interior][:, interior].tocsc()
-    # A_II is symmetric positive definite for positive weights, so a
-    # symmetric ordering keeps the LU fill low and needs no pivoting.
-    try:
-        lu = scipy.sparse.linalg.splu(a_ii, permc_spec="MMD_AT_PLUS_A",
-                                      diag_pivot_thresh=0.0,
-                                      options={"SymmetricMode": True})
-    except RuntimeError as err:
-        raise SingularSystem(str(err)) from err
-    phi[interior] = lu.solve(rhs)
+    phi[interior] = _spd_lu(a[interior][:, interior].tocsc()).solve(rhs)
     return phi, a
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from affconn.charts import (WeightParams, euclidean_chart, eval_metric,
                             halton_points, height_weight, sphere3_chart,
@@ -9,6 +10,7 @@ from affconn.charts import (WeightParams, euclidean_chart, eval_metric,
 from affconn.curvature import (curvature_bound_scan, ricci_tensor,
                                riemann_tensor, static_ricci, weighted_ricci)
 from affconn.errors import InvalidN, NonConstantFAtNEqualsN
+from affconn.scenarios import get_scenario, scenario_names
 from oracles import ricci_frame_sum
 
 S2_WEIGHTED = sphere_chart(weight=height_weight(0.3))
@@ -114,6 +116,23 @@ class TestBoundScan:
         # Frozen from an initial verified run of this configuration.
         assert rep.k_best == pytest.approx(0.8001756101461306, abs=1e-10)
         assert rep.k_best > 0
+
+    # The scan whitens all samples in one batched call; per-sample scipy
+    # eigh of the pair (S, e^{(a-b)u} g) is the reference, to a few ulps.
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_batched_scan_matches_per_sample_eigh(self, name):
+        scn = get_scenario(name)
+        man = scn.manifold()
+        rep = curvature_bound_scan(man, scn.params, 100)
+        sym = 0.5 * (rep.ricci_values + rep.ricci_values.transpose(0, 2, 1))
+        lam = []
+        for x, s in zip(rep.points, sym):
+            conf = np.exp(scn.params.conformal_exponent * man.weight(list(x)))
+            lam.append(scipy.linalg.eigh(s, conf * eval_metric(man, x),
+                                         eigvals_only=True)[0])
+        k = int(np.argmin(lam))
+        assert abs(rep.k_best - lam[k]) <= 1e-15 * max(abs(lam[k]), 1.0)
+        assert rep.min_point == tuple(rep.points[k])
 
     def test_report_shape_and_min_point(self):
         rep = curvature_bound_scan(S2_WEIGHTED, WeightParams(0.4, -0.2), 30)

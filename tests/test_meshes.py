@@ -162,3 +162,17 @@ class TestQuality:
         mesh = icosphere(1).with_weight(lambda v: 0.2 * v[2] ** 2)
         assert mesh.u == pytest.approx(0.2 * mesh.vertices[:, 2] ** 2)
 
+    # with_weight evaluates u_fn once on the coordinate rows; the loop over
+    # single vertices is the reference, bit for bit.
+    @pytest.mark.parametrize("u_fn", [
+        lambda v: 0.1 * v[2] ** 2, lambda v: 0.3 * v[0] + 0.9,
+        lambda v: np.sin(v[0]) * np.exp(v[1]) - v[2] / 3.0,
+        lambda v: 0.0, lambda v: 2,
+    ])
+    def test_with_weight_matches_the_vertex_loop(self, u_fn):
+        mesh = hemisphere_mesh(2)
+        loop = np.array([float(u_fn(v)) for v in mesh.vertices])
+        u = mesh.with_weight(u_fn).u
+        assert u.dtype == np.float64 and u.shape == loop.shape
+        assert u.tobytes() == loop.tobytes()
+

@@ -110,6 +110,20 @@ class TestExtrinsic:
         with pytest.raises(DegenerateJacobian):
             second_fundamental(bad, P0, [0.5])
 
+    # The point is evaluated on Python floats, whose division by the zero
+    # normal raises; an embedding that returns numpy scalars gives inf/nan
+    # instead.  Both surface as the same error.
+    @pytest.mark.parametrize("point", [np.array([0.5]), [np.float64(0.5)]])
+    @pytest.mark.parametrize("height", [2.0, np.float64(2.0)])
+    def test_degenerate_embedding_rejected_for_numpy_points(self, point,
+                                                            height):
+        bad = Hypersurface(ambient=sphere_chart(), lower=(0.0,),
+                           upper=(1.0,), periodic=(False,),
+                           embedding=lambda s: [1.0 + 0.0 * s[0],
+                                                height + 0.0 * s[0]])
+        with pytest.raises(DegenerateJacobian):
+            second_fundamental(bad, P0, point)
+
 
 def disk_region(grid=16, order=6):
     man = polar_disk_chart()

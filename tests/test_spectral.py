@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from affconn.charts import WeightParams, height_weight, sphere_chart
 from affconn.errors import (MeshNotTwoDim, NonpositiveK, NotDMinimal,
@@ -9,7 +10,9 @@ from affconn.errors import (MeshNotTwoDim, NonpositiveK, NotDMinimal,
 from affconn.meshes import (SurfaceMesh, build_mesh, disk_mesh,
                             hemisphere_mesh)
 from affconn.operators import Hypersurface
-from affconn.spectral import (assemble, choi_wang_certificate, eigenvalues,
+from affconn.scenarios import get_scenario
+from affconn.spectral import (_nested_dissection, _spd_lu, _stiffness,
+                              assemble, choi_wang_certificate, eigenvalues,
                               harmonic_extension_2d, proof_chain_inequality,
                               recover_normal_flux,
                               smallest_nonzero_eigenvalue)
@@ -94,9 +97,6 @@ class TestEigenvalues:
         iterative = smallest_nonzero_eigenvalue(prob, method="iterative")
         assert abs(dense - iterative) / dense <= 1e-8
 
-    # The dense path reads a subset of the spectrum by bisection, whose
-    # accuracy is eps * ||A||; past a few hundred vertices that alone moves
-    # lambda_1 by more than 1e-11 between two subset sizes.
     @pytest.mark.parametrize("kind,level,method", [
         *[("circle", level, "iterative") for level in range(4, 9)],
         *[("icosphere", level, "iterative") for level in range(2, 5)],
@@ -110,6 +110,26 @@ class TestEigenvalues:
         assert len(six) == 6
         lam = smallest_nonzero_eigenvalue(prob, method=method)
         assert abs(lam - six[1]) <= 1e-11 * six[1]
+
+    # A bisection subset of the dense spectrum is accurate to eps * ||A||
+    # only, so its lambda_1 moved by up to 9e-11 with the subset size.
+    @pytest.mark.parametrize("kind,level", [("circle", 5), ("circle", 6),
+                                            ("icosphere", 2)])
+    def test_dense_lambda1_does_not_depend_on_count(self, kind, level):
+        prob = assemble(build_mesh(kind, level), P0)
+        two = eigenvalues(prob, count=2, method="dense")
+        six = eigenvalues(prob, count=6, method="dense")
+        assert (len(two), len(six)) == (2, 6)
+        assert two[1] == six[1]
+
+    @pytest.mark.parametrize("method", ["iterative", "dense"])
+    def test_unused_vertex_in_closed_mesh_is_singular(self, method):
+        sphere = build_mesh("icosphere", 3)
+        verts = np.vstack([sphere.vertices, [[0.1, 0.2, 0.3]]])  # in no cell
+        mesh = SurfaceMesh(vertices=verts, cells=sphere.cells,
+                           u=np.zeros(len(verts)))
+        with pytest.raises(SingularSystem):
+            smallest_nonzero_eigenvalue(assemble(mesh, P0), method=method)
 
     @pytest.mark.parametrize("kind,level,method", [
         ("circle", 4, "dense"), ("circle", 5, "iterative"),
@@ -210,6 +230,27 @@ class TestHarmonicExtension:
         residual = rows[:, interior] @ phi[interior] + load
         assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(load))
 
+    # The three level-5 Dirichlet problems of the suite's harmonic-extension
+    # and proof-inequality checks, with their boundary data.
+    @pytest.mark.parametrize("name,mesh_of,data", [
+        ("disk-flat", lambda scn: scn.extension_mesh(), lambda v: v[:, 0]),
+        ("s2-classical", lambda scn: scn.proof_mesh(),
+         lambda v: np.sin(np.arctan2(v[:, 1], v[:, 0]))),
+        ("s2-weighted-quadratic", lambda scn: scn.proof_mesh(),
+         lambda v: np.sin(np.arctan2(v[:, 1], v[:, 0]))),
+    ])
+    def test_dirichlet_residual_on_suite_problems(self, name, mesh_of, data):
+        scn = get_scenario(name)
+        mesh = mesh_of(scn)
+        loop = mesh.boundary_loop
+        phi, a = harmonic_extension_2d(mesh, scn.params,
+                                       data(mesh.vertices[loop]))
+        interior = np.setdiff1d(np.arange(len(phi)), loop)
+        rows = a[interior]
+        load = rows[:, loop] @ phi[loop]
+        residual = rows[:, interior] @ phi[interior] + load
+        assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(load))
+
     def test_isolated_interior_vertex_is_singular(self):
         disk = disk_mesh(0)
         verts = np.vstack([disk.vertices, [[0.01, 0.02]]])  # in no cell
@@ -218,6 +259,14 @@ class TestHarmonicExtension:
                            boundary_loop=disk.boundary_loop)
         with pytest.raises(SingularSystem):
             harmonic_extension_2d(mesh, P0, np.zeros(len(disk.boundary_loop)))
+
+    def test_mesh_without_interior_keeps_the_boundary_data(self):
+        mesh = SurfaceMesh(vertices=np.array([[0.0, 0.0], [1.0, 0.0],
+                                              [0.0, 1.0]]),
+                           cells=np.array([[0, 1, 2]]), u=np.zeros(3),
+                           boundary_loop=np.array([0, 1, 2]))
+        phi, _ = harmonic_extension_2d(mesh, P0, np.array([1.0, 2.0, 3.0]))
+        assert phi.tolist() == [1.0, 2.0, 3.0]
 
     def test_segment_mesh_rejected(self):
         with pytest.raises(MeshNotTwoDim):
@@ -271,3 +320,47 @@ class TestCertificate:
                                  embedding=lambda s: [s[0], 0.0 * s[0]])
         with pytest.raises(NonpositiveK):
             choi_wang_certificate(man, P0, flat_line, build_mesh("circle", 4))
+
+
+def lu_fill(lu):
+    return lu.L.nnz + lu.U.nnz
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize("mesh,interior_only", [
+        (disk_mesh(4), True), (build_mesh("icosphere", 4), False),
+        (build_mesh("circle", 5), False), (hemisphere_mesh(2), True),
+    ])
+    def test_returns_a_permutation_of_keep(self, mesh, interior_only):
+        keep = np.arange(len(mesh.vertices))
+        if interior_only:
+            keep = np.setdiff1d(keep, mesh.boundary_loop)
+        order = _nested_dissection(mesh, keep)
+        assert order.dtype == keep.dtype
+        assert np.array_equal(np.sort(order), keep)
+
+    def test_a_subset_keeps_only_its_vertices(self):
+        mesh = build_mesh("icosphere", 3)
+        keep = np.arange(1, len(mesh.vertices), 3)
+        assert np.array_equal(np.sort(_nested_dissection(mesh, keep)), keep)
+
+    @pytest.mark.parametrize("kind,level", [("disk", 4), ("icosphere", 4)])
+    def test_fill_within_ten_percent_of_minimum_degree(self, kind, level):
+        if kind == "disk":
+            mesh = disk_mesh(level)
+            keep = np.setdiff1d(np.arange(len(mesh.vertices)),
+                                mesh.boundary_loop)
+            mat = _stiffness(mesh, 0.0)[0]
+        else:
+            mesh = build_mesh(kind, level)
+            keep = np.arange(len(mesh.vertices))
+            prob = assemble(mesh, P0)
+            mat = prob.stiffness + 0.05 * prob.mass
+        sub = mat[keep][:, keep]
+        local = np.searchsorted(keep, _nested_dissection(mesh, keep))
+        nd = _spd_lu(sub[local][:, local].tocsc())
+        mmd = scipy.sparse.linalg.splu(sub.tocsc(),
+                                       permc_spec="MMD_AT_PLUS_A",
+                                       diag_pivot_thresh=0.0,
+                                       options={"SymmetricMode": True})
+        assert lu_fill(nd) <= 1.1 * lu_fill(mmd)
