@@ -207,38 +207,18 @@ def sqrt(x):
     return np.sqrt(x)
 
 
-def derivative(field, x, multi_index, mode="dual", step=1e-3):
+def derivative(field, x, multi_index):
     """Partial derivative of ``field`` at ``x`` for the given multi-index.
 
     ``multi_index`` lists coordinate axes, one per differentiation, e.g.
-    ``(0, 0)`` for the second derivative along axis 0.  ``mode="dual"``
-    nests dual-number lifts (exact); ``mode="fd"`` uses 4th-order central
-    differences with step ``step`` as an independent cross-check.
+    ``(0, 0)`` for the second derivative along axis 0; the dual-number
+    lifts are nested, so the result is exact.
     """
     multi_index = tuple(multi_index)
     if len(multi_index) > MAX_ORDER:
         raise OrderUnsupported(
             f"derivative order {len(multi_index)} exceeds {MAX_ORDER}")
     f = field
-    if mode == "dual":
-        for axis in reversed(multi_index):
-            f = lift(f, axis)
-    elif mode == "fd":
-        for axis in reversed(multi_index):
-            f = _fd_lift(f, axis, step)
-    else:
-        raise ValueError(f"unknown differentiation mode {mode!r}")
+    for axis in reversed(multi_index):
+        f = lift(f, axis)
     return f(list(x))
-
-
-def _fd_lift(f, axis, h):
-    def df(x):
-        vals = []
-        for k in (-2, -1, 1, 2):
-            z = list(x)
-            z[axis] = z[axis] + k * h
-            vals.append(f(z))
-        fm2, fm1, fp1, fp2 = vals
-        return (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
-    return df
-

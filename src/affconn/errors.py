@@ -44,10 +44,6 @@ class DegenerateCell(GeometryError):
 class SolverNoConvergence(GeometryError):
     """Iterative eigensolver hit its iteration cap."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class NotDMinimal(GeometryError):
     """Hypersurface fails the D-minimality certificate."""

@@ -219,12 +219,11 @@ def _param_grid(hyp):
 
 
 def d_minimal_residual(hyp, params):
-    """max |H^D| over a parameter grid; ~0 certifies D-minimality."""
-    worst = 0.0
-    for s in _param_grid(hyp):
-        data = second_fundamental(hyp, params, s)
-        worst = max(worst, abs(data.mean_curvature_affine))
-    return worst
+    """max |H^D| over a parameter grid; ~0 certifies D-minimality.  A NaN
+    at any grid point is the result."""
+    return float(np.max([abs(second_fundamental(hyp, params, s)
+                             .mean_curvature_affine)
+                         for s in _param_grid(hyp)]))
 
 
 # ---------------------------------------------------------------------------

@@ -50,84 +50,86 @@ def _poly_field(n, seed):
 # --- individual checks -----------------------------------------------------
 
 
+def _worst(values):
+    """Largest of ``values``; a NaN among them is the result."""
+    return float(np.max(list(values)))
+
+
+def _gap(a, b):
+    """Largest entrywise distance between two arrays."""
+    return float(np.max(np.abs(a - b)))
+
+
+def _record(statement, threshold, values, held, probes=True):
+    """A report record: it passes when every value in ``held`` is at most
+    ``threshold`` and the sensitivity ``probes`` hold.  A NaN compares
+    false, so it never passes."""
+    return {"values": values, "threshold": threshold,
+            "passed": all(v <= threshold for v in held) and bool(probes),
+            "statement": statement}
+
+
 def check_torsion(scn):
     man = scn.manifold()
-    worst = 0.0
-    for x in halton_points(man, 20):
-        for params in (LEVI_CIVITA, scn.params, scn.params.dual()):
-            gamma = connection_coeffs(man, params, x)
-            worst = max(worst,
-                        float(np.max(np.abs(gamma - gamma.swapaxes(1, 2)))))
-    return {"values": {"max_asymmetry": worst}, "threshold": 1e-12,
-            "passed": worst <= 1e-12,
-            "statement": "all three connection kinds are torsion-free"}
+    gammas = [connection_coeffs(man, params, x)
+              for x in halton_points(man, 20)
+              for params in (LEVI_CIVITA, scn.params, scn.params.dual())]
+    worst = _worst(_gap(g, g.swapaxes(1, 2)) for g in gammas)
+    return _record("all three connection kinds are torsion-free", 1e-12,
+                   {"max_asymmetry": worst}, [worst])
 
 
 def check_duality(scn):
     man = scn.manifold()
     n = man.dim
-    worst = 0.0
-    for x in halton_points(man, POINT_COUNT):
-        for t in range(3):
-            fields = [_poly_field(n, 3 * t + k) for k in range(3)]
-            worst = max(worst, duality_residual(man, scn.params, list(x),
-                                                *fields))
+    worst = _worst(duality_residual(man, scn.params, x,
+                                    *[_poly_field(n, 3 * t + k)
+                                      for k in range(3)])
+                   for x in halton_points(man, POINT_COUNT) for t in range(3))
     x0 = halton_points(man, 1)[0]
     fields = [_poly_field(n, k) for k in range(3)]
-    perturbed = duality_residual(man, scn.params, list(x0), *fields,
-                                 perturb=0.01)
-    return {"values": {"max_residual": worst, "perturbed_residual": perturbed},
-            "threshold": 1e-9,
-            "passed": worst <= 1e-9 and perturbed > 1e-4,
-            "statement": "dual-pairing identity of the conformal metric, "
-                         "with a sensitivity probe"}
+    perturbed = duality_residual(man, scn.params, x0, *fields, perturb=0.01)
+    return _record("dual-pairing identity of the conformal metric, "
+                   "with a sensitivity probe", 1e-9,
+                   {"max_residual": worst, "perturbed_residual": perturbed},
+                   [worst], perturbed > 1e-4)
 
 
 def check_statistical(scn):
     man = scn.manifold()
-    worst_sym = 0.0
-    worst_form = 0.0
+    sym, form = [], []
     for x in halton_points(man, 20):
-        c = amari_chentsov(man, scn.params, list(x))
-        cf = amari_chentsov_closed_form(man, scn.params, list(x))
-        worst_form = max(worst_form, float(np.max(np.abs(c - cf))))
-        for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
-            worst_sym = max(worst_sym,
-                            float(np.max(np.abs(c - np.transpose(c, perm)))))
-    return {"values": {"max_asymmetry": worst_sym,
-                       "closed_form_gap": worst_form},
-            "threshold": 1e-10,
-            "passed": worst_sym <= 1e-10 and worst_form <= 1e-10,
-            "statement": "cubic tensor is fully symmetric and matches its "
-                         "closed form"}
+        c = amari_chentsov(man, scn.params, x)
+        form.append(_gap(c, amari_chentsov_closed_form(man, scn.params, x)))
+        sym += [_gap(c, np.transpose(c, perm))
+                for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0))]
+    values = {"max_asymmetry": _worst(sym), "closed_form_gap": _worst(form)}
+    return _record("cubic tensor is fully symmetric and matches its closed "
+                   "form", 1e-10, values, values.values())
 
 
 def check_equiaffine(scn):
     man = scn.manifold()
-    n = man.dim
-    xfield = _poly_field(n, 1)
-    worst = 0.0
-    for x in halton_points(man, 20):
-        worst = max(worst, equiaffine_residual(man, scn.params, list(x), xfield))
-    record = {"values": {"max_residual": worst}, "threshold": 1e-9,
-              "passed": worst <= 1e-9,
-              "statement": "the weighted volume form is parallel for the "
-                           "connection"}
+    xfield = _poly_field(man.dim, 1)
+    worst = _worst(equiaffine_residual(man, scn.params, x, xfield)
+                   for x in halton_points(man, 20))
+    values, probes = {"max_residual": worst}, True
     if scn.weighted:
-        x0 = list(halton_points(man, 1)[0])
-        shifted = min(equiaffine_residual(man, scn.params, x0, xfield, 0.1),
-                      equiaffine_residual(man, scn.params, x0, xfield, -0.1))
-        record["values"]["shifted_exponent_residual"] = shifted
-        record["passed"] = record["passed"] and shifted > 1e-5
-    return record
+        x0 = halton_points(man, 1)[0]
+        shifted = float(np.min([equiaffine_residual(man, scn.params, x0,
+                                                    xfield, shift)
+                                for shift in (0.1, -0.1)]))
+        values["shifted_exponent_residual"] = shifted
+        probes = shifted > 1e-5
+    return _record("the weighted volume form is parallel for the connection",
+                   1e-9, values, [worst], probes)
 
 
 def check_ricci_symmetry(scn):
-    man = scn.manifold()
-    report = curvature_bound_scan(man, scn.params, SCAN_COUNT)
-    return {"values": {"max_asymmetry": report.asymmetry}, "threshold": 1e-9,
-            "passed": report.asymmetry <= 1e-9,
-            "statement": "affine Ricci tensor is symmetric on the sampled set"}
+    report = curvature_bound_scan(scn.manifold(), scn.params, SCAN_COUNT)
+    return _record("affine Ricci tensor is symmetric on the sampled set",
+                   1e-9, {"max_asymmetry": report.asymmetry},
+                   [report.asymmetry])
 
 
 def check_curvature_oracles(scn):
@@ -138,103 +140,87 @@ def check_curvature_oracles(scn):
 
     static_params = WeightParams(0.0, 1.0)
     wy_params = WeightParams(1.0 / (man.dim - 1), 0.0)
-    worst_static = 0.0
-    worst_wy = 0.0
+    static, wy = [], []
     for x in halton_points(man, 20):
-        ric_static = ricci_tensor(man, x, static_params)
-        oracle_static = static_ricci(man, x)
-        worst_static = max(worst_static,
-                           float(np.max(np.abs(ric_static - oracle_static))))
-        ric_wy = ricci_tensor(man, x, wy_params)
-        oracle_wy = weighted_ricci(man, neg_u, 1.0, x)
-        worst_wy = max(worst_wy, float(np.max(np.abs(ric_wy - oracle_wy))))
-    return {"values": {"static_gap": worst_static, "one_weighted_gap": worst_wy},
-            "threshold": 1e-9,
-            "passed": worst_static <= 1e-9 and worst_wy <= 1e-9,
-            "statement": "affine Ricci tensor matches the static and "
-                         "1-weighted Ricci oracles at their parameter values"}
+        static.append(_gap(ricci_tensor(man, x, static_params),
+                           static_ricci(man, x)))
+        wy.append(_gap(ricci_tensor(man, x, wy_params),
+                       weighted_ricci(man, neg_u, 1.0, x)))
+    values = {"static_gap": _worst(static), "one_weighted_gap": _worst(wy)}
+    return _record("affine Ricci tensor matches the static and 1-weighted "
+                   "Ricci oracles at their parameter values", 1e-9, values,
+                   values.values())
 
 
 def check_curvature_bound(scn):
-    man = scn.manifold()
-    report = curvature_bound_scan(man, scn.params, SCAN_COUNT)
-    record = {"values": {"k_best": report.k_best},
-              "threshold": 1e-9, "passed": True,
-              "statement": "best certified constant in the lower Ricci bound "
-                           "on the sampled set"}
+    report = curvature_bound_scan(scn.manifold(), scn.params, SCAN_COUNT)
+    values, held = {"k_best": report.k_best}, []
     expected = scn.expected.get("k_best")
     if expected is not None:
-        record["values"]["expected"] = expected
-        record["passed"] = abs(report.k_best - expected) <= 1e-9
-    return record
+        values["expected"] = expected
+        held = [abs(report.k_best - expected)]
+    return _record("best certified constant in the lower Ricci bound on the "
+                   "sampled set", 1e-9, values, held)
 
 
 def check_d_minimal(scn):
-    hyp = scn.hypersurface()
-    res = d_minimal_residual(hyp, scn.params)
-    return {"values": {"max_affine_mean_curvature": res}, "threshold": 1e-8,
-            "passed": res <= 1e-8,
-            "statement": "the attached hypersurface has vanishing affine "
-                         "mean curvature"}
+    res = d_minimal_residual(scn.hypersurface(), scn.params)
+    return _record("the attached hypersurface has vanishing affine mean "
+                   "curvature", 1e-8, {"max_affine_mean_curvature": res}, [res])
 
 
 def check_eigenvalue(scn):
-    mesh = scn.mesh()
-    lam = smallest_nonzero_eigenvalue(assemble(mesh, scn.params))
+    lam = smallest_nonzero_eigenvalue(assemble(scn.mesh(), scn.params))
     expected = scn.expected["lambda1"]
-    rtol = scn.expected["lambda1_rtol"]
     rel = abs(lam - expected) / abs(expected)
-    return {"values": {"lambda1": lam, "expected": expected,
-                       "relative_error": rel},
-            "threshold": rtol, "passed": rel <= rtol,
-            "statement": "first nonzero eigenvalue of the induced weighted "
-                         "Laplacian matches the reference value"}
+    return _record("first nonzero eigenvalue of the induced weighted "
+                   "Laplacian matches the reference value",
+                   scn.expected["lambda1_rtol"],
+                   {"lambda1": lam, "expected": expected,
+                    "relative_error": rel}, [rel])
 
 
 def check_choi_wang(scn):
-    man = scn.manifold()
-    cert = choi_wang_certificate(man, scn.params, scn.hypersurface(),
-                                 scn.mesh(), scan_count=SCAN_COUNT)
-    return {"values": {"k_best": cert.k_best, "lambda1": cert.lambda1,
-                       "margin": cert.margin,
-                       "d_minimal_residual": cert.d_minimal_residual},
-            "threshold": cert.tolerance, "passed": cert.passed,
-            "statement": "first eigenvalue dominates half the certified "
-                         "curvature constant"}
+    cert = choi_wang_certificate(scn.manifold(), scn.params,
+                                 scn.hypersurface(), scn.mesh(),
+                                 scan_count=SCAN_COUNT)
+    # The certificate's rule, margin >= -tolerance.
+    return _record("first eigenvalue dominates half the certified curvature "
+                   "constant", cert.tolerance,
+                   {"k_best": cert.k_best, "lambda1": cert.lambda1,
+                    "margin": cert.margin,
+                    "d_minimal_residual": cert.d_minimal_residual},
+                   [-cert.margin])
 
 
 def check_reilly(scn):
     region = scn.region()
-    threshold = 1e-5 if scn.weighted else 1e-8
-    worst = 0.0
-    values = {}
-    for label, phi in scn.reilly_fields:
-        res = reilly_residual(region, scn.params, phi)
-        values[f"residual_{label}"] = res.residual
-        worst = max(worst, res.residual)
-    record = {"values": values, "threshold": threshold,
-              "passed": worst <= threshold,
-              "statement": "weighted integral identity holds at reference "
-                           "quadrature resolution"}
+    values = {f"residual_{label}": reilly_residual(region, scn.params,
+                                                   phi).residual
+              for label, phi in scn.reilly_fields}
+    held = list(values.values())
+    statement = ("weighted integral identity holds at reference quadrature "
+                 "resolution")
+    probes = True
     if scn.weighted:
-        label, phi = scn.reilly_fields[0]
-        residuals, orders = reilly_refinement(region, scn.params, phi,
-                                              grids=(8, 16, 32), order=1)
-        record["values"]["refinement_orders"] = [float(o) for o in orders]
-        record["passed"] = record["passed"] and min(orders) >= 2.0
-        record["statement"] += ", with second-order quadrature refinement"
-    return record
+        _, orders = reilly_refinement(region, scn.params,
+                                      scn.reilly_fields[0][1],
+                                      grids=(8, 16, 32), order=1)
+        values["refinement_orders"] = [float(o) for o in orders]
+        probes = all(o >= 2.0 for o in orders)
+        statement += ", with second-order quadrature refinement"
+    return _record(statement, 1e-5 if scn.weighted else 1e-8, values, held,
+                   probes)
 
 
 def check_harmonic_extension(scn):
     mesh = scn.extension_mesh()
-    psi = mesh.vertices[mesh.boundary_loop, 0]
-    phi, _ = harmonic_extension_2d(mesh, scn.params, psi)
-    err = float(np.max(np.abs(phi - mesh.vertices[:, 0])))
-    return {"values": {"max_error": err}, "threshold": 1e-6,
-            "passed": err <= 1e-6,
-            "statement": "discrete harmonic extension reproduces a linear "
-                         "harmonic function on the flat disk"}
+    phi, _ = harmonic_extension_2d(mesh, scn.params,
+                                   mesh.vertices[mesh.boundary_loop, 0])
+    err = _gap(phi, mesh.vertices[:, 0])
+    return _record("discrete harmonic extension reproduces a linear harmonic "
+                   "function on the flat disk", 1e-6, {"max_error": err},
+                   [err])
 
 
 def check_proof_inequality(scn):
@@ -246,16 +232,13 @@ def check_proof_inequality(scn):
         raise NonpositiveK(f"scan found K = {report.k_best}")
     result = proof_chain_inequality(mesh, scn.params, np.sin(angle),
                                     report.k_best)
-    threshold = 1e-4 * result["positive_scale"]
-    return {"values": {"quantity": result["quantity"],
-                       "energy": result["energy"],
-                       "pairing": result["pairing"],
-                       "positive_scale": result["positive_scale"],
-                       "k_best": report.k_best},
-            "threshold": threshold,
-            "passed": result["quantity"] <= threshold,
-            "statement": "the intermediate boundary-term inequality of the "
-                         "eigenvalue bound is nonpositive"}
+    return _record("the intermediate boundary-term inequality of the "
+                   "eigenvalue bound is nonpositive",
+                   1e-4 * result["positive_scale"],
+                   {"quantity": result["quantity"], "energy": result["energy"],
+                    "pairing": result["pairing"],
+                    "positive_scale": result["positive_scale"],
+                    "k_best": report.k_best}, [result["quantity"]])
 
 
 # --- registry --------------------------------------------------------------
@@ -296,11 +279,9 @@ CHECKS = {
                          lambda s: s.proof_mesh is not None),
 }
 
-CHECK_ORDER = list(CHECKS)
-
 
 def check_names():
-    return list(CHECK_ORDER)
+    return list(CHECKS)
 
 
 # --- configuration and suite run -------------------------------------------
@@ -335,7 +316,7 @@ def normalize_config(config):
     if type(workers) is not int or workers < 1:
         raise ConfigInvalid("workers must be a positive integer")
     return {"scenarios": sorted(scenarios),
-            "checks": [c for c in CHECK_ORDER if c in checks],
+            "checks": [c for c in CHECKS if c in checks],
             "workers": workers}
 
 
@@ -367,23 +348,9 @@ def run_suite(config=None):
             "passed": all(r["passed"] for r in records)}
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
-
-
 def report_json(report):
     """Canonical serialization; identical reports give identical bytes."""
-    return json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 # --- convergence tables ----------------------------------------------------

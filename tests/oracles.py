@@ -7,6 +7,7 @@ cofactor loop), or builds an input that no built-in scenario needs.
 
 import numpy as np
 
+from affconn import spectral
 from affconn.algebra import det
 from affconn.charts import eval_metric
 from affconn.curvature import riemann_tensor
@@ -42,6 +43,30 @@ def cofactor_inv(m):
             s = det(minor)
             cof[j][i] = s / d if (i + j) % 2 == 0 else -s / d
     return cof
+
+
+# --- derivatives -----------------------------------------------------------
+
+
+def fd_derivative(field, x, multi_index, step=1e-3):
+    """Partial derivative by nested 4th-order central differences with step
+    ``step``, the independent cross-check of ``dual.derivative``."""
+    f = field
+    for axis in reversed(tuple(multi_index)):
+        f = _fd_lift(f, axis, step)
+    return f(list(x))
+
+
+def _fd_lift(f, axis, h):
+    def df(x):
+        vals = []
+        for k in (-2, -1, 1, 2):
+            z = list(x)
+            z[axis] = z[axis] + k * h
+            vals.append(f(z))
+        fm2, fm1, fp1, fp2 = vals
+        return (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
+    return df
 
 
 # --- charts ----------------------------------------------------------------
@@ -132,6 +157,15 @@ def check_nondegenerate(mesh, tol=1e-14):
 
 
 # --- spectrum --------------------------------------------------------------
+
+
+def force_path(monkeypatch, method):
+    """Send every eigensolve down one path, ``"dense"`` or ``"iterative"``
+    (shift-invert Lanczos), by moving ``spectral.DENSE_CUTOFF``."""
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF",
+                        np.inf if method == "dense" else 0)
+
+
 # Fourier collocation of the non-symmetric weighted operator on a circle.
 # Exponentially accurate for smooth weights, so FEM eigenvalues can be
 # validated against it directly.

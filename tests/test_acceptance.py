@@ -21,7 +21,7 @@ from affconn.spectral import (assemble, choi_wang_certificate,
                               smallest_nonzero_eigenvalue)
 from affconn.suite import _poly_field, report_json, run_suite
 from affconn.curvature import curvature_bound_scan
-from oracles import weighted_scenarios
+from oracles import force_path, weighted_scenarios
 
 
 def _verdict(number, label, ok):
@@ -149,15 +149,16 @@ def test_criterion_7_proof_chain():
     _verdict(7, "proof-chain inequality", ok)
 
 
-def test_criterion_8_spectral_solver():
+def test_criterion_8_spectral_solver(monkeypatch):
     p0 = WeightParams(0.0, 0.0)
     lam_circle = smallest_nonzero_eigenvalue(
         assemble(build_mesh("circle", 6), p0))
     lam_sphere = smallest_nonzero_eigenvalue(
         assemble(build_mesh("icosphere", 5), p0))
     prob = assemble(build_mesh("icosphere", 3), p0)
-    dense = smallest_nonzero_eigenvalue(prob, method="dense")
-    iterative = smallest_nonzero_eigenvalue(prob, method="iterative")
+    iterative = smallest_nonzero_eigenvalue(prob)
+    force_path(monkeypatch, "dense")
+    dense = smallest_nonzero_eigenvalue(prob)
     _verdict(8, "spectral solver",
              abs(lam_circle - 1.0) <= 1e-4
              and abs(lam_sphere - 2.0) / 2.0 <= 5e-3

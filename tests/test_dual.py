@@ -1,4 +1,7 @@
-"""Forward-mode dual-number arithmetic and the derivative helpers."""
+"""Forward-mode dual-number arithmetic and the derivative helpers.
+
+Finite differences (``oracles.fd_derivative``) cross-check the dual-number
+derivatives."""
 
 import sys
 import threading
@@ -12,6 +15,7 @@ from affconn import dual
 from affconn.dual import (Dual, derivative, epsilon_part, jacobian, seed_axis,
                           value)
 from affconn.errors import OrderUnsupported
+from oracles import fd_derivative
 
 
 def f_scalar(x):
@@ -82,7 +86,8 @@ class TestDerivative:
     @pytest.mark.parametrize("mode,tol", [("dual", 1e-9), ("fd", 1e-6)])
     def test_mixed_second_derivative(self, mode, tol):
         x = [0.4, -0.3]
-        got = derivative(f_scalar, x, (0, 1), mode=mode)
+        diff = {"dual": derivative, "fd": fd_derivative}[mode]
+        got = diff(f_scalar, x, (0, 1))
         assert got == pytest.approx(d2f_dx0dx1(x), abs=tol)
 
     def test_third_derivative(self):
@@ -92,8 +97,8 @@ class TestDerivative:
 
     def test_dual_and_fd_agree(self):
         x = [0.25, 0.75]
-        d1 = derivative(f_scalar, x, (1, 1), mode="dual")
-        d2 = derivative(f_scalar, x, (1, 1), mode="fd")
+        d1 = derivative(f_scalar, x, (1, 1))
+        d2 = fd_derivative(f_scalar, x, (1, 1))
         assert d1 == pytest.approx(d2, abs=1e-6)
 
     def test_order_cap(self):
@@ -133,7 +138,7 @@ class TestJacobian:
         assert jac[axis] == derivative(f_matrix, x, (axis,))
         for i in range(2):
             for j in range(2):
-                fd = derivative(entry(f_matrix, i, j), x, (axis,), mode="fd")
+                fd = fd_derivative(entry(f_matrix, i, j), x, (axis,))
                 assert jac[axis][i][j] == pytest.approx(fd, abs=1e-8)
 
     @given(points, axes, axes)
@@ -144,7 +149,7 @@ class TestJacobian:
         assert mixed == derivative(f_matrix, x, (a, b))
         for i in range(2):
             for j in range(2):
-                fd = derivative(entry(f_matrix, i, j), x, (a, b), mode="fd")
+                fd = fd_derivative(entry(f_matrix, i, j), x, (a, b))
                 assert mixed[i][j] == pytest.approx(fd, abs=1e-6)
 
 

@@ -1,0 +1,107 @@
+"""Negative controls: a NaN at a non-first sample fails the record.
+
+Each case replaces the engine function that a check calls with one that
+returns NaN on a later call, runs the check through ``run_suite``, and
+expects ``"passed": false``.  A record keeps its values, so the report
+shows the NaN; the choi-wang certificate refuses a NaN D-minimality
+residual with ``NotDMinimal``.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from affconn import operators, suite
+from affconn.suite import report_json, run_suite
+
+
+def nan_array(out):
+    return np.full_like(out, np.nan)
+
+
+def nan_float(out):
+    return math.nan
+
+
+def nan_residual(out):
+    return dataclasses.replace(out, residual=math.nan)
+
+
+def nan_second_order(out):
+    residuals, orders = out
+    return residuals, [orders[0], math.nan, *orders[2:]]
+
+
+def nan_mean_curvature(out):
+    return dataclasses.replace(out, mean_curvature_affine=math.nan)
+
+
+def poison(monkeypatch, owner, name, call, spoil):
+    """Make ``owner.name`` return ``spoil(result)`` on call number ``call``
+    (counted from 1) and its own result on every other call."""
+    original = getattr(owner, name)
+    calls = [0]
+
+    def spoiled(*args, **kwargs):
+        calls[0] += 1
+        out = original(*args, **kwargs)
+        return spoil(out) if calls[0] == call else out
+    monkeypatch.setattr(owner, name, spoiled)
+    return calls
+
+
+def run_record(scenario, check):
+    report = run_suite({"scenarios": [scenario], "checks": [check]})
+    report_json(report)  # a NaN record still serializes
+    (record,) = report["records"]
+    return record
+
+
+# (scenario, check, owner, engine function, poisoned call, spoil, value key)
+CASES = [
+    ("s2-generic", "torsion", suite, "connection_coeffs", 5, nan_array,
+     "max_asymmetry"),
+    ("s2-generic", "duality", suite, "duality_residual", 7, nan_float,
+     "max_residual"),
+    ("s2-generic", "statistical", suite, "amari_chentsov_closed_form", 5,
+     nan_array, "closed_form_gap"),
+    ("s2-generic", "equiaffine", suite, "equiaffine_residual", 5, nan_float,
+     "max_residual"),
+    # Calls 21 and 22 are the probes at tau +- 0.1 after the 20 samples.
+    ("s2-generic", "equiaffine", suite, "equiaffine_residual", 22, nan_float,
+     "shifted_exponent_residual"),
+    ("s2-generic", "curvature-oracles", suite, "static_ricci", 5, nan_array,
+     "static_gap"),
+    ("s2-generic", "curvature-oracles", suite, "weighted_ricci", 5, nan_array,
+     "one_weighted_gap"),
+    ("s3-classical", "d-minimal", operators, "second_fundamental", 100,
+     nan_mean_curvature, "max_affine_mean_curvature"),
+    ("disk-flat", "reilly", suite, "reilly_residual", 2, nan_residual,
+     "residual_radial-square"),
+    ("s2-hemisphere-weighted", "reilly", suite, "reilly_refinement", 1,
+     nan_second_order, "refinement_orders"),
+]
+
+
+@pytest.mark.parametrize(
+    "scenario,check,owner,name,call,spoil,key", CASES,
+    ids=[f"{c[1]}-{c[3]}-{c[4]}" for c in CASES])
+def test_nan_sample_fails_the_record(monkeypatch, scenario, check, owner,
+                                     name, call, spoil, key):
+    calls = poison(monkeypatch, owner, name, call, spoil)
+    record = run_record(scenario, check)
+    assert calls[0] >= call
+    assert "error" not in record
+    assert record["passed"] is False
+    assert np.isnan(record["values"][key]).any()
+
+
+def test_nan_d_minimal_residual_refuses_the_certificate(monkeypatch):
+    calls = poison(monkeypatch, operators, "second_fundamental", 5,
+                   nan_mean_curvature)
+    record = run_record("s2-classical", "choi-wang")
+    assert calls[0] >= 5
+    assert record["passed"] is False
+    assert record["error"].startswith("NotDMinimal: max |H^D| = nan")

@@ -2,10 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import affconn
 from affconn.cli import main
 from affconn.errors import CheckNotRefinable, ConfigInvalid, UnsupportedKind
 from affconn.scenarios import get_scenario, scenario_names
@@ -119,6 +123,23 @@ class TestSuite:
         one = report_json(run_suite(SMALL_CONFIG))
         four = report_json(run_suite({**SMALL_CONFIG, "workers": 4}))
         assert one == four
+
+    def test_byte_identical_across_blas_threads(self):
+        # The proof-chain energy sums ~50,000 products; a BLAS dot product
+        # splits that sum by thread count, which moves its last bit.
+        script = ("import sys; from affconn.suite import report_json, "
+                  "run_suite; sys.stdout.write(report_json(run_suite("
+                  "{'checks': ['proof-inequality']})))")
+        src = os.path.dirname(os.path.dirname(affconn.__file__))
+        reports = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "PYTHONPATH": src}
+            reports.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True, timeout=300).stdout)
+        assert '"proof-inequality"' in reports[0]
+        assert reports[0] == reports[1]
 
     def test_records_carry_values_and_threshold(self):
         report = run_suite(SMALL_CONFIG)

@@ -16,7 +16,7 @@ from affconn.spectral import (_nested_dissection, _spd_lu, _stiffness,
                               harmonic_extension_2d, proof_chain_inequality,
                               recover_normal_flux,
                               smallest_nonzero_eigenvalue)
-from oracles import circle_collocation_eigenvalues
+from oracles import circle_collocation_eigenvalues, force_path
 
 P0 = WeightParams(0.0, 0.0)
 PW = WeightParams(1.0, 0.0)
@@ -90,11 +90,12 @@ class TestEigenvalues:
             assemble(build_mesh("icosphere", 4), P0))
         assert abs(lam - 2.0) / 2.0 <= 1e-2
 
-    def test_dense_vs_iterative(self):
+    def test_dense_vs_iterative(self, monkeypatch):
         prob = assemble(build_mesh("icosphere", 3), P0)
         assert prob.size < 2000
-        dense = smallest_nonzero_eigenvalue(prob, method="dense")
-        iterative = smallest_nonzero_eigenvalue(prob, method="iterative")
+        iterative = smallest_nonzero_eigenvalue(prob)
+        force_path(monkeypatch, "dense")
+        dense = smallest_nonzero_eigenvalue(prob)
         assert abs(dense - iterative) / dense <= 1e-8
 
     @pytest.mark.parametrize("kind,level,method", [
@@ -104,52 +105,51 @@ class TestEigenvalues:
         ("icosphere", 3, "dense"),
     ])
     def test_two_eigenpairs_give_the_sixfold_lambda1(self, kind, level,
-                                                     method):
+                                                     method, monkeypatch):
+        force_path(monkeypatch, method)
         prob = assemble(build_mesh(kind, level), P0)
-        six = eigenvalues(prob, method=method)
+        six = eigenvalues(prob)
         assert len(six) == 6
-        lam = smallest_nonzero_eigenvalue(prob, method=method)
+        lam = smallest_nonzero_eigenvalue(prob)
         assert abs(lam - six[1]) <= 1e-11 * six[1]
 
     # A bisection subset of the dense spectrum is accurate to eps * ||A||
     # only, so its lambda_1 moved by up to 9e-11 with the subset size.
     @pytest.mark.parametrize("kind,level", [("circle", 5), ("circle", 6),
                                             ("icosphere", 2)])
-    def test_dense_lambda1_does_not_depend_on_count(self, kind, level):
+    def test_dense_lambda1_does_not_depend_on_count(self, kind, level,
+                                                    monkeypatch):
+        force_path(monkeypatch, "dense")
         prob = assemble(build_mesh(kind, level), P0)
-        two = eigenvalues(prob, count=2, method="dense")
-        six = eigenvalues(prob, count=6, method="dense")
+        two = eigenvalues(prob, count=2)
+        six = eigenvalues(prob, count=6)
         assert (len(two), len(six)) == (2, 6)
         assert two[1] == six[1]
 
     @pytest.mark.parametrize("method", ["iterative", "dense"])
-    def test_unused_vertex_in_closed_mesh_is_singular(self, method):
+    def test_unused_vertex_in_closed_mesh_is_singular(self, method,
+                                                      monkeypatch):
+        force_path(monkeypatch, method)
         sphere = build_mesh("icosphere", 3)
         verts = np.vstack([sphere.vertices, [[0.1, 0.2, 0.3]]])  # in no cell
         mesh = SurfaceMesh(vertices=verts, cells=sphere.cells,
                            u=np.zeros(len(verts)))
         with pytest.raises(SingularSystem):
-            smallest_nonzero_eigenvalue(assemble(mesh, P0), method=method)
+            smallest_nonzero_eigenvalue(assemble(mesh, P0))
 
     @pytest.mark.parametrize("kind,level,method", [
         ("circle", 4, "dense"), ("circle", 5, "iterative"),
         ("icosphere", 2, "dense"), ("icosphere", 3, "iterative"),
     ])
-    def test_missing_constant_mode_is_refused(self, kind, level, method):
+    def test_missing_constant_mode_is_refused(self, kind, level, method,
+                                              monkeypatch):
+        force_path(monkeypatch, method)
         prob = assemble(build_mesh(kind, level), P0)
         # Adding c * B shifts every eigenvalue by c, the constant mode too.
         prob.stiffness = prob.stiffness + 0.5 * prob.mass
         with pytest.raises(SolverNoConvergence,
                            match="constant kernel mode missing"):
-            smallest_nonzero_eigenvalue(prob, method=method)
-
-    @pytest.mark.parametrize("method", ["dnese", "Dense", "", None])
-    def test_unknown_method_rejected(self, method):
-        prob = assemble(build_mesh("circle", 0), P0)
-        with pytest.raises(ValueError, match="unknown eigensolver method"):
-            eigenvalues(prob, method=method)
-        with pytest.raises(ValueError):
-            smallest_nonzero_eigenvalue(prob, method=method)
+            smallest_nonzero_eigenvalue(prob)
 
     def test_weight_shift_scales_first_eigenvalue(self):
         params = WeightParams(1.0, 0.0)
