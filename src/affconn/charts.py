@@ -48,12 +48,15 @@ class ChartedManifold:
             bounds.append((lo, hi))
         return bounds
 
-    def require_admissible(self, x):
+    def point(self, x):
+        """An admissible point as a new list of Python floats; every public
+        point evaluation takes its point from here."""
         for i, (lo, hi) in enumerate(self.admissible_box()):
             if not self.periodic[i] and not (lo <= x[i] <= hi):
                 raise PointOutOfDomain(
                     f"point {tuple(x)} outside admissible box of "
                     f"{self.name or 'chart'}")
+        return dual.floats(x)
 
 
 @dataclass(frozen=True)
@@ -79,8 +82,8 @@ class WeightParams:
 
 def eval_metric(man, x):
     """Metric matrix at an admissible point, checked SPD."""
-    man.require_admissible(x)
-    g = np.array(dual.value(man.metric(dual.floats(x))), dtype=float)
+    x = man.point(x)
+    g = np.array(man.metric(x), dtype=float)
     if np.max(np.abs(g - g.T)) > 1e-12 * max(1.0, np.max(np.abs(g))):
         raise MetricNotSPD(f"metric not symmetric at {tuple(x)}")
     if np.linalg.eigvalsh(g)[0] <= 0.0:

@@ -14,7 +14,7 @@ import numpy as np
 from . import algebra
 from .charts import halton_points
 from .connections import LEVI_CIVITA, affine_gamma_generic, christoffel_generic
-from .dual import derivative, exp, floats, jacobian, value
+from .dual import derivative, exp, jacobian
 from .errors import InvalidN, NonConstantFAtNEqualsN
 
 
@@ -56,15 +56,12 @@ def ricci_generic(man, params, x):
 
 def riemann_tensor(man, x, params=LEVI_CIVITA):
     """Riemann tensor R[l, k, i, j] = R^l_{kij} at ``x``."""
-    man.require_admissible(x)
-    return np.array(value(riemann_generic(man, params, floats(x))),
-                    dtype=float)
+    return np.array(riemann_generic(man, params, man.point(x)), dtype=float)
 
 
 def ricci_tensor(man, x, params=LEVI_CIVITA):
     """Ricci tensor Ric[p, q] at ``x`` (coordinate-trace contraction)."""
-    man.require_admissible(x)
-    return np.array(value(ricci_generic(man, params, floats(x))), dtype=float)
+    return np.array(ricci_generic(man, params, man.point(x)), dtype=float)
 
 
 def scalar_hessian_lc(man, f, x):
@@ -88,8 +85,7 @@ def scalar_hessian_lc(man, f, x):
 
 def static_ricci(man, x):
     """Substatic tensor S[i, j] = Ric - Hess(V)/V + (Lap(V)/V) g, V = e^u."""
-    man.require_admissible(x)
-    x = floats(x)
+    x = man.point(x)
     n = man.dim
 
     def vfun(z):
@@ -108,7 +104,7 @@ def static_ricci(man, x):
     for i in range(n):
         for j in range(n):
             out[i][j] = ric[i][j] - hess_v[i][j] / v + (lap_v / v) * g[i][j]
-    return np.array(value(out), dtype=float)
+    return np.array(out, dtype=float)
 
 
 def weighted_ricci(man, f_field, n_eff, x):
@@ -117,8 +113,7 @@ def weighted_ricci(man, f_field, n_eff, x):
     ``n_eff`` must lie in (-inf, 1] or [n, inf]; N = inf drops the last
     term and N = n admits only constant f.
     """
-    man.require_admissible(x)
-    x = floats(x)
+    x = man.point(x)
     n = man.dim
     if 1.0 < n_eff < n:
         raise InvalidN(f"effective dimension {n_eff} in excluded interval (1, {n})")
@@ -127,7 +122,7 @@ def weighted_ricci(man, f_field, n_eff, x):
     df = jacobian(f_field, x)
     out = algebra.zeros(n, n)
     if n_eff == n:
-        if max(abs(value(d)) for d in df) > 1e-12:
+        if max(abs(d) for d in df) > 1e-12:
             raise NonConstantFAtNEqualsN("N = dim requires a constant weight")
         scale = 0.0
     elif np.isinf(n_eff):
@@ -137,7 +132,7 @@ def weighted_ricci(man, f_field, n_eff, x):
     for i in range(n):
         for j in range(n):
             out[i][j] = ric[i][j] + hess_f[i][j] - scale * df[i] * df[j]
-    return np.array(value(out), dtype=float)
+    return np.array(out, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -159,21 +154,20 @@ def curvature_bound_scan(man, params, sample_count=200):
     n = man.dim
     coords = [pts[:, i].copy() for i in range(n)]
     ric_nested = ricci_generic(man, params, coords)
-    shape = (sample_count,)
     ric = np.empty((sample_count, n, n))
-    gmat = np.empty((sample_count, n, n))
+    conf_g = np.empty((sample_count, n, n))
     graw = man.metric(coords)
+    conf = exp(params.conformal_exponent * man.weight(coords))
     for i in range(n):
         for j in range(n):
-            ric[:, i, j] = np.broadcast_to(value(ric_nested[i][j]), shape)
-            gmat[:, i, j] = np.broadcast_to(value(graw[i][j]), shape)
-    conf = np.broadcast_to(value(exp(params.conformal_exponent * man.weight(coords))), shape)
+            ric[:, i, j] = ric_nested[i][j]
+            conf_g[:, i, j] = conf * graw[i][j]
 
     asym = float(np.max(np.abs(ric - np.transpose(ric, (0, 2, 1)))))
     sym = 0.5 * (ric + np.transpose(ric, (0, 2, 1)))
     # With B = conf g = L L^T, the pair (S, B) has the eigenvalues of the
     # whitened L^-1 S L^-T, taken for all samples in one batched call.
-    chol = np.linalg.cholesky(conf[:, None, None] * gmat)
+    chol = np.linalg.cholesky(conf_g)
     half = np.linalg.solve(chol, sym)                             # L^-1 S
     lam = np.linalg.eigvalsh(np.linalg.solve(chol, np.swapaxes(half, 1, 2)))
     k = int(np.argmin(lam[:, 0]))

@@ -110,15 +110,6 @@ def floats(x):
     return [float(c) for c in x]
 
 
-def value(x):
-    """Strip all dual layers, entrywise through nested lists."""
-    while type(x) is Dual:
-        x = x.a
-    if type(x) is list:
-        return [value(e) for e in x]
-    return x
-
-
 def seed_axis(x, axis):
     """Lift coordinate ``axis`` of point ``x`` at a fresh level.
 

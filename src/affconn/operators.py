@@ -20,18 +20,17 @@ import numpy as np
 from . import algebra
 from .connections import christoffel_generic
 from .curvature import ricci_generic, scalar_hessian_lc
-from .dual import exp, floats, jacobian, sqrt, value
+from .dual import exp, floats, jacobian, sqrt
 from .errors import DegenerateJacobian, QuadratureUnderResolved
 
 
 def grad_D(man, params, phi, x):
     """Affine gradient V^{beta-alpha} g^{ij} d_j phi (contravariant)."""
-    man.require_admissible(x)
-    x = floats(x)
+    x = man.point(x)
     gi = algebra.inv(man.metric(x))
     dphi = jacobian(phi, x)
     scale = exp((params.beta - params.alpha) * man.weight(x))
-    return np.array([value(scale * c) for c in algebra.matvec(gi, dphi)])
+    return np.array([scale * c for c in algebra.matvec(gi, dphi)])
 
 
 def hess_D_generic(man, params, phi, x):
@@ -56,8 +55,7 @@ def hess_D_generic(man, params, phi, x):
 
 def hess_D(man, params, phi, x):
     """Affine Hessian H[i, j] at ``x``, symmetric."""
-    man.require_admissible(x)
-    return np.array(value(hess_D_generic(man, params, phi, floats(x))),
+    return np.array(hess_D_generic(man, params, phi, man.point(x)),
                     dtype=float)
 
 
@@ -79,8 +77,7 @@ def lap_D_generic(man, params, phi, x):
 
 
 def lap_D(man, params, phi, x):
-    man.require_admissible(x)
-    return value(lap_D_generic(man, params, phi, floats(x)))
+    return lap_D_generic(man, params, phi, man.point(x))
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +138,7 @@ class ExtrinsicData:
 
 
 def _extrinsic_generic(hyp, params, s):
+    """Induced metric, II, H, affine II^D and H^D, and du(nu) at ``s``."""
     n = hyp.ambient.dim
     m = hyp.pdim
     man = hyp.ambient
@@ -172,7 +170,11 @@ def _extrinsic_generic(hyp, params, s):
             h = h + gs_inv[a][b] * two_ff[a][b]
     du = jacobian(man.weight, x)
     u_nu = algebra.dot(du, nu)
-    return gs, two_ff, h, u_nu
+    # II^D = II - beta du(nu) g_s and H^D = H + (n-1) alpha du(nu).
+    ii_aff = [[two_ff[a][b] - params.beta * u_nu * gs[a][b]
+               for b in range(m)] for a in range(m)]
+    h_aff = h + (n - 1) * params.alpha * u_nu
+    return gs, two_ff, h, ii_aff, h_aff, u_nu
 
 
 def second_fundamental(hyp, params, s):
@@ -182,27 +184,24 @@ def second_fundamental(hyp, params, s):
     # raise, numpy scalars give inf/nan that the rank check below catches.
     try:
         with np.errstate(divide="ignore", invalid="ignore"):
-            gs, two_ff, h, u_nu = _extrinsic_generic(hyp, params, floats(s))
-        gs_v = np.array(value(gs))
-        full_rank = np.linalg.matrix_rank(gs_v, tol=1e-10) == m
+            gs, ii, h, ii_aff, h_aff, u_nu = _extrinsic_generic(hyp, params,
+                                                               floats(s))
+        gs = np.array(gs)
+        full_rank = np.linalg.matrix_rank(gs, tol=1e-10) == m
     except ZeroDivisionError:
         full_rank = False
     if not full_rank:
         raise DegenerateJacobian(f"embedding Jacobian rank deficient at {tuple(s)}")
-    ii = np.array(value(two_ff))
-    h = float(value(h))
-    u_nu = float(value(u_nu))
-    n = hyp.ambient.dim
-    ii_aff = ii - params.beta * u_nu * gs_v
-    h_aff = h + (n - 1) * params.alpha * u_nu
-    return ExtrinsicData(induced_metric=gs_v, second_fundamental=ii,
-                         mean_curvature=h, second_fundamental_affine=ii_aff,
-                         mean_curvature_affine=h_aff,
-                         normal_weight_derivative=u_nu)
+    return ExtrinsicData(induced_metric=gs, second_fundamental=np.array(ii),
+                         mean_curvature=float(h),
+                         second_fundamental_affine=np.array(ii_aff),
+                         mean_curvature_affine=float(h_aff),
+                         normal_weight_derivative=float(u_nu))
 
 
 # Parameter grid points per axis for the D-minimality residual.
 GRID_PER_AXIS = 32
+D_MINIMAL_TOL = 1e-8  # largest max |H^D| over the grid that is D-minimal
 
 
 def _param_grid(hyp):
@@ -238,9 +237,8 @@ class DomainRegion:
     lower: tuple
     upper: tuple
     boundary: Hypersurface
-    grid: int = 64           # quadrature cells per axis (bulk)
+    grid: int = 64           # quadrature cells per axis, bulk and boundary
     order: int = 8           # Gauss points per cell per axis
-    boundary_grid: int = 64
     name: str = ""
 
 
@@ -305,20 +303,17 @@ def _bulk_integrand(region, params, phi, coords):
     ric_term = algebra.quadratic_form(ric, grad_d, grad_d)
 
     dens = sqrt(algebra.det(g))
-    return value(vtau * (lap * lap - hess_sq - ric_term) * dens)
+    return vtau * (lap * lap - hess_sq - ric_term) * dens
 
 
 def _boundary_integrand(region, params, phi, svals):
     """Boundary terms of the identity, with the induced area density."""
     hyp = region.boundary
     man = region.ambient
-    n = man.dim
     m = hyp.pdim
-    tau = params.tau(n)
+    tau = params.tau(man.dim)
     s = list(svals)
-
-    def at(sq):
-        return hyp.embedding(sq)
+    at = hyp.embedding
 
     def u_of(sq):
         return man.weight(at(sq))
@@ -338,16 +333,12 @@ def _boundary_integrand(region, params, phi, svals):
     def vb_phi_nu_of(sq):
         return exp(params.beta * u_of(sq)) * phi_nu_of(sq)
 
-    x = at(s)
     u = u_of(s)
     vtau = exp(tau * u)
     scale = exp((params.beta - params.alpha) * u)  # V^{beta-alpha}
 
-    data_gs, two_ff, h_plain, u_nu = _extrinsic_generic(hyp, params, s)
+    data_gs, _, _, ii_aff, h_aff, _ = _extrinsic_generic(hyp, params, s)
     gs_inv = algebra.inv(data_gs)
-    ii_aff = [[two_ff[a][b] - params.beta * u_nu * data_gs[a][b]
-               for b in range(m)] for a in range(m)]
-    h_aff = h_plain + (n - 1) * params.alpha * u_nu
 
     # Tangential derivatives of boundary scalars, in parameter components.
     dpsi = jacobian(phi_of, s)
@@ -368,19 +359,17 @@ def _boundary_integrand(region, params, phi, svals):
     term_mixed = 2.0 * exp(-params.beta * u) * scale * scale * pairing
 
     dens = sqrt(algebra.det(data_gs))
-    return value(vtau * (term_h + term_ii - term_mixed) * dens)
+    return vtau * (term_h + term_ii - term_mixed) * dens
 
 
-def reilly_residual(region, params, phi, grid=None, order=None,
-                    boundary_grid=None):
+def reilly_residual(region, params, phi, grid=None, order=None):
     """Both sides of the weighted integral identity and their mismatch."""
+    grid = region.grid if grid is None else grid
     order = region.order if order is None else order
-    coords, wts = box_quadrature(region.lower, region.upper,
-                                 region.grid if grid is None else grid, order)
+    coords, wts = box_quadrature(region.lower, region.upper, grid, order)
     lhs = float(np.sum(wts * _bulk_integrand(region, params, phi, coords)))
     hyp = region.boundary
-    bgrid = region.boundary_grid if boundary_grid is None else boundary_grid
-    bcoords, bwts = box_quadrature(hyp.lower, hyp.upper, bgrid, order)
+    bcoords, bwts = box_quadrature(hyp.lower, hyp.upper, grid, order)
     rhs = float(np.sum(bwts * _boundary_integrand(region, params, phi, bcoords)))
     residual = abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
     return IntegralIdentityResult(lhs=lhs, rhs=rhs, residual=residual)
@@ -394,8 +383,7 @@ def reilly_refinement(region, params, phi, grids, order=1):
     """
     residuals = []
     for grid in grids:
-        res = reilly_residual(region, params, phi, grid=grid, order=order,
-                              boundary_grid=grid)
+        res = reilly_residual(region, params, phi, grid=grid, order=order)
         residuals.append(res.residual)
     orders = []
     for a, b in zip(residuals, residuals[1:]):

@@ -96,23 +96,21 @@ def _equator_sphere(man):
                         orientation=1.0, name="equator-2-sphere")
 
 
-def _hemisphere_region(man, grid=24, order=8):
+def _hemisphere_region(man):
     return DomainRegion(ambient=man, lower=(0.0, 0.0),
                         upper=(HALF_PI, 2.0 * np.pi),
-                        boundary=_equator_circle(man),
-                        grid=grid, order=order, boundary_grid=grid,
+                        boundary=_equator_circle(man), grid=24, order=8,
                         name="upper-hemisphere")
 
 
-def _disk_region(man, grid=24, order=8):
+def _disk_region(man):
     boundary = Hypersurface(ambient=man, lower=(0.0,), upper=(2.0 * np.pi,),
                             periodic=(True,),
                             embedding=lambda s: [1.0 + 0.0 * s[0], s[0]],
                             orientation=1.0, name="unit-circle")
     return DomainRegion(ambient=man, lower=(0.0, 0.0),
                         upper=(1.0, 2.0 * np.pi), boundary=boundary,
-                        grid=grid, order=order, boundary_grid=grid,
-                        name="unit-disk")
+                        grid=24, order=8, name="unit-disk")
 
 
 _REGISTRY = {}

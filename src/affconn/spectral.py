@@ -26,7 +26,7 @@ from .curvature import curvature_bound_scan
 from .errors import (DegenerateCell, MeshNotTwoDim, NonpositiveK,
                      NotDMinimal, SingularSystem, SolverNoConvergence)
 from .meshes import cell_measures
-from .operators import d_minimal_residual
+from .operators import D_MINIMAL_TOL, d_minimal_residual
 
 # Below this many vertices dense eigh beats shift-invert Lanczos.
 DENSE_CUTOFF = 300
@@ -354,8 +354,8 @@ def choi_wang_certificate(man, params, hypersurface, mesh, scan_count=100):
     sampled from the ambient weight.
     """
     dmin = d_minimal_residual(hypersurface, params)
-    if not dmin <= 1e-8:  # a NaN residual certifies nothing
-        raise NotDMinimal(f"max |H^D| = {dmin} is not within 1e-08")
+    if not dmin <= D_MINIMAL_TOL:  # a NaN residual certifies nothing
+        raise NotDMinimal(f"max |H^D| = {dmin} is not within {D_MINIMAL_TOL}")
     report = curvature_bound_scan(man, params, scan_count)
     if report.k_best <= 0.0:
         raise NonpositiveK(f"scan found K = {report.k_best}")

@@ -21,7 +21,8 @@ from .curvature import (curvature_bound_scan, ricci_tensor, static_ricci,
                         weighted_ricci)
 from .errors import (CheckNotRefinable, ConfigInvalid, GeometryError,
                      NonpositiveK)
-from .operators import d_minimal_residual, reilly_refinement, reilly_residual
+from .operators import (D_MINIMAL_TOL, d_minimal_residual, reilly_refinement,
+                        reilly_residual)
 from .scenarios import get_scenario, scenario_names
 from .spectral import (assemble, choi_wang_certificate, harmonic_extension_2d,
                        proof_chain_inequality, smallest_nonzero_eigenvalue)
@@ -166,7 +167,8 @@ def check_curvature_bound(scn):
 def check_d_minimal(scn):
     res = d_minimal_residual(scn.hypersurface(), scn.params)
     return _record("the attached hypersurface has vanishing affine mean "
-                   "curvature", 1e-8, {"max_affine_mean_curvature": res}, [res])
+                   "curvature", D_MINIMAL_TOL,
+                   {"max_affine_mean_curvature": res}, [res])
 
 
 def check_eigenvalue(scn):
@@ -348,9 +350,21 @@ def run_suite(config=None):
             "passed": all(r["passed"] for r in records)}
 
 
+def _strict(obj):
+    """``obj`` with each non-finite float replaced by a string."""
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return json.dumps(obj)  # "NaN", "Infinity" or "-Infinity"
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
 def report_json(report):
-    """Canonical serialization; identical reports give identical bytes."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """Canonical strict JSON; identical reports give identical bytes."""
+    return json.dumps(_strict(report), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
 
 
 # --- convergence tables ----------------------------------------------------
@@ -377,8 +391,7 @@ def convergence_rows(scenario_name, check_id, levels):
         label, phi = scn.reilly_fields[0]
         for level in levels:
             grid = 2 ** level
-            res = reilly_residual(region, scn.params, phi, grid=grid,
-                                  order=1, boundary_grid=grid)
+            res = reilly_residual(region, scn.params, phi, grid=grid, order=1)
             rows.append([level, 1.0 / grid, res.lhs, res.residual])
     else:
         raise CheckNotRefinable(f"check {check_id!r} has no refinement ladder")

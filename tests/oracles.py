@@ -11,7 +11,6 @@ from affconn import spectral
 from affconn.algebra import det
 from affconn.charts import eval_metric
 from affconn.curvature import riemann_tensor
-from affconn.dual import value
 from affconn.errors import DegenerateCell
 from affconn.meshes import cell_measures
 from affconn.operators import _normal_generic
@@ -126,8 +125,8 @@ def validate_orientation(region, eps=1e-4):
     """Inward-offset test: x - eps*nu must stay inside the region's box."""
     boundary = region.boundary
     mid = [0.5 * (lo + hi) for lo, hi in zip(boundary.lower, boundary.upper)]
-    x = value(boundary.embedding(mid))
-    nu = value(_normal_generic(boundary, mid))
+    x = boundary.embedding(mid)
+    nu = _normal_generic(boundary, mid)
     for i in range(region.ambient.dim):
         xi = x[i] - eps * nu[i]
         if not region.ambient.periodic[i] and not (

@@ -11,6 +11,7 @@ from affconn.connections import (amari_chentsov, amari_chentsov_closed_form,
                                  connection_coeffs)
 from affconn.curvature import (ricci_tensor, riemann_tensor, static_ricci,
                                weighted_ricci)
+from affconn.dual import Dual
 from affconn.errors import MetricNotSPD, PointOutOfDomain
 from affconn.operators import hess_D
 from oracles import linear_weight, orthonormal_frame, radial_weight
@@ -20,14 +21,22 @@ class TestAdmissibility:
     def test_sphere_margin_excludes_poles(self):
         man = sphere_chart()
         with pytest.raises(PointOutOfDomain):
-            man.require_admissible([0.0, 1.0])
+            man.point([0.0, 1.0])
         with pytest.raises(PointOutOfDomain):
-            man.require_admissible([np.pi, 1.0])
-        man.require_admissible([np.pi / 2, 0.0])
+            man.point([np.pi, 1.0])
+        x = np.array([np.pi / 2, 0.0])
+        out = man.point(x)
+        assert out == [np.pi / 2, 0.0]
+        assert all(type(c) is float for c in out)
+
+    def test_dual_point_is_refused(self):
+        # float() of a Dual raises, so no lifted point enters an evaluation.
+        with pytest.raises(TypeError):
+            sphere_chart().point([1.0, Dual(0.5, 1.0, 1)])
 
     def test_periodic_axis_never_rejects(self):
         man = sphere_chart()
-        man.require_admissible([1.0, 100.0])
+        assert man.point([1.0, 100.0]) == [1.0, 100.0]
 
     def test_halton_points_inside_box_and_deterministic(self):
         man = sphere_chart()

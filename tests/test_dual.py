@@ -12,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affconn import dual
-from affconn.dual import (Dual, derivative, epsilon_part, jacobian, seed_axis,
-                          value)
+from affconn.dual import Dual, derivative, epsilon_part, jacobian, seed_axis
 from affconn.errors import OrderUnsupported
 from oracles import fd_derivative
 
@@ -63,17 +62,8 @@ class TestArithmetic:
         z1, l1 = seed_axis(z0, 1)
         out = z1[0] * z1[1]
         inner = epsilon_part(out, l1)      # d/dx1 = x0 (still dual in l0)
-        assert value(inner) == pytest.approx(0.3)
+        assert inner.a == pytest.approx(0.3)
         assert epsilon_part(inner, l0) == pytest.approx(1.0)
-
-    def test_value_strips_all_layers(self):
-        z0, _ = seed_axis([1.5], 0)
-        z1, _ = seed_axis(z0, 0)
-        assert value(dual.cos(z1[0])) == pytest.approx(np.cos(1.5))
-
-    def test_value_strips_nested_lists_entrywise(self):
-        z, _ = seed_axis([0.5, 2.0], 0)
-        assert value([[z[0], z[1]], [3.0 * z[0], 1.0]]) == [[0.5, 2.0], [1.5, 1.0]]
 
     @given(st.floats(-2, 2), st.floats(-2, 2))
     @settings(max_examples=50, deadline=None)

@@ -145,3 +145,33 @@ def test_a_same_named_attribute_is_not_a_caller():
                          for s in tree.body[2:]))
     assert ("dual", "log") not in refs
     assert ("dual", "sqrt") in refs
+
+
+def _scopes(stmt):
+    """(name, node) per scope of a top-level statement; a class gives one
+    scope per statement of its body."""
+    if isinstance(stmt, ast.ClassDef):
+        return [(f"{stmt.name}.{getattr(sub, 'name', '<body>')}", sub)
+                for sub in stmt.body]
+    return [(getattr(stmt, "name", "<module>"), stmt)]
+
+
+def _scopes_reading(name):
+    """``file:scope`` of every engine scope that reads ``name``, bare or as
+    an attribute."""
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            for scope, node in _scopes(stmt):
+                if any(isinstance(sub, ast.Name) and sub.id == name
+                       or isinstance(sub, ast.Attribute) and sub.attr == name
+                       for sub in ast.walk(node)):
+                    out.add(f"{path.name}:{scope}")
+    return out
+
+
+def test_points_enter_through_one_conversion():
+    # A chart point enters through ChartedManifold.point; a hypersurface
+    # parameter point has no chart box and is converted where it is read.
+    assert _scopes_reading("floats") <= {"charts.py:ChartedManifold.point",
+                                         "operators.py:second_fundamental"}

@@ -8,6 +8,7 @@ residual with ``NotDMinimal``.
 """
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -52,9 +53,14 @@ def poison(monkeypatch, owner, name, call, spoil):
     return calls
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def run_record(scenario, check):
     report = run_suite({"scenarios": [scenario], "checks": [check]})
-    report_json(report)  # a NaN record still serializes
+    # A NaN record still serializes, as strict JSON.
+    json.loads(report_json(report), parse_constant=refuse_constant)
     (record,) = report["records"]
     return record
 
@@ -105,3 +111,11 @@ def test_nan_d_minimal_residual_refuses_the_certificate(monkeypatch):
     assert calls[0] >= 5
     assert record["passed"] is False
     assert record["error"].startswith("NotDMinimal: max |H^D| = nan")
+
+
+def test_non_finite_values_are_written_as_strict_json_strings():
+    text = report_json({"values": [math.nan, np.inf, -np.inf, np.float64(np.nan)],
+                        "orders": (1.5, math.inf)})
+    assert json.loads(text, parse_constant=refuse_constant) == {
+        "values": ["NaN", "Infinity", "-Infinity", "NaN"],
+        "orders": [1.5, "Infinity"]}

@@ -131,16 +131,14 @@ def disk_region(grid=16, order=6):
                             periodic=(True,),
                             embedding=lambda s: [1.0 + 0.0 * s[0], s[0]])
     return DomainRegion(ambient=man, lower=(0.0, 0.0), upper=(1.0, 2 * np.pi),
-                        boundary=boundary, grid=grid, order=order,
-                        boundary_grid=grid)
+                        boundary=boundary, grid=grid, order=order)
 
 
 def hemisphere_region(weight, grid=16, order=6):
     man = sphere_chart(weight=weight)
     return DomainRegion(ambient=man, lower=(0.0, 0.0),
                         upper=(HALF_PI, 2 * np.pi),
-                        boundary=equator(man), grid=grid, order=order,
-                        boundary_grid=grid)
+                        boundary=equator(man), grid=grid, order=order)
 
 
 class TestIntegralIdentity:
