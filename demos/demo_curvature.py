@@ -29,14 +29,14 @@ def main():
 
     gap_wy = np.max(np.abs(
         ricci_tensor(man, x, WeightParams(1.0, 0.0))
-        - weighted_ricci(man, lambda z: -man.weight(z), 1.0, x)))
+        - weighted_ricci(man, lambda z: -man.weight(z), x)))
     print(f"(1, 0) vs 1-weighted Ricci oracle:  {gap_wy:.3e}\n")
 
     for chart, params, label in [
             (sphere_chart(), WeightParams(0.0, 0.0), "round 2-sphere"),
             (sphere3_chart(), WeightParams(0.0, 0.0), "round 3-sphere"),
             (man, WeightParams(0.4, -0.2), "weighted 2-sphere")]:
-        rep = curvature_bound_scan(chart, params, 100)
+        rep = curvature_bound_scan(chart, params)
         print(f"{label:18s} K_best = {rep.k_best:.6f}  "
               f"(asymmetry {rep.asymmetry:.1e}, attained at "
               f"{tuple(round(c, 3) for c in rep.min_point)})")

@@ -6,7 +6,7 @@ a refinement ladder confirms second-order convergence of the residual.
 """
 
 from affconn import reilly_residual
-from affconn.operators import reilly_refinement
+from affconn.operators import REFINEMENT_GRIDS, reilly_refinement
 from affconn.scenarios import get_scenario
 
 
@@ -27,12 +27,11 @@ def main():
     label, phi = hemi.reilly_fields[0]
     show(hemi.region(), hemi.params, f"  phi = {label}", phi)
 
-    print("\nrefinement ladder (midpoint quadrature, grids 8 / 16 / 32):")
-    residuals, orders = reilly_refinement(hemi.region(), hemi.params, phi,
-                                          grids=(8, 16, 32), order=1)
-    for i, r in enumerate(residuals):
+    print("\nrefinement ladder (midpoint quadrature):")
+    residuals, orders = reilly_refinement(hemi.region(), hemi.params, phi)
+    for i, (grid, r) in enumerate(zip(REFINEMENT_GRIDS, residuals)):
         tail = f"   observed order {orders[i - 1]:.2f}" if i else ""
-        print(f"  grid {8 * 2 ** i:3d}: residual {r:.3e}{tail}")
+        print(f"  grid {grid:3d}: residual {r:.3e}{tail}")
 
 
 if __name__ == "__main__":

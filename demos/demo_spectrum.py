@@ -19,8 +19,7 @@ def main():
     for name in ("s2-classical", "s3-classical", "s2-weighted-quadratic"):
         scn = get_scenario(name)
         cert = choi_wang_certificate(scn.manifold(), scn.params,
-                                     scn.hypersurface(), scn.mesh(),
-                                     scan_count=100)
+                                     scn.hypersurface(), scn.mesh())
         print(f"{name:24s}  {cert.lambda1:9.6f}  {cert.k_best:8.6f}  "
               f"{cert.margin:+.6f}  {'ok' if cert.passed else 'VIOLATED'}")
 
@@ -30,7 +29,7 @@ def main():
         mesh = scn.proof_mesh()
         loop = mesh.boundary_loop
         angle = np.arctan2(mesh.vertices[loop, 1], mesh.vertices[loop, 0])
-        k = curvature_bound_scan(scn.manifold(), scn.params, 100).k_best
+        k = curvature_bound_scan(scn.manifold(), scn.params).k_best
         res = proof_chain_inequality(mesh, scn.params, np.sin(angle), k)
         print(f"  {name:24s} quantity = {res['quantity']:+.6f}  "
               f"(energy {res['energy']:.4f}, pairing {res['pairing']:.4f})")

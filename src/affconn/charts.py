@@ -70,6 +70,11 @@ class WeightParams:
         """Volume-form exponent; always recomputed from (alpha, beta)."""
         return (dim + 1) * self.alpha + self.beta
 
+    def energy_exponent(self, m):
+        """Exponent of V in the weak form of Lap^D on an m-dimensional
+        domain: V^{m alpha + 2 beta} g(grad psi, grad chi)."""
+        return m * self.alpha + 2.0 * self.beta
+
     @property
     def conformal_exponent(self):
         """Exponent of the conformal factor e^{(alpha-beta)u} pairing with g."""
@@ -131,14 +136,14 @@ def zero_weight(x):
     return 0.0
 
 
-def euclidean_chart(dim=2, halfwidth=1.0, weight=zero_weight):
-    """Flat box chart on [-halfwidth, halfwidth]^dim with identity metric."""
+def euclidean_chart(dim=2, weight=zero_weight):
+    """Flat box chart on [-1, 1]^dim with identity metric."""
     def metric(x):
         return algebra.identity(dim)
     return ChartedManifold(
         dim=dim,
-        lower=(-halfwidth,) * dim,
-        upper=(halfwidth,) * dim,
+        lower=(-1.0,) * dim,
+        upper=(1.0,) * dim,
         periodic=(False,) * dim,
         metric=metric,
         weight=weight,
@@ -188,8 +193,8 @@ def sphere3_chart(weight=zero_weight, radius=1.0):
     )
 
 
-def polar_disk_chart(weight=zero_weight, radius=1.0):
-    """Flat disk of the plane in polar coordinates (r, phi)."""
+def polar_disk_chart():
+    """Flat unit disk of the plane in polar coordinates (r, phi), unweighted."""
 
     def metric(x):
         return [[1.0, 0.0], [0.0, x[0] * x[0]]]
@@ -197,10 +202,10 @@ def polar_disk_chart(weight=zero_weight, radius=1.0):
     return ChartedManifold(
         dim=2,
         lower=(0.0, 0.0),
-        upper=(radius, 2.0 * np.pi),
+        upper=(1.0, 2.0 * np.pi),
         periodic=(False, True),
         metric=metric,
-        weight=weight,
+        weight=zero_weight,
         name="polar-disk",
     )
 

@@ -22,8 +22,8 @@ def _build_parser():
         description="numerical verification of weighted affine-connection "
                     "geometry")
     parser.add_argument("--workers", type=int,
-                        help="number of concurrent check workers (overrides "
-                             "the config file; default 1)")
+                        help="number of concurrent check workers for verify "
+                             "(overrides the config file; default 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run verification checks")
@@ -121,6 +121,9 @@ def main(argv=None):
     try:
         if args.command == "verify":
             return _cmd_verify(args)
+        if args.workers is not None:
+            raise ConfigInvalid(f"--workers applies only to verify, not to "
+                                f"{args.command}")
         if args.command == "list":
             return _cmd_list(args)
         return _cmd_converge(args)

@@ -2,7 +2,7 @@
 
 Riemann and Ricci tensors are assembled from exact dual-number derivatives
 of the coefficient field.  Two specialized tensors from the weighted
-geometry literature (the static Ricci tensor and the N-weighted Ricci
+geometry literature (the static Ricci tensor and the 1-weighted Ricci
 curvature) are provided as independent oracles for the weighted affine
 Ricci tensor at the matching parameter values.
 """
@@ -15,7 +15,6 @@ from . import algebra
 from .charts import halton_points
 from .connections import LEVI_CIVITA, affine_gamma_generic, christoffel_generic
 from .dual import derivative, exp, jacobian
-from .errors import InvalidN, NonConstantFAtNEqualsN
 
 
 def riemann_generic(man, params, x):
@@ -107,28 +106,15 @@ def static_ricci(man, x):
     return np.array(out, dtype=float)
 
 
-def weighted_ricci(man, f_field, n_eff, x):
-    """N-weighted Ricci tensor W[i, j] = Ric + Hess f - df (x) df / (N - n).
-
-    ``n_eff`` must lie in (-inf, 1] or [n, inf]; N = inf drops the last
-    term and N = n admits only constant f.
-    """
+def weighted_ricci(man, f_field, x):
+    """1-weighted Ricci tensor W[i, j] = Ric + Hess f - df (x) df / (1 - n)."""
     x = man.point(x)
     n = man.dim
-    if 1.0 < n_eff < n:
-        raise InvalidN(f"effective dimension {n_eff} in excluded interval (1, {n})")
     ric = ricci_generic(man, LEVI_CIVITA, x)
     hess_f = scalar_hessian_lc(man, f_field, x)
     df = jacobian(f_field, x)
     out = algebra.zeros(n, n)
-    if n_eff == n:
-        if max(abs(d) for d in df) > 1e-12:
-            raise NonConstantFAtNEqualsN("N = dim requires a constant weight")
-        scale = 0.0
-    elif np.isinf(n_eff):
-        scale = 0.0
-    else:
-        scale = 1.0 / (n_eff - n)
+    scale = 1.0 / (1.0 - n)
     for i in range(n):
         for j in range(n):
             out[i][j] = ric[i][j] + hess_f[i][j] - scale * df[i] * df[j]
@@ -146,16 +132,18 @@ class CurvatureReport:
     min_point: tuple            # sample point attaining k_best
 
 
-def curvature_bound_scan(man, params, sample_count=200):
+# Halton points in every curvature scan.
+SCAN_COUNT = 100
+
+
+def curvature_bound_scan(man, params):
     """Scan Halton points for the best constant K with Ric^D >= K e^{(a-b)u} g."""
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    pts = halton_points(man, sample_count)
+    pts = halton_points(man, SCAN_COUNT)
     n = man.dim
     coords = [pts[:, i].copy() for i in range(n)]
     ric_nested = ricci_generic(man, params, coords)
-    ric = np.empty((sample_count, n, n))
-    conf_g = np.empty((sample_count, n, n))
+    ric = np.empty((SCAN_COUNT, n, n))
+    conf_g = np.empty((SCAN_COUNT, n, n))
     graw = man.metric(coords)
     conf = exp(params.conformal_exponent * man.weight(coords))
     for i in range(n):

@@ -149,18 +149,7 @@ def jacobian(f, x):
     metrics and coefficient tables all work.  Axes are lifted at fresh
     levels in ascending order, so the result composes with outer lifts.
     """
-    out = []
-    for axis in range(len(x)):
-        z, lvl = seed_axis(x, axis)
-        out.append(epsilon_part(f(z), lvl))
-    return out
-
-
-def lift(f, axis):
-    """Wrap a scalar field into its partial derivative along one axis."""
-    def df(x):
-        return partial(f, x, axis)
-    return df
+    return [partial(f, x, axis) for axis in range(len(x))]
 
 
 def sin(x):
@@ -203,13 +192,13 @@ def derivative(field, x, multi_index):
 
     ``multi_index`` lists coordinate axes, one per differentiation, e.g.
     ``(0, 0)`` for the second derivative along axis 0; the dual-number
-    lifts are nested, so the result is exact.
+    lifts are nested, ``multi_index[0]`` outermost, so the result is exact.
     """
     multi_index = tuple(multi_index)
     if len(multi_index) > MAX_ORDER:
         raise OrderUnsupported(
             f"derivative order {len(multi_index)} exceeds {MAX_ORDER}")
-    f = field
-    for axis in reversed(multi_index):
-        f = lift(f, axis)
-    return f(list(x))
+    if not multi_index:
+        return field(list(x))
+    return partial(lambda z: derivative(field, z, multi_index[1:]), x,
+                   multi_index[0])

@@ -21,14 +21,6 @@ class DegenerateJacobian(GeometryError):
     """Hypersurface embedding Jacobian is rank deficient."""
 
 
-class InvalidN(GeometryError):
-    """Effective-dimension parameter lies in the excluded interval (1, n)."""
-
-
-class NonConstantFAtNEqualsN(GeometryError):
-    """N = n requires a constant weight function."""
-
-
 class QuadratureUnderResolved(GeometryError):
     """Quadrature residual fails to decrease under refinement."""
 

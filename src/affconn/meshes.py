@@ -35,7 +35,6 @@ class SurfaceMesh:
     cells: np.ndarray                 # (C, 2) segments or (C, 3) triangles
     u: np.ndarray                     # weight u at vertices
     boundary_loop: np.ndarray = None  # ordered boundary vertex ids (open meshes)
-    name: str = ""
 
     @property
     def cell_dim(self):
@@ -50,28 +49,27 @@ class SurfaceMesh:
         u = np.empty(len(self.vertices))
         u[:] = u_fn(self.vertices.T)
         return SurfaceMesh(vertices=self.vertices, cells=self.cells, u=u,
-                           boundary_loop=self.boundary_loop, name=self.name)
+                           boundary_loop=self.boundary_loop)
 
 
-def build_mesh(kind, level, radius=1.0):
-    """Closed mesh generator: ``circle`` (segments) or ``icosphere`` (triangles)."""
+def build_mesh(kind, level):
+    """Closed unit mesh: ``circle`` (segments) or ``icosphere`` (triangles)."""
     if kind == "circle":
-        return circle_mesh(level, radius=radius)
+        return circle_mesh(level)
     if kind == "icosphere":
-        return icosphere(level, radius=radius)
+        return icosphere(level)
     raise UnsupportedKind(f"unknown mesh kind {kind!r}")
 
 
-def circle_mesh(level, radius=1.0):
+def circle_mesh(level):
     """Uniform closed polygon with 2^(level+4) segments."""
     if level < 0:
         raise ValueError("level must be >= 0")
     count = 2 ** (level + 4)
     angles = 2.0 * np.pi * np.arange(count) / count
-    vertices = radius * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    vertices = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     cells = np.stack([np.arange(count), (np.arange(count) + 1) % count], axis=-1)
-    return SurfaceMesh(vertices=vertices, cells=cells,
-                       u=np.zeros(count), name=f"circle-{level}")
+    return SurfaceMesh(vertices=vertices, cells=cells, u=np.zeros(count))
 
 
 def _normalize(m):
@@ -85,7 +83,7 @@ def _normalize(m):
     return m / np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0]
 
 
-def icosphere(level, radius=1.0):
+def icosphere(level):
     """Icosahedron subdivided ``level`` times, vertices projected to the sphere."""
     if level < 0:
         raise ValueError("level must be >= 0")
@@ -106,12 +104,11 @@ def icosphere(level, radius=1.0):
         a, b, c = faces.T
         faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca],
                          axis=1).reshape(-1, 3)
-    return SurfaceMesh(vertices=radius * verts, cells=faces,
-                       u=np.zeros(len(verts)), name=f"icosphere-{level}")
+    return SurfaceMesh(vertices=verts, cells=faces, u=np.zeros(len(verts)))
 
 
-def disk_mesh(level, radius=1.0):
-    """Shape-regular triangulation of the disk: ring j carries 6j vertices.
+def disk_mesh(level):
+    """Shape-regular triangulation of the unit disk: ring j has 6j vertices.
 
     Returns a mesh whose ``boundary_loop`` lists the outer ring in order.
     """
@@ -121,7 +118,7 @@ def disk_mesh(level, radius=1.0):
                                  * np.arange(rings)])
     ring = np.repeat(np.arange(1, rings + 1), 6 * np.arange(1, rings + 1))
     k = np.arange(1, len(ring) + 1) - ring_start[ring]
-    r = radius * ring / rings
+    r = ring / rings
     a = 2.0 * np.pi * k / (6 * ring)
     vertices = np.concatenate([[[0.0, 0.0]],
                                np.stack([r * np.cos(a), r * np.sin(a)], axis=-1)])
@@ -147,23 +144,21 @@ def disk_mesh(level, radius=1.0):
                                 outer0 + (oo + 1) % no)], axis=-1)
     boundary = np.arange(ring_start[rings], len(vertices))
     return SurfaceMesh(vertices=vertices, cells=np.concatenate([fan, zigzag]),
-                       u=np.zeros(len(vertices)), boundary_loop=boundary,
-                       name=f"disk-{level}")
+                       u=np.zeros(len(vertices)), boundary_loop=boundary)
 
 
-def hemisphere_mesh(level, radius=1.0):
+def hemisphere_mesh(level):
     """Disk mesh mapped onto the upper unit hemisphere (polar-linear map)."""
-    disk = disk_mesh(level, radius=1.0)
+    disk = disk_mesh(level)
     xy = disk.vertices
     r = np.linalg.norm(xy, axis=1)
     theta = r * (np.pi / 2.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         direction = np.where(r[:, None] > 0, xy / np.maximum(r, 1e-300)[:, None], 0.0)
     s, z = np.sin(theta), np.cos(theta)
-    vertices = radius * np.stack([s * direction[:, 0], s * direction[:, 1], z], axis=-1)
+    vertices = np.stack([s * direction[:, 0], s * direction[:, 1], z], axis=-1)
     return SurfaceMesh(vertices=vertices, cells=disk.cells,
-                       u=np.zeros(len(vertices)), boundary_loop=disk.boundary_loop,
-                       name=f"hemisphere-{level}")
+                       u=np.zeros(len(vertices)), boundary_loop=disk.boundary_loop)
 
 
 def cell_measures(mesh):

@@ -73,7 +73,7 @@ def lap_D_generic(man, params, phi, x):
             lap = lap + gi[i][j] * hess[i][j]
     drift = algebra.quadratic_form(gi, du, dphi)
     scale = exp((params.beta - params.alpha) * man.weight(list(x)))
-    return scale * (lap + (n * params.alpha + 2.0 * params.beta) * drift)
+    return scale * (lap + params.energy_exponent(n) * drift)
 
 
 def lap_D(man, params, phi, x):
@@ -100,7 +100,6 @@ class Hypersurface:
     periodic: tuple
     embedding: object
     orientation: float = 1.0
-    name: str = ""
 
     @property
     def pdim(self):
@@ -237,9 +236,14 @@ class DomainRegion:
     lower: tuple
     upper: tuple
     boundary: Hypersurface
-    grid: int = 64           # quadrature cells per axis, bulk and boundary
-    order: int = 8           # Gauss points per cell per axis
-    name: str = ""
+
+
+# Reference quadrature of the integral identity: cells per axis (bulk and
+# boundary) and Gauss points per cell per axis.
+QUAD_GRID = 24
+QUAD_ORDER = 8
+# Midpoint-rule grids of the refinement study.
+REFINEMENT_GRIDS = (8, 16, 32)
 
 
 def _gauss_axis(lo, hi, cells, order):
@@ -362,10 +366,8 @@ def _boundary_integrand(region, params, phi, svals):
     return vtau * (term_h + term_ii - term_mixed) * dens
 
 
-def reilly_residual(region, params, phi, grid=None, order=None):
+def reilly_residual(region, params, phi, grid=QUAD_GRID, order=QUAD_ORDER):
     """Both sides of the weighted integral identity and their mismatch."""
-    grid = region.grid if grid is None else grid
-    order = region.order if order is None else order
     coords, wts = box_quadrature(region.lower, region.upper, grid, order)
     lhs = float(np.sum(wts * _bulk_integrand(region, params, phi, coords)))
     hyp = region.boundary
@@ -375,16 +377,15 @@ def reilly_residual(region, params, phi, grid=None, order=None):
     return IntegralIdentityResult(lhs=lhs, rhs=rhs, residual=residual)
 
 
-def reilly_refinement(region, params, phi, grids, order=1):
-    """Residuals across bulk/boundary grid refinements, plus observed orders.
+def reilly_refinement(region, params, phi):
+    """Midpoint-rule residuals on ``REFINEMENT_GRIDS``, plus observed orders.
 
     Raises :class:`QuadratureUnderResolved` if the residual fails to
-    decrease across the supplied grids.
+    decrease across the grids.
     """
-    residuals = []
-    for grid in grids:
-        res = reilly_residual(region, params, phi, grid=grid, order=order)
-        residuals.append(res.residual)
+    residuals = [reilly_residual(region, params, phi, grid=grid,
+                                 order=1).residual
+                 for grid in REFINEMENT_GRIDS]
     orders = []
     for a, b in zip(residuals, residuals[1:]):
         if b <= 0 or a <= 0:

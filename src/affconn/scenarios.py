@@ -86,31 +86,29 @@ def _equator_circle(man):
     return Hypersurface(ambient=man, lower=(0.0,), upper=(2.0 * np.pi,),
                         periodic=(True,),
                         embedding=lambda s: [HALF_PI + 0.0 * s[0], s[0]],
-                        orientation=1.0, name="equator")
+                        orientation=1.0)
 
 
 def _equator_sphere(man):
     return Hypersurface(ambient=man, lower=(0.0, 0.0),
                         upper=(np.pi, 2.0 * np.pi), periodic=(False, True),
                         embedding=lambda s: [HALF_PI + 0.0 * s[0], s[0], s[1]],
-                        orientation=1.0, name="equator-2-sphere")
+                        orientation=1.0)
 
 
 def _hemisphere_region(man):
     return DomainRegion(ambient=man, lower=(0.0, 0.0),
                         upper=(HALF_PI, 2.0 * np.pi),
-                        boundary=_equator_circle(man), grid=24, order=8,
-                        name="upper-hemisphere")
+                        boundary=_equator_circle(man))
 
 
 def _disk_region(man):
     boundary = Hypersurface(ambient=man, lower=(0.0,), upper=(2.0 * np.pi,),
                             periodic=(True,),
                             embedding=lambda s: [1.0 + 0.0 * s[0], s[0]],
-                            orientation=1.0, name="unit-circle")
+                            orientation=1.0)
     return DomainRegion(ambient=man, lower=(0.0, 0.0),
-                        upper=(1.0, 2.0 * np.pi), boundary=boundary,
-                        grid=24, order=8, name="unit-disk")
+                        upper=(1.0, 2.0 * np.pi), boundary=boundary)
 
 
 _REGISTRY = {}

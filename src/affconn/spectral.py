@@ -107,7 +107,7 @@ def _stiffness(mesh, exponent):
 
 def assemble(mesh, params):
     """Weighted stiffness/mass pair for the hypersurface eigenproblem."""
-    stiff_exp = mesh.cell_dim * params.alpha + 2.0 * params.beta
+    stiff_exp = params.energy_exponent(mesh.cell_dim)
     a, measure = _stiffness(mesh, stiff_exp)
     w_mass = _cell_weight(mesh, stiff_exp + params.alpha - params.beta)
     local_mass = _MASS_SEG if mesh.cell_dim == 1 else _MASS_TRI
@@ -257,8 +257,7 @@ def harmonic_extension_2d(mesh, params, boundary_values):
         raise MeshNotTwoDim("harmonic extension needs a triangle mesh")
     if mesh.boundary_loop is None:
         raise MeshNotTwoDim("mesh has no boundary loop")
-    n_ambient = 2
-    a = _stiffness(mesh, n_ambient * params.alpha + 2.0 * params.beta)[0]
+    a = _stiffness(mesh, params.energy_exponent(2))[0]
     size = len(mesh.vertices)
     boundary = np.asarray(mesh.boundary_loop)
     # A_II is symmetric positive definite for positive weights; its rows
@@ -289,10 +288,7 @@ def recover_normal_flux(mesh, a, phi):
     loop = np.asarray(mesh.boundary_loop)
     residual = np.asarray(a @ phi)[loop]
     lengths = _boundary_lengths(mesh)
-    lumped = np.zeros(len(loop))
-    lumped += 0.5 * lengths
-    lumped += 0.5 * np.roll(lengths, 1)
-    return residual / lumped
+    return residual / (0.5 * lengths + 0.5 * np.roll(lengths, 1))
 
 
 def proof_chain_inequality(mesh, params, boundary_values, k_constant):
@@ -309,11 +305,10 @@ def proof_chain_inequality(mesh, params, boundary_values, k_constant):
 
     loop = np.asarray(mesh.boundary_loop)
     u_b = mesh.u[loop]
-    n_ambient = 2
-    tau = params.tau(n_ambient)
+    tau = params.tau(2)
 
     flux_w = recover_normal_flux(mesh, a, phi)          # V^{2a+2b} phi_nu
-    phi_nu = flux_w * np.exp(-(2 * params.alpha + 2 * params.beta) * u_b)
+    phi_nu = flux_w * np.exp(-params.energy_exponent(2) * u_b)
     h = np.exp(params.beta * u_b) * phi_nu              # V^beta phi_nu
     psi = np.asarray(boundary_values, dtype=float)
 
@@ -347,7 +342,7 @@ class Certificate:
     d_minimal_residual: float
 
 
-def choi_wang_certificate(man, params, hypersurface, mesh, scan_count=100):
+def choi_wang_certificate(man, params, hypersurface, mesh):
     """Certify lambda_1 >= K/2 on a D-minimal hypersurface scenario.
 
     ``mesh`` must discretize ``hypersurface`` with vertex weights already
@@ -356,7 +351,7 @@ def choi_wang_certificate(man, params, hypersurface, mesh, scan_count=100):
     dmin = d_minimal_residual(hypersurface, params)
     if not dmin <= D_MINIMAL_TOL:  # a NaN residual certifies nothing
         raise NotDMinimal(f"max |H^D| = {dmin} is not within {D_MINIMAL_TOL}")
-    report = curvature_bound_scan(man, params, scan_count)
+    report = curvature_bound_scan(man, params)
     if report.k_best <= 0.0:
         raise NonpositiveK(f"scan found K = {report.k_best}")
     prob = assemble(mesh, params)

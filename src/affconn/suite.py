@@ -27,7 +27,6 @@ from .scenarios import get_scenario, scenario_names
 from .spectral import (assemble, choi_wang_certificate, harmonic_extension_2d,
                        proof_chain_inequality, smallest_nonzero_eigenvalue)
 
-SCAN_COUNT = 100
 POINT_COUNT = 50
 
 
@@ -127,7 +126,7 @@ def check_equiaffine(scn):
 
 
 def check_ricci_symmetry(scn):
-    report = curvature_bound_scan(scn.manifold(), scn.params, SCAN_COUNT)
+    report = curvature_bound_scan(scn.manifold(), scn.params)
     return _record("affine Ricci tensor is symmetric on the sampled set",
                    1e-9, {"max_asymmetry": report.asymmetry},
                    [report.asymmetry])
@@ -146,7 +145,7 @@ def check_curvature_oracles(scn):
         static.append(_gap(ricci_tensor(man, x, static_params),
                            static_ricci(man, x)))
         wy.append(_gap(ricci_tensor(man, x, wy_params),
-                       weighted_ricci(man, neg_u, 1.0, x)))
+                       weighted_ricci(man, neg_u, x)))
     values = {"static_gap": _worst(static), "one_weighted_gap": _worst(wy)}
     return _record("affine Ricci tensor matches the static and 1-weighted "
                    "Ricci oracles at their parameter values", 1e-9, values,
@@ -154,7 +153,7 @@ def check_curvature_oracles(scn):
 
 
 def check_curvature_bound(scn):
-    report = curvature_bound_scan(scn.manifold(), scn.params, SCAN_COUNT)
+    report = curvature_bound_scan(scn.manifold(), scn.params)
     values, held = {"k_best": report.k_best}, []
     expected = scn.expected.get("k_best")
     if expected is not None:
@@ -184,8 +183,7 @@ def check_eigenvalue(scn):
 
 def check_choi_wang(scn):
     cert = choi_wang_certificate(scn.manifold(), scn.params,
-                                 scn.hypersurface(), scn.mesh(),
-                                 scan_count=SCAN_COUNT)
+                                 scn.hypersurface(), scn.mesh())
     # The certificate's rule, margin >= -tolerance.
     return _record("first eigenvalue dominates half the certified curvature "
                    "constant", cert.tolerance,
@@ -206,8 +204,7 @@ def check_reilly(scn):
     probes = True
     if scn.weighted:
         _, orders = reilly_refinement(region, scn.params,
-                                      scn.reilly_fields[0][1],
-                                      grids=(8, 16, 32), order=1)
+                                      scn.reilly_fields[0][1])
         values["refinement_orders"] = [float(o) for o in orders]
         probes = all(o >= 2.0 for o in orders)
         statement += ", with second-order quadrature refinement"
@@ -229,7 +226,7 @@ def check_proof_inequality(scn):
     mesh = scn.proof_mesh()
     loop = mesh.boundary_loop
     angle = np.arctan2(mesh.vertices[loop, 1], mesh.vertices[loop, 0])
-    report = curvature_bound_scan(scn.manifold(), scn.params, SCAN_COUNT)
+    report = curvature_bound_scan(scn.manifold(), scn.params)
     if report.k_best <= 0.0:
         raise NonpositiveK(f"scan found K = {report.k_best}")
     result = proof_chain_inequality(mesh, scn.params, np.sin(angle),

@@ -91,7 +91,7 @@ def test_criterion_4_curvature_oracles():
                 - static_ricci(man, x)))
             gap_w = np.max(np.abs(
                 ricci_tensor(man, x, params_wy)
-                - weighted_ricci(man, neg_u, 1.0, x)))
+                - weighted_ricci(man, neg_u, x)))
             ok = ok and gap_s <= 1e-9 and gap_w <= 1e-9
     _verdict(4, "curvature oracles", ok)
 
@@ -101,8 +101,7 @@ def test_criterion_5_integral_identity():
     region = hemi.region()
     label, phi = hemi.reilly_fields[0]
     res = reilly_residual(region, hemi.params, phi)
-    residuals, orders = reilly_refinement(region, hemi.params, phi,
-                                          grids=(8, 16, 32), order=1)
+    residuals, orders = reilly_refinement(region, hemi.params, phi)
     disk = get_scenario("disk-flat")
     flat_worst = max(
         reilly_residual(disk.region(), disk.params, f).residual
@@ -119,8 +118,7 @@ def test_criterion_6_eigenvalue_bound():
         man = scn.manifold()
         hyp = scn.hypersurface()
         ok = ok and d_minimal_residual(hyp, scn.params) <= 1e-8
-        cert = choi_wang_certificate(man, scn.params, hyp, scn.mesh(),
-                                     scan_count=100)
+        cert = choi_wang_certificate(man, scn.params, hyp, scn.mesh())
         ok = ok and cert.margin >= -cert.tolerance
         if name == "s2-classical":
             ok = ok and abs(cert.k_best - 1.0) <= 1e-9
@@ -143,7 +141,7 @@ def test_criterion_7_proof_chain():
         hm = hemisphere_mesh(5).with_weight(u_fn)
         loop = hm.boundary_loop
         angle = np.arctan2(hm.vertices[loop, 1], hm.vertices[loop, 0])
-        k = curvature_bound_scan(scn.manifold(), scn.params, 100).k_best
+        k = curvature_bound_scan(scn.manifold(), scn.params).k_best
         result = proof_chain_inequality(hm, scn.params, np.sin(angle), k)
         ok = ok and result["quantity"] <= 1e-4 * result["positive_scale"]
     _verdict(7, "proof-chain inequality", ok)

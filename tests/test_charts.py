@@ -71,7 +71,7 @@ class TestMetric:
             (riemann_tensor(man, x, p), 4),
             (ricci_tensor(man, x, p), 2),
             (static_ricci(man, x), 2),
-            (weighted_ricci(man, lambda z: z[0] * z[-1], np.inf, x), 2),
+            (weighted_ricci(man, lambda z: z[0] * z[-1], x), 2),
             (amari_chentsov(man, p, x), 3),
             (amari_chentsov_closed_form(man, p, x), 3),
             (hess_D(man, p, lambda z: z[0] * z[-1], x), 2),

@@ -7,9 +7,9 @@ import scipy.linalg
 from affconn.charts import (WeightParams, euclidean_chart, eval_metric,
                             halton_points, height_weight, sphere3_chart,
                             sphere_chart)
-from affconn.curvature import (curvature_bound_scan, ricci_tensor,
-                               riemann_tensor, static_ricci, weighted_ricci)
-from affconn.errors import InvalidN, NonConstantFAtNEqualsN
+from affconn.curvature import (SCAN_COUNT, curvature_bound_scan,
+                               ricci_tensor, riemann_tensor, static_ricci,
+                               weighted_ricci)
 from affconn.scenarios import get_scenario, scenario_names
 from oracles import ricci_frame_sum
 
@@ -66,53 +66,35 @@ class TestOracles:
 
         for x in halton_points(man, 10):
             ric_d = ricci_tensor(man, x, params)
-            oracle = weighted_ricci(man, f, 1.0, x)
+            oracle = weighted_ricci(man, f, x)
             assert np.max(np.abs(ric_d - oracle)) <= 1e-9
 
     def test_constant_f_reduces_to_ricci(self):
         man = sphere_chart()
         x = [1.0, 0.3]
         plain = ricci_tensor(man, x)
-        got = weighted_ricci(man, lambda z: 0.7 + 0.0 * z[0], 5.0, x)
+        got = weighted_ricci(man, lambda z: 0.7 + 0.0 * z[0], x)
         assert np.allclose(got, plain, atol=1e-10)
-
-    def test_infinite_n_drops_quadratic_term(self):
-        man = S2_WEIGHTED
-        x = [1.0, 0.3]
-        got = weighted_ricci(man, man.weight, np.inf, x)
-        # Bakry-Emery form: Ric + Hess f only.
-        from affconn.curvature import scalar_hessian_lc
-        ric = ricci_tensor(man, x)
-        hess = np.array(scalar_hessian_lc(man, man.weight, list(x)))
-        assert np.allclose(got, ric + hess, atol=1e-10)
-
-    def test_invalid_n_rejected(self):
-        with pytest.raises(InvalidN):
-            weighted_ricci(S2_WEIGHTED, S2_WEIGHTED.weight, 1.5, [1.0, 0.3])
-
-    def test_n_equals_dim_needs_constant_f(self):
-        with pytest.raises(NonConstantFAtNEqualsN):
-            weighted_ricci(S2_WEIGHTED, S2_WEIGHTED.weight, 2.0, [1.0, 0.3])
 
 
 class TestBoundScan:
     def test_classical_sphere_constant(self):
-        rep = curvature_bound_scan(sphere_chart(), WeightParams(0.0, 0.0), 60)
+        rep = curvature_bound_scan(sphere_chart(), WeightParams(0.0, 0.0))
         assert rep.k_best == pytest.approx(1.0, abs=1e-10)
         assert rep.asymmetry <= 1e-10
 
     def test_classical_3_sphere_constant(self):
-        rep = curvature_bound_scan(sphere3_chart(), WeightParams(0.0, 0.0), 60)
+        rep = curvature_bound_scan(sphere3_chart(), WeightParams(0.0, 0.0))
         assert rep.k_best == pytest.approx(2.0, abs=1e-9)
 
     def test_flat_space_zero(self):
-        rep = curvature_bound_scan(euclidean_chart(2), WeightParams(0.0, 0.0), 20)
+        rep = curvature_bound_scan(euclidean_chart(2), WeightParams(0.0, 0.0))
         assert rep.k_best == pytest.approx(0.0, abs=1e-12)
 
     def test_weighted_quadratic_golden_value(self):
         from affconn.charts import height_squared_weight
         man = sphere_chart(weight=height_squared_weight(0.1))
-        rep = curvature_bound_scan(man, WeightParams(1.0, 0.0), 100)
+        rep = curvature_bound_scan(man, WeightParams(1.0, 0.0))
         # Frozen from an initial verified run of this configuration.
         assert rep.k_best == pytest.approx(0.8001756101461306, abs=1e-10)
         assert rep.k_best > 0
@@ -123,7 +105,7 @@ class TestBoundScan:
     def test_batched_scan_matches_per_sample_eigh(self, name):
         scn = get_scenario(name)
         man = scn.manifold()
-        rep = curvature_bound_scan(man, scn.params, 100)
+        rep = curvature_bound_scan(man, scn.params)
         sym = 0.5 * (rep.ricci_values + rep.ricci_values.transpose(0, 2, 1))
         lam = []
         for x, s in zip(rep.points, sym):
@@ -135,7 +117,7 @@ class TestBoundScan:
         assert rep.min_point == tuple(rep.points[k])
 
     def test_report_shape_and_min_point(self):
-        rep = curvature_bound_scan(S2_WEIGHTED, WeightParams(0.4, -0.2), 30)
-        assert rep.points.shape == (30, 2)
-        assert rep.ricci_values.shape == (30, 2, 2)
+        rep = curvature_bound_scan(S2_WEIGHTED, WeightParams(0.4, -0.2))
+        assert rep.points.shape == (SCAN_COUNT, 2)
+        assert rep.ricci_values.shape == (SCAN_COUNT, 2, 2)
         assert len(rep.min_point) == 2

@@ -44,7 +44,7 @@ POINT_FUNCTIONS = {
     "ricci_tensor": (S2, lambda x: ricci_tensor(S2, x, GENERIC)),
     "static_ricci": (S3, lambda x: static_ricci(S3, x)),
     "weighted_ricci": (S2, lambda x: weighted_ricci(
-        S2, lambda z: -S2.weight(z), 1.0, x)),
+        S2, lambda z: -S2.weight(z), x)),
     "amari_chentsov": (S3, lambda x: amari_chentsov(S3, GENERIC, x)),
     "duality_residual": (S2, lambda x: duality_residual(
         S2, GENERIC, x, *linear_fields(2))),

@@ -9,7 +9,7 @@ from affconn.meshes import (_ICO_FACES, _ICO_VERTS, build_mesh, cell_measures,
 from oracles import check_closed, check_nondegenerate
 
 
-def icosphere_by_loops(level, radius=1.0):
+def icosphere_by_loops(level):
     """Edge-dictionary construction of ``icosphere``, kept as reference."""
     verts = [v / np.linalg.norm(v) for v in _ICO_VERTS]
     faces = [tuple(f) for f in _ICO_FACES]
@@ -29,17 +29,17 @@ def icosphere_by_loops(level, radius=1.0):
             ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
             new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
         faces = new_faces
-    return radius * np.array(verts), np.array(faces, dtype=int)
+    return np.array(verts), np.array(faces, dtype=int)
 
 
-def disk_mesh_by_loops(level, radius=1.0):
+def disk_mesh_by_loops(level):
     """Ring-by-ring loop construction of ``disk_mesh``, kept as reference."""
     rings = 2 ** level * 4
     verts = [(0.0, 0.0)]
     ring_start = [0]
     for j in range(1, rings + 1):
         ring_start.append(len(verts))
-        r = radius * j / rings
+        r = j / rings
         for k in range(6 * j):
             a = 2.0 * np.pi * k / (6 * j)
             verts.append((r * np.cos(a), r * np.sin(a)))
@@ -76,19 +76,18 @@ class TestClosedMeshes:
         assert len(mesh.cells) == cells
         assert check_closed(mesh)
 
-    @pytest.mark.parametrize("level,radius", [(0, 1.0), (1, 2.5), (3, 1.0),
-                                              (5, 1.0)])
-    def test_icosphere_matches_loop_construction(self, level, radius):
-        mesh = icosphere(level, radius)
-        verts, cells = icosphere_by_loops(level, radius)
+    @pytest.mark.parametrize("level", [0, 1, 3, 5])
+    def test_icosphere_matches_loop_construction(self, level):
+        mesh = icosphere(level)
+        verts, cells = icosphere_by_loops(level)
         assert np.array_equal(mesh.vertices, verts)
         assert np.array_equal(mesh.cells, cells)
         assert mesh.cells.dtype == cells.dtype
 
     def test_icosphere_vertices_on_sphere(self):
-        mesh = icosphere(3, radius=2.0)
+        mesh = icosphere(3)
         radii = np.linalg.norm(mesh.vertices, axis=1)
-        assert np.allclose(radii, 2.0, atol=1e-12)
+        assert np.allclose(radii, 1.0, atol=1e-12)
 
     def test_sphere_area_converges(self):
         area = np.sum(cell_measures(icosphere(4)))
@@ -116,11 +115,10 @@ class TestOpenMeshes:
         assert len(boundary_edges) == len(mesh.boundary_loop)
         assert set(v for e in boundary_edges for v in e) == set(mesh.boundary_loop)
 
-    @pytest.mark.parametrize("level,radius", [(0, 1.0), (1, 2.5), (2, 1.0),
-                                              (3, 0.7), (4, 1.0)])
-    def test_disk_matches_loop_construction(self, level, radius):
-        mesh = disk_mesh(level, radius)
-        verts, cells, boundary = disk_mesh_by_loops(level, radius)
+    @pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
+    def test_disk_matches_loop_construction(self, level):
+        mesh = disk_mesh(level)
+        verts, cells, boundary = disk_mesh_by_loops(level)
         assert np.array_equal(mesh.vertices, verts)
         assert np.array_equal(mesh.cells, cells)
         assert np.array_equal(mesh.boundary_loop, boundary)

@@ -218,6 +218,19 @@ class TestCli:
         assert main(["--workers", "0", "verify"]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("command", [
+        ["list"],
+        ["converge", "--scenario", "s2-classical", "--check", "eigenvalue",
+         "--levels", "3..4"],
+    ], ids=["list", "converge"])
+    def test_workers_with_another_command_exits_2(self, capsys, command):
+        # Bad configuration is rejected, never ignored.
+        for workers in ("0", "2"):
+            assert main(["--workers", workers, *command]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--workers applies only to verify" in captured.err
+
     def test_verify_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"mystery": true}')
