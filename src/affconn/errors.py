@@ -34,7 +34,7 @@ class DegenerateCell(GeometryError):
 
 
 class SolverNoConvergence(GeometryError):
-    """Iterative eigensolver hit its iteration cap."""
+    """Iterative solver (Lanczos or PCG) hit its iteration cap."""
 
 
 class NotDMinimal(GeometryError):

@@ -5,9 +5,10 @@ and triangle areas of the embedded simplices supply the induced metric to
 the finite element assembly.  All generators are deterministic.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse
 
 from .errors import UnsupportedKind
 
@@ -35,6 +36,7 @@ class SurfaceMesh:
     cells: np.ndarray                 # (C, 2) segments or (C, 3) triangles
     u: np.ndarray                     # weight u at vertices
     boundary_loop: np.ndarray = None  # ordered boundary vertex ids (open meshes)
+    level: int = None                 # disk_mesh level of the vertex ids
 
     @property
     def cell_dim(self):
@@ -48,8 +50,7 @@ class SurfaceMesh:
         """
         u = np.empty(len(self.vertices))
         u[:] = u_fn(self.vertices.T)
-        return SurfaceMesh(vertices=self.vertices, cells=self.cells, u=u,
-                           boundary_loop=self.boundary_loop)
+        return replace(self, u=u)
 
 
 def build_mesh(kind, level):
@@ -112,6 +113,8 @@ def disk_mesh(level):
 
     Returns a mesh whose ``boundary_loop`` lists the outer ring in order.
     """
+    if level < 0:
+        raise ValueError("level must be >= 0")
     rings = 2 ** level * 4
     # Ring j >= 1 holds vertices ring_start[j] .. ring_start[j] + 6j - 1.
     ring_start = np.concatenate([[0], 1 + 3 * np.arange(1, rings + 1)
@@ -144,7 +147,33 @@ def disk_mesh(level):
                                 outer0 + (oo + 1) % no)], axis=-1)
     boundary = np.arange(ring_start[rings], len(vertices))
     return SurfaceMesh(vertices=vertices, cells=np.concatenate([fan, zigzag]),
-                       u=np.zeros(len(vertices)), boundary_loop=boundary)
+                       u=np.zeros(len(vertices)), boundary_loop=boundary,
+                       level=level)
+
+
+def disk_prolongation(level):
+    """Interpolation from disk_mesh(level - 1) to disk_mesh(level), and the
+    fine ids of the coarse vertices.  Fine ring 2j lies on coarse ring j and
+    ring 2j + 1 halfway between j and j + 1; on each such coarse ring c, fine
+    vertex (J, K) sits at index K c / J, between two neighbours.  So (2j, 2k)
+    takes (j, k) alone, and the boundary the coarse boundary alone."""
+    rings = 2 ** level * 4
+    ring = np.repeat(np.arange(rings + 1), [1, *(6 * np.arange(1, rings + 1))])
+    k = np.arange(len(ring)) - (ring > 0) - 3 * ring * (ring - 1)
+    fine, odd = np.maximum(ring, 1), ring % 2
+    cols, weights = [], []
+    for c, share in ((ring // 2, 2 - odd), ((ring + 1) // 2, odd)):
+        pos, rem = np.divmod(k * c, fine)
+        start, count = (c > 0) + 3 * c * (c - 1), np.maximum(6 * c, 1)
+        for step, w in ((0, fine - rem), (1, rem)):
+            cols.append(start + (pos + step) % count)
+            weights.append(share * w / (2 * fine))
+    p = scipy.sparse.csr_matrix(
+        (np.stack(weights, axis=1).ravel(), np.stack(cols, axis=1).ravel(),
+         np.arange(0, 4 * len(ring) + 1, 4)),
+        shape=(len(ring), 1 + 3 * rings * (rings + 2) // 4))
+    p.eliminate_zeros()
+    return p, np.flatnonzero((odd == 0) & (k % 2 == 0))
 
 
 def hemisphere_mesh(level):
@@ -153,12 +182,10 @@ def hemisphere_mesh(level):
     xy = disk.vertices
     r = np.linalg.norm(xy, axis=1)
     theta = r * (np.pi / 2.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        direction = np.where(r[:, None] > 0, xy / np.maximum(r, 1e-300)[:, None], 0.0)
+    direction = np.where(r[:, None] > 0, xy / np.maximum(r, 1e-300)[:, None], 0.0)
     s, z = np.sin(theta), np.cos(theta)
-    vertices = np.stack([s * direction[:, 0], s * direction[:, 1], z], axis=-1)
-    return SurfaceMesh(vertices=vertices, cells=disk.cells,
-                       u=np.zeros(len(vertices)), boundary_loop=disk.boundary_loop)
+    return replace(disk, vertices=np.stack(
+        [s * direction[:, 0], s * direction[:, 1], z], axis=-1))
 
 
 def cell_measures(mesh):

@@ -165,6 +165,22 @@ def force_path(monkeypatch, method):
                         np.inf if method == "dense" else 0)
 
 
+def dirichlet_lu(mesh, params, boundary_values):
+    """Harmonic extension by one nested-dissection LU of the interior
+    block, the reference for the multigrid-preconditioned CG of
+    ``harmonic_extension_2d``."""
+    a = spectral._stiffness(mesh, params.energy_exponent(2))[0]
+    size = len(mesh.vertices)
+    boundary = np.asarray(mesh.boundary_loop)
+    interior = spectral._nested_dissection(
+        mesh, np.setdiff1d(np.arange(size), boundary))
+    phi = np.zeros(size)
+    phi[boundary] = boundary_values
+    rhs = -a[interior][:, boundary] @ phi[boundary]
+    phi[interior] = spectral._spd_lu(a[interior][:, interior].tocsc()).solve(rhs)
+    return phi
+
+
 # Fourier collocation of the non-symmetric weighted operator on a circle.
 # Exponentially accurate for smooth weights, so FEM eigenvalues can be
 # validated against it directly.

@@ -5,7 +5,8 @@ import pytest
 
 from affconn.errors import DegenerateCell, UnsupportedKind
 from affconn.meshes import (_ICO_FACES, _ICO_VERTS, build_mesh, cell_measures,
-                            circle_mesh, disk_mesh, hemisphere_mesh, icosphere)
+                            circle_mesh, disk_mesh, disk_prolongation,
+                            hemisphere_mesh, icosphere)
 from oracles import check_closed, check_nondegenerate
 
 
@@ -143,6 +144,48 @@ class TestOpenMeshes:
         mesh = hemisphere_mesh(3)
         z = mesh.vertices[mesh.boundary_loop, 2]
         assert np.max(np.abs(z)) <= 1e-12
+
+    @pytest.mark.parametrize("make", [circle_mesh, icosphere, disk_mesh,
+                                      hemisphere_mesh])
+    def test_negative_level_rejected(self, make):
+        with pytest.raises(ValueError, match="level must be >= 0"):
+            make(-1)
+
+    @pytest.mark.parametrize("make", [disk_mesh, hemisphere_mesh])
+    def test_level_is_recorded_and_kept_by_with_weight(self, make):
+        mesh = make(2)
+        assert mesh.level == 2
+        assert mesh.with_weight(lambda v: 0.1 * v[0]).level == 2
+
+
+@pytest.mark.parametrize("level", [2, 5])
+class TestDiskProlongation:
+    def test_nested_vertices_take_their_coarse_vertex_alone(self, level):
+        p, nested = disk_prolongation(level)
+        fine, coarse = disk_mesh(level), disk_mesh(level - 1)
+        assert fine.vertices[nested].tobytes() == coarse.vertices.tobytes()
+        rows = p[nested].tocoo()
+        assert np.array_equal(rows.row, np.arange(len(nested)))
+        assert np.array_equal(rows.col, np.arange(len(nested)))
+        assert np.all(rows.data == 1.0)
+
+    def test_rows_are_convex_combinations(self, level):
+        p, _ = disk_prolongation(level)
+        assert p.shape == (len(disk_mesh(level).vertices),
+                           len(disk_mesh(level - 1).vertices))
+        assert np.min(p.data) > 0.0
+        assert np.max(np.abs(np.asarray(p.sum(axis=1)).ravel() - 1.0)) <= 1e-15
+
+    def test_boundary_ring_takes_only_the_coarse_boundary_ring(self, level):
+        p, _ = disk_prolongation(level)
+        fine, coarse = disk_mesh(level), disk_mesh(level - 1)
+        cols = p[fine.boundary_loop].tocoo().col
+        assert set(cols.tolist()) == set(coarse.boundary_loop.tolist())
+        # The boundary ring is the last ids, so the interior is a prefix.
+        for mesh in (fine, coarse):
+            size = len(mesh.vertices)
+            assert np.array_equal(mesh.boundary_loop, np.arange(
+                size - len(mesh.boundary_loop), size))
 
 
 class TestQuality:

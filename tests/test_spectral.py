@@ -1,9 +1,12 @@
 """Discrete eigenproblems, the collocation oracle, and the proof chain."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from affconn import spectral
 from affconn.charts import WeightParams, height_weight, sphere_chart
 from affconn.errors import (MeshNotTwoDim, NonpositiveK, NotDMinimal,
                             SingularSystem, SolverNoConvergence)
@@ -16,7 +19,7 @@ from affconn.spectral import (_nested_dissection, _spd_lu, _stiffness,
                               harmonic_extension_2d, proof_chain_inequality,
                               recover_normal_flux,
                               smallest_nonzero_eigenvalue)
-from oracles import circle_collocation_eigenvalues, force_path
+from oracles import circle_collocation_eigenvalues, dirichlet_lu, force_path
 
 P0 = WeightParams(0.0, 0.0)
 PW = WeightParams(1.0, 0.0)
@@ -193,6 +196,23 @@ class TestCollocationOracle:
         assert np.allclose(vals[:4], [0.0, 1.0, 1.0, 4.0], atol=1e-10)
 
 
+# The three level-5 Dirichlet problems of the suite's harmonic-extension
+# and proof-inequality checks, with their boundary data.
+SUITE_DIRICHLET = [
+    ("disk-flat", lambda scn: scn.extension_mesh(), lambda v: v[:, 0]),
+    ("s2-classical", lambda scn: scn.proof_mesh(),
+     lambda v: np.sin(np.arctan2(v[:, 1], v[:, 0]))),
+    ("s2-weighted-quadratic", lambda scn: scn.proof_mesh(),
+     lambda v: np.sin(np.arctan2(v[:, 1], v[:, 0]))),
+]
+
+
+def suite_dirichlet(name, mesh_of, data):
+    scn = get_scenario(name)
+    mesh = mesh_of(scn)
+    return mesh, scn.params, data(mesh.vertices[mesh.boundary_loop])
+
+
 class TestHarmonicExtension:
     def test_flat_disk_linear(self):
         mesh = disk_mesh(5)
@@ -230,15 +250,7 @@ class TestHarmonicExtension:
         residual = rows[:, interior] @ phi[interior] + load
         assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(load))
 
-    # The three level-5 Dirichlet problems of the suite's harmonic-extension
-    # and proof-inequality checks, with their boundary data.
-    @pytest.mark.parametrize("name,mesh_of,data", [
-        ("disk-flat", lambda scn: scn.extension_mesh(), lambda v: v[:, 0]),
-        ("s2-classical", lambda scn: scn.proof_mesh(),
-         lambda v: np.sin(np.arctan2(v[:, 1], v[:, 0]))),
-        ("s2-weighted-quadratic", lambda scn: scn.proof_mesh(),
-         lambda v: np.sin(np.arctan2(v[:, 1], v[:, 0]))),
-    ])
+    @pytest.mark.parametrize("name,mesh_of,data", SUITE_DIRICHLET)
     def test_dirichlet_residual_on_suite_problems(self, name, mesh_of, data):
         scn = get_scenario(name)
         mesh = mesh_of(scn)
@@ -250,6 +262,49 @@ class TestHarmonicExtension:
         load = rows[:, loop] @ phi[loop]
         residual = rows[:, interior] @ phi[interior] + load
         assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(load))
+
+    @pytest.mark.parametrize("name,mesh_of,data", SUITE_DIRICHLET)
+    def test_matches_the_lu_oracle_on_suite_problems(self, name, mesh_of,
+                                                     data):
+        mesh, params, psi = suite_dirichlet(name, mesh_of, data)
+        phi, _ = harmonic_extension_2d(mesh, params, psi)
+        assert np.max(np.abs(phi - dirichlet_lu(mesh, params, psi))) <= 1e-12
+
+    # Without a level the V-cycle is one LU of the whole interior block,
+    # so PCG stops within two steps.
+    @pytest.mark.parametrize("level,steps", [(3, 20), (None, 2)])
+    def test_matches_the_lu_oracle_on_weighted_hemisphere(self, level, steps,
+                                                          monkeypatch):
+        mesh = dataclasses.replace(hemisphere_mesh(3), level=level)
+        mesh = mesh.with_weight(lambda v: 0.1 * v[2] ** 2)
+        loop = mesh.boundary_loop
+        psi = np.sin(np.arctan2(mesh.vertices[loop, 1], mesh.vertices[loop, 0]))
+        monkeypatch.setattr(spectral, "PCG_MAX_ITER", steps)
+        phi, _ = harmonic_extension_2d(mesh, PW, psi)
+        assert np.max(np.abs(phi - dirichlet_lu(mesh, PW, psi))) <= 1e-12
+
+    # 9, 14 and 14 steps are needed; a damaged V-cycle needs many more.
+    @pytest.mark.parametrize("name,mesh_of,data", SUITE_DIRICHLET)
+    def test_pcg_converges_within_twenty_steps(self, name, mesh_of, data,
+                                               monkeypatch):
+        monkeypatch.setattr(spectral, "PCG_MAX_ITER", 20)
+        harmonic_extension_2d(*suite_dirichlet(name, mesh_of, data))
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "PCG_MAX_ITER", 2)
+        with pytest.raises(SolverNoConvergence, match="PCG"):
+            harmonic_extension_2d(*suite_dirichlet(*SUITE_DIRICHLET[1]))
+
+    @pytest.mark.parametrize("data", [
+        5.0, [5.0], np.zeros((48, 1)), np.zeros(47), np.zeros(49),
+        np.r_[np.nan, np.zeros(47)], np.r_[np.zeros(47), np.inf],
+    ])
+    def test_boundary_data_must_be_one_finite_value_per_loop_vertex(
+            self, data):
+        mesh = disk_mesh(1)
+        assert len(mesh.boundary_loop) == 48
+        with pytest.raises(ValueError, match="finite boundary values"):
+            harmonic_extension_2d(mesh, P0, data)
 
     def test_isolated_interior_vertex_is_singular(self):
         disk = disk_mesh(0)
@@ -290,6 +345,11 @@ class TestProofChain:
         angle = np.arctan2(mesh.vertices[loop, 1], mesh.vertices[loop, 0])
         result = proof_chain_inequality(mesh, PW, np.sin(angle), 0.5)
         assert result["quantity"] <= 1e-4 * result["positive_scale"]
+
+    def test_boundary_data_is_not_broadcast(self):
+        mesh = hemisphere_mesh(2)
+        with pytest.raises(ValueError, match="finite boundary values"):
+            proof_chain_inequality(mesh, P0, np.array([1.0]), 1.0)
 
 
 class TestCertificate:
