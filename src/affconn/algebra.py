@@ -3,7 +3,7 @@
 Matrices are nested lists whose entries may be floats, numpy arrays, or
 :class:`~affconn.dual.Dual` values, so the same code path serves plain
 evaluation, vectorized quadrature, and dual-number differentiation.
-Dimensions here never exceed 4, so cofactor expansion is fine.
+Dimensions here never exceed 3, so cofactors are written out.
 """
 
 from .dual import sqrt
@@ -30,25 +30,19 @@ def det(m):
         return m[0][0]
     if n == 2:
         return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if n == 3:
-        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-    total = 0.0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = m[0][j] * det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    return (m00 * (m11 * m22 - m12 * m21)
+            - m01 * (m10 * m22 - m12 * m20)
+            + m02 * (m10 * m21 - m11 * m20))
 
 
 def inv(m):
     """Matrix inverse via the adjugate; safe for SPD metrics (det > 0).
 
-    For n = 2 and n = 3 the cofactors are written out: each is the minor's
-    determinant in the minor's row and column order, then ``s / d`` or
-    ``-s / d``, computed column by column of the adjugate.  That is the
-    arithmetic of the general cofactor loop, operation for operation.
+    The cofactors are written out: each is the minor's determinant in the
+    minor's row and column order, then ``s / d`` or ``-s / d``, computed
+    column by column of the adjugate.  That is the arithmetic of the
+    general cofactor loop, operation for operation.
     """
     n = len(m)
     d = det(m)
@@ -61,26 +55,17 @@ def inv(m):
         c01 = -m01 / d
         c11 = m00 / d
         return [[c00, c01], [c10, c11]]
-    if n == 3:
-        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
-        c00 = (m11 * m22 - m12 * m21) / d
-        c10 = -(m10 * m22 - m12 * m20) / d
-        c20 = (m10 * m21 - m11 * m20) / d
-        c01 = -(m01 * m22 - m02 * m21) / d
-        c11 = (m00 * m22 - m02 * m20) / d
-        c21 = -(m00 * m21 - m01 * m20) / d
-        c02 = (m01 * m12 - m02 * m11) / d
-        c12 = -(m00 * m12 - m02 * m10) / d
-        c22 = (m00 * m11 - m01 * m10) / d
-        return [[c00, c01, c02], [c10, c11, c12], [c20, c21, c22]]
-    cof = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[m[r][c] for c in range(n) if c != j]
-                     for r in range(n) if r != i]
-            s = det(minor)
-            cof[j][i] = s / d if (i + j) % 2 == 0 else -s / d
-    return cof
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    c00 = (m11 * m22 - m12 * m21) / d
+    c10 = -(m10 * m22 - m12 * m20) / d
+    c20 = (m10 * m21 - m11 * m20) / d
+    c01 = -(m01 * m22 - m02 * m21) / d
+    c11 = (m00 * m22 - m02 * m20) / d
+    c21 = -(m00 * m21 - m01 * m20) / d
+    c02 = (m01 * m12 - m02 * m11) / d
+    c12 = -(m00 * m12 - m02 * m10) / d
+    c22 = (m00 * m11 - m01 * m10) / d
+    return [[c00, c01, c02], [c10, c11, c12], [c20, c21, c22]]
 
 
 def norm(g, v):

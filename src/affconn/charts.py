@@ -32,8 +32,8 @@ class ChartedManifold:
     name: str = ""
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be positive")
+        if not 1 <= self.dim <= 3:
+            raise ValueError(f"dimension must be 1, 2 or 3, not {self.dim}")
         if self.margin is None:
             object.__setattr__(self, "margin", (DEFAULT_MARGIN,) * self.dim)
 
@@ -100,7 +100,7 @@ def eval_metric(man, x):
 # Low-discrepancy sampling (Halton); keeps every "for all points" claim
 # reproducible without any RNG.
 
-_PRIMES = (2, 3, 5, 7, 11, 13)
+_PRIMES = (2, 3, 5)
 
 
 def _radical_inverse(i, base):

@@ -38,6 +38,17 @@ class SurfaceMesh:
     boundary_loop: np.ndarray = None  # ordered boundary vertex ids (open meshes)
     level: int = None                 # disk_mesh level of the vertex ids
 
+    def __post_init__(self):
+        if self.level is None:
+            return
+        if self.level < 0:
+            raise ValueError("level must be >= 0")
+        rings = 4 * 2 ** self.level
+        if len(self.vertices) != 1 + 3 * rings * (rings + 1):
+            raise ValueError(
+                f"disk_mesh({self.level}) has {1 + 3 * rings * (rings + 1)} "
+                f"vertices, this mesh {len(self.vertices)}")
+
     @property
     def cell_dim(self):
         return self.cells.shape[1] - 1

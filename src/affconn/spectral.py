@@ -117,21 +117,17 @@ def assemble(mesh, params):
     return SpectralProblem(stiffness=a, mass=b, mesh=mesh)
 
 
-def _nested_dissection(mesh, keep):
-    """Nested-dissection order of the vertices ``keep`` (George 1973).
+def _nested_dissection(mesh):
+    """Nested-dissection order of the vertices (George 1973).
 
-    The graph is the mesh's edge graph restricted to ``keep``, the sparsity
-    pattern of the P1 matrices.  The domains are those of a k-d bisection
-    of the vertex coordinates at midpoints, cycling through the axes, i.e.
-    the prefixes of each vertex's Morton code.  At each cut, the low-side
-    vertices with a neighbour on the high side form the separator.  The
-    order is post-order: both halves first, then the separator.  Returns
-    ``keep`` reordered.
+    The graph is the mesh's edge graph, the sparsity pattern of the P1
+    matrices.  The domains are those of a k-d bisection of the vertex
+    coordinates at midpoints, cycling through the axes, i.e. the prefixes
+    of each vertex's Morton code.  At each cut, the low-side vertices with
+    a neighbour on the high side form the separator.  The order is
+    post-order: both halves first, then the separator.
     """
-    keep = np.asarray(keep)
-    if len(keep) < 2:
-        return keep
-    pts = mesh.vertices[keep].T.copy()
+    pts = mesh.vertices.T.copy()
     dim, size = pts.shape
     bits = int(np.ceil(np.log2(size) / dim)) + 1  # cuts per axis
     depth = bits * dim
@@ -143,13 +139,9 @@ def _nested_dissection(mesh, keep):
     for b in range(bits - 1, -1, -1):
         for axis in range(dim):
             code = (code << 1) | ((cell[axis] >> b) & 1)
-    local = np.full(len(mesh.vertices), -1)
-    local[keep] = np.arange(size)
-    corners = local[mesh.cells].T.copy()
+    corners = mesh.cells.T.copy()
     ends = np.triu_indices(len(corners), 1)
     i, j = corners[ends[0]].ravel(), corners[ends[1]].ravel()
-    inside = (i >= 0) & (j >= 0)
-    i, j = i[inside], j[inside]
     ci, cj = code[i], code[j]
     low, high = np.where(ci < cj, i, j), np.where(ci < cj, j, i)
     # The first cut an edge crosses is its endpoints' first differing
@@ -168,28 +160,7 @@ def _nested_dissection(mesh, keep):
     # digits below its level set to one, and after deeper levels on a tie
     # (depth - level fits the low 6 bits).
     key = code | ((np.int64(1) << (depth - level)) - 1)
-    return keep[np.argsort((key << 6) | (depth - level), kind="stable")]
-
-
-def _spd_lu(mat):
-    """LU of an SPD CSC matrix that is already in a fill-reducing order.
-
-    No column ordering and no pivoting: the diagonal of an SPD matrix is a
-    stable pivot.  A singular matrix raises :class:`SingularSystem`.
-    """
-    try:
-        return scipy.sparse.linalg.splu(mat, permc_spec="NATURAL",
-                                        diag_pivot_thresh=0.0,
-                                        options={"SymmetricMode": True})
-    except RuntimeError as err:
-        raise SingularSystem(str(err)) from err
-
-
-def _nd_solver(mesh, keep, mat):
-    """x -> mat^-1 x for SPD ``mat`` on sorted ids ``keep``, by one ND LU."""
-    order = np.searchsorted(keep, _nested_dissection(mesh, keep))
-    lu, rank = _spd_lu(mat[order][:, order].tocsc()), np.argsort(order)
-    return lambda x: lu.solve(x[order])[rank]
+    return np.argsort((key << 6) | (depth - level), kind="stable")
 
 
 def eigenvalues(prob, count=6):
@@ -212,10 +183,18 @@ def eigenvalues(prob, count=6):
     # scale of the lowest eigenvalues, where 1/(lambda - sigma) separates them.
     sigma = -0.1 * (a.diagonal().sum() / b.diagonal().sum()) / n ** (
         2.0 / prob.mesh.cell_dim)
-    # A - sigma B is SPD; one nested-dissection LU of it applies the inverse.
+    # A - sigma B is SPD, so in nested-dissection order its LU needs no
+    # column ordering and no pivoting: the diagonal is a stable pivot.
+    order = _nested_dissection(prob.mesh)
+    rank = np.argsort(order)
+    try:
+        lu = scipy.sparse.linalg.splu(
+            (a - sigma * b)[order][:, order].tocsc(), permc_spec="NATURAL",
+            diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as err:
+        raise SingularSystem(str(err)) from err
     opinv = scipy.sparse.linalg.LinearOperator(
-        (n, n), matvec=_nd_solver(prob.mesh, np.arange(n), a - sigma * b),
-        dtype=float)
+        (n, n), matvec=lambda x: lu.solve(x[order])[rank], dtype=float)
     # Fixed start vector keeps the Lanczos iteration fully deterministic.
     v0 = 1.5 + np.sin(np.arange(n, dtype=float))
     try:
@@ -250,33 +229,39 @@ def smallest_nonzero_eigenvalue(prob):
 def _multigrid(mesh, a, ids):
     """V-cycle for the block ``a`` on ``mesh``'s interior ``ids``: levels
     P^T A P of the disk_mesh ring prolongation down to level 0 (each with
-    the interior first), two damped Jacobi sweeps before and after each
-    correction, and one ND LU of the coarsest block (``a`` if no level)."""
+    the interior first), and two damped Jacobi sweeps before and after each
+    correction; level 0, or the one level of a mesh without one, is only
+    smoothed."""
     levels = []
-    for level in range(mesh.level or 0, 0, -1):
-        p, nested = disk_prolongation(level)
-        coarse = np.searchsorted(nested, len(ids))
-        p = p[:len(ids), :coarse]
+    for level in range(mesh.level or 0, -1, -1):
+        diag = a.diagonal()
+        if not np.all(diag > 0):  # as an SPD block's must be
+            raise SingularSystem("interior block has a nonpositive diagonal")
         # Damping 4 / (3 rho) with rho(D^-1 A) from ten power steps.
-        inv_diag = 1.0 / a.diagonal()
+        inv_diag = 1.0 / diag
         x = y = 1.5 + np.sin(np.arange(len(ids), dtype=float))
         for _ in range(10):
             x, y = inv_diag * (a @ x), x
         rho = np.sqrt(np.sum(x * x) / np.sum(y * y))
-        levels.append((a, p, p.T.tocsr(), 4.0 / (3.0 * rho) * inv_diag))
+        w = 4.0 / (3.0 * rho) * inv_diag
+        if level == 0:
+            levels.append((a, None, None, w))
+            break
+        p, nested = disk_prolongation(level)
+        coarse = np.searchsorted(nested, len(ids))
+        p = p[:len(ids), :coarse]
+        levels.append((a, p, p.T.tocsr(), w))
         a, ids = levels[-1][2] @ a @ p, ids[nested[:coarse]]
-    coarsest = _nd_solver(mesh, ids, a)
-    return lambda r: _vcycle(levels, coarsest, r)
+    return lambda r: _vcycle(levels, r)
 
 
-def _vcycle(levels, coarsest, r, depth=0):
+def _vcycle(levels, r, depth=0):
     """One V-cycle of :func:`_multigrid`'s ``levels`` applied to ``r``."""
-    if depth == len(levels):
-        return coarsest(r)
     a, p, pt, w = levels[depth]
     x = w * r
     x += w * (r - a @ x)
-    x += p @ _vcycle(levels, coarsest, pt @ (r - a @ x), depth + 1)
+    if p is not None:
+        x += p @ _vcycle(levels, pt @ (r - a @ x), depth + 1)
     x += w * (r - a @ x)
     return x + w * (r - a @ x)
 
@@ -319,8 +304,10 @@ def harmonic_extension_2d(mesh, params, boundary_values):
     interior = np.delete(np.arange(len(mesh.vertices)), boundary)
     aii = a[interior][:, interior]
     phi = np.zeros(len(mesh.vertices))
-    phi[boundary], phi[interior] = psi, _pcg(
-        aii, -a[interior][:, boundary] @ psi, _multigrid(mesh, aii, interior))
+    phi[boundary] = psi
+    if len(interior):
+        phi[interior] = _pcg(aii, -a[interior][:, boundary] @ psi,
+                             _multigrid(mesh, aii, interior))
     return phi, a
 
 
@@ -376,7 +363,7 @@ def proof_chain_inequality(mesh, params, boundary_values, k_constant):
     quantity = k_constant * energy - 2.0 * t_pairing
     positive_scale = k_constant * energy + 2.0 * abs(t_pairing)
     return {"quantity": quantity, "energy": energy, "pairing": t_pairing,
-            "positive_scale": positive_scale, "phi": phi}
+            "positive_scale": positive_scale}
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ cofactor loop), or builds an input that no built-in scenario needs.
 """
 
 import numpy as np
+import scipy.sparse.linalg
 
 from affconn import spectral
 from affconn.algebra import det
@@ -28,7 +29,7 @@ def slice_dot(u, v):
 
 
 def cofactor_inv(m):
-    """Inverse by the general cofactor loop at every size, the reference for
+    """Inverse by the general cofactor loop up to 3x3, the reference for
     ``inv``: each minor's determinant, then ``s / d`` or ``-s / d``."""
     n = len(m)
     d = det(m)
@@ -166,18 +167,18 @@ def force_path(monkeypatch, method):
 
 
 def dirichlet_lu(mesh, params, boundary_values):
-    """Harmonic extension by one nested-dissection LU of the interior
-    block, the reference for the multigrid-preconditioned CG of
-    ``harmonic_extension_2d``."""
+    """Harmonic extension by one sparse LU of the interior block in scipy's
+    default column order, the reference for the multigrid-preconditioned CG
+    of ``harmonic_extension_2d``."""
     a = spectral._stiffness(mesh, params.energy_exponent(2))[0]
     size = len(mesh.vertices)
     boundary = np.asarray(mesh.boundary_loop)
-    interior = spectral._nested_dissection(
-        mesh, np.setdiff1d(np.arange(size), boundary))
+    interior = np.setdiff1d(np.arange(size), boundary)
     phi = np.zeros(size)
     phi[boundary] = boundary_values
     rhs = -a[interior][:, boundary] @ phi[boundary]
-    phi[interior] = spectral._spd_lu(a[interior][:, interior].tocsc()).solve(rhs)
+    phi[interior] = scipy.sparse.linalg.splu(
+        a[interior][:, interior].tocsc()).solve(rhs)
     return phi
 
 

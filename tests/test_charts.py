@@ -34,6 +34,11 @@ class TestAdmissibility:
         with pytest.raises(TypeError):
             sphere_chart().point([1.0, Dual(0.5, 1.0, 1)])
 
+    @pytest.mark.parametrize("dim", [0, 4])
+    def test_dimension_outside_one_to_three_is_refused(self, dim):
+        with pytest.raises(ValueError, match="dimension must be 1, 2 or 3"):
+            euclidean_chart(dim)
+
     def test_periodic_axis_never_rejects(self):
         man = sphere_chart()
         assert man.point([1.0, 100.0]) == [1.0, 100.0]

@@ -175,3 +175,9 @@ def test_points_enter_through_one_conversion():
     # parameter point has no chart box and is converted where it is read.
     assert _scopes_reading("floats") <= {"charts.py:ChartedManifold.point",
                                          "operators.py:second_fundamental"}
+
+
+def test_only_the_eigensolve_factors():
+    # The Dirichlet solve is PCG with a V-cycle that ends in its smoother;
+    # the one sparse LU is the shift-invert eigensolve's.
+    assert _scopes_reading("splu") == {"spectral.py:eigenvalues"}

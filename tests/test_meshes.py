@@ -1,5 +1,7 @@
 """Mesh generators: combinatorics and geometry."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -145,8 +147,9 @@ class TestOpenMeshes:
         z = mesh.vertices[mesh.boundary_loop, 2]
         assert np.max(np.abs(z)) <= 1e-12
 
-    @pytest.mark.parametrize("make", [circle_mesh, icosphere, disk_mesh,
-                                      hemisphere_mesh])
+    @pytest.mark.parametrize("make", [
+        circle_mesh, icosphere, disk_mesh, hemisphere_mesh,
+        lambda level: replace(disk_mesh(3), level=level)])
     def test_negative_level_rejected(self, make):
         with pytest.raises(ValueError, match="level must be >= 0"):
             make(-1)
@@ -156,6 +159,12 @@ class TestOpenMeshes:
         mesh = make(2)
         assert mesh.level == 2
         assert mesh.with_weight(lambda v: 0.1 * v[0]).level == 2
+
+    @pytest.mark.parametrize("level,count", [(2, 817), (4, 12481)])
+    def test_level_must_match_the_vertex_count(self, level, count):
+        message = rf"disk_mesh\({level}\) has {count} vertices, this mesh 3169"
+        with pytest.raises(ValueError, match=message):
+            replace(disk_mesh(3), level=level)
 
 
 @pytest.mark.parametrize("level", [2, 5])
