@@ -30,7 +30,7 @@ class UnsupportedKind(GeometryError):
 
 
 class DegenerateCell(GeometryError):
-    """Mesh contains a cell with vanishing length/area."""
+    """Mesh contains a cell with vanishing or non-finite length/area."""
 
 
 class SolverNoConvergence(GeometryError):

@@ -198,16 +198,3 @@ def hemisphere_mesh(level):
     return replace(disk, vertices=np.stack(
         [s * direction[:, 0], s * direction[:, 1], z], axis=-1))
 
-
-def cell_measures(mesh):
-    """Lengths (segments) or areas (triangles) of all cells."""
-    v = mesh.vertices
-    c = mesh.cells
-    if mesh.cell_dim == 1:
-        return np.linalg.norm(v[c[:, 1]] - v[c[:, 0]], axis=1)
-    e1 = v[c[:, 1]] - v[c[:, 0]]
-    e2 = v[c[:, 2]] - v[c[:, 0]]
-    if v.shape[1] == 2:
-        return 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    return 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
-

@@ -15,6 +15,7 @@ which is what :func:`assemble` discretizes with piecewise-linear elements
 and cell-averaged weights.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +23,12 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from .algebra import det, dot, inv
 from .curvature import curvature_bound_scan
-from .errors import (DegenerateCell, MeshNotTwoDim, NonpositiveK,
-                     NotDMinimal, SingularSystem, SolverNoConvergence)
-from .meshes import cell_measures, disk_prolongation
+from .errors import (DegenerateCell, GeometryError, MeshNotTwoDim,
+                     NonpositiveK, NotDMinimal, SingularSystem,
+                     SolverNoConvergence)
+from .meshes import SurfaceMesh, disk_prolongation
 from .operators import D_MINIMAL_TOL, d_minimal_residual
 
 # Below this many vertices dense eigh beats shift-invert Lanczos.
@@ -46,74 +49,62 @@ class SpectralProblem:
         return self.stiffness.shape[0]
 
 
-def _triangle_gradients(verts, cells):
-    """Per-cell area and local stiffness for P1 elements on embedded triangles."""
-    e1 = verts[cells[:, 1]] - verts[cells[:, 0]]
-    e2 = verts[cells[:, 2]] - verts[cells[:, 0]]
-    g11 = np.einsum("ij,ij->i", e1, e1)
-    g12 = np.einsum("ij,ij->i", e1, e2)
-    g22 = np.einsum("ij,ij->i", e2, e2)
-    det = g11 * g22 - g12 * g12
-    if np.min(det) <= 0:
-        raise DegenerateCell("triangle with vanishing area")
-    area = 0.5 * np.sqrt(det)
-    # Barycentric gradients D = [[-1,-1],[1,0],[0,1]] against the cell metric.
-    inv11 = g22 / det
-    inv12 = -g12 / det
-    inv22 = g11 / det
-    d = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-    local = np.empty((len(cells), 3, 3))
-    for i in range(3):
-        for j in range(3):
-            local[:, i, j] = (d[i, 0] * inv11 * d[j, 0]
-                              + d[i, 0] * inv12 * d[j, 1]
-                              + d[i, 1] * inv12 * d[j, 0]
-                              + d[i, 1] * inv22 * d[j, 1]) * area
-    return area, local
+def _p1_kernel(mesh):
+    """Cell measures and local P1 stiffness of a k-simplex mesh (Dziuk 1988).
+
+    G is the Gram matrix of each cell's edges at its vertex 0; the measure
+    is sqrt(det G) / k! and the stiffness measure * D G^-1 D^T, with
+    D = [-1 ... -1; I] the barycentric gradients.  Each entry sums over the
+    (a, b) pairs in row order, which keeps the triangle matrices bit for bit
+    those of the written-out closed form.
+    """
+    v, cells = mesh.vertices, mesh.cells
+    k = cells.shape[1] - 1
+    edges = [v[cells[:, a + 1]] - v[cells[:, 0]] for a in range(k)]
+    gram = [[np.einsum("ij,ij->i", ea, eb) for eb in edges] for ea in edges]
+    det_g = det(gram)
+    if not np.min(det_g) > 0:  # a non-finite vertex fails this too
+        raise DegenerateCell(f"{k}-cell with vanishing or non-finite measure")
+    measure = np.sqrt(det_g) / math.factorial(k)
+    g_inv = inv(gram)
+    d = [[-1.0] * k] + np.eye(k).tolist()
+    pairs = [(a, b) for a in range(k) for b in range(k)]
+    local = np.empty((len(cells), k + 1, k + 1))
+    for i, j in np.ndindex(k + 1, k + 1):
+        local[:, i, j] = dot([d[i][a] * g_inv[a][b] for a, b in pairs],
+                             [d[j][b] for a, b in pairs]) * measure
+    return measure, local
 
 
-_MASS_SEG = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-_MASS_TRI = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+def _mass(mesh, measure, exponent):
+    """P1 mass weighted by V^exponent: measure * (1 + I)/((k+1)(k+2))."""
+    k = mesh.cell_dim
+    table = (1.0 + np.eye(k + 1)) / ((k + 1) * (k + 2))
+    return _scatter(mesh, measure[:, None, None] * table, exponent)
 
 
-def _accumulate(cells, local, size):
-    k = cells.shape[1]
+def _scatter(mesh, local, exponent):
+    """Global matrix of the local ones, each scaled in place by V^exponent
+    with u averaged over its cell's vertices."""
+    w = np.exp(exponent * np.mean(mesh.u[mesh.cells], axis=1))
+    if not np.all(np.isfinite(w)):
+        raise GeometryError(f"non-finite weight V^{exponent} on "
+                            f"{np.sum(~np.isfinite(w))} cells")
+    local *= w[:, None, None]
+    cells = mesh.cells.astype(np.int32)
+    k, size = cells.shape[1], len(mesh.vertices)
     rows = np.repeat(cells, k, axis=1).ravel()
     cols = np.tile(cells, (1, k)).ravel()
-    mat = scipy.sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(size, size))
-    return mat.tocsr()
-
-
-def _cell_weight(mesh, exponent):
-    """exp(exponent * u) with u averaged over each cell's vertices."""
-    return np.exp(exponent * np.mean(mesh.u[mesh.cells], axis=1))
-
-
-def _stiffness(mesh, exponent):
-    """P1 stiffness matrix weighted by V^exponent, and the cell measures."""
-    w = _cell_weight(mesh, exponent)
-    if mesh.cell_dim == 1:
-        measure = cell_measures(mesh)
-        if np.min(measure) <= 1e-14:
-            raise DegenerateCell("segment with vanishing length")
-        k_local = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        local = (w / measure)[:, None, None] * k_local[None, :, :]
-    elif mesh.cell_dim == 2:
-        measure, local = _triangle_gradients(mesh.vertices, mesh.cells)
-        local *= w[:, None, None]
-    else:
-        raise MeshNotTwoDim(f"unsupported cell dimension {mesh.cell_dim}")
-    return _accumulate(mesh.cells, local, len(mesh.vertices)), measure
+    return scipy.sparse.coo_matrix((local.ravel(), (rows, cols)),
+                                   shape=(size, size)).tocsr()
 
 
 def assemble(mesh, params):
     """Weighted stiffness/mass pair for the hypersurface eigenproblem."""
     stiff_exp = params.energy_exponent(mesh.cell_dim)
-    a, measure = _stiffness(mesh, stiff_exp)
-    w_mass = _cell_weight(mesh, stiff_exp + params.alpha - params.beta)
-    local_mass = _MASS_SEG if mesh.cell_dim == 1 else _MASS_TRI
-    local_b = (w_mass * measure)[:, None, None] * local_mass[None, :, :]
-    b = _accumulate(mesh.cells, local_b, len(mesh.vertices))
+    measure, local = _p1_kernel(mesh)
+    a = _scatter(mesh, local, stiff_exp)
+    b = _mass(mesh, measure, stiff_exp + params.alpha - params.beta)
     return SpectralProblem(stiffness=a, mass=b, mesh=mesh)
 
 
@@ -300,7 +291,7 @@ def harmonic_extension_2d(mesh, params, boundary_values):
     psi = np.asarray(boundary_values, dtype=float)
     if psi.shape != boundary.shape or not np.all(np.isfinite(psi)):
         raise ValueError(f"need {len(boundary)} finite boundary values")
-    a = _stiffness(mesh, params.energy_exponent(2))[0]
+    a = _scatter(mesh, _p1_kernel(mesh)[1], params.energy_exponent(2))
     interior = np.delete(np.arange(len(mesh.vertices)), boundary)
     aii = a[interior][:, interior]
     phi = np.zeros(len(mesh.vertices))
@@ -311,24 +302,25 @@ def harmonic_extension_2d(mesh, params, boundary_values):
     return phi, a
 
 
-def _boundary_lengths(mesh):
-    """Length of each boundary edge, from loop vertex i to vertex i + 1."""
-    verts = mesh.vertices[np.asarray(mesh.boundary_loop)]
-    return np.linalg.norm(np.roll(verts, -1, axis=0) - verts, axis=1)
+def _boundary_mesh(mesh):
+    """The boundary loop as a closed segment mesh: loop vertex i to i + 1."""
+    loop = np.asarray(mesh.boundary_loop)
+    ids = np.arange(len(loop))
+    return SurfaceMesh(vertices=mesh.vertices[loop], u=mesh.u[loop],
+                       cells=np.stack([ids, np.roll(ids, -1)], axis=-1))
 
 
 def recover_normal_flux(mesh, a, phi):
     """Variationally consistent V^w phi_nu at boundary vertices.
 
     The stiffness residual (A phi) restricted to boundary rows represents
-    chi -> int_bnd V^w phi_nu chi; dividing by the boundary lumped mass
-    (with the same weight folded in) recovers nodal phi_nu values times
+    chi -> int_bnd V^w phi_nu chi; dividing by the boundary lumped mass,
+    the row sums of the loop's P1 mass, recovers nodal phi_nu values times
     the stiffness weight.
     """
-    loop = np.asarray(mesh.boundary_loop)
-    residual = np.asarray(a @ phi)[loop]
-    lengths = _boundary_lengths(mesh)
-    return residual / (0.5 * lengths + 0.5 * np.roll(lengths, 1))
+    ring = _boundary_mesh(mesh)
+    lumped = _mass(ring, _p1_kernel(ring)[0], 0.0) @ np.ones(len(ring.u))
+    return np.asarray(a @ phi)[mesh.boundary_loop] / lumped
 
 
 def proof_chain_inequality(mesh, params, boundary_values, k_constant):
@@ -343,22 +335,15 @@ def proof_chain_inequality(mesh, params, boundary_values, k_constant):
     phi, a = harmonic_extension_2d(mesh, params, boundary_values)
     energy = float(np.sum(phi * (a @ phi)))
 
-    loop = np.asarray(mesh.boundary_loop)
-    u_b = mesh.u[loop]
-    tau = params.tau(2)
-
+    ring = _boundary_mesh(mesh)
     flux_w = recover_normal_flux(mesh, a, phi)          # V^{2a+2b} phi_nu
-    phi_nu = flux_w * np.exp(-params.energy_exponent(2) * u_b)
-    h = np.exp(params.beta * u_b) * phi_nu              # V^beta phi_nu
+    phi_nu = flux_w * np.exp(-params.energy_exponent(2) * ring.u)
+    h = np.exp(params.beta * ring.u) * phi_nu           # V^beta phi_nu
     psi = np.asarray(boundary_values, dtype=float)
-
-    lengths = _boundary_lengths(mesh)
-    # P1 gradients along the boundary polyline; weights at edge midpoints.
-    dpsi = (np.roll(psi, -1) - psi) / lengths
-    dh = (np.roll(h, -1) - h) / lengths
-    u_mid = 0.5 * (u_b + np.roll(u_b, -1))
-    w_edge = np.exp((tau + params.beta - 2.0 * params.alpha) * u_mid)
-    t_pairing = float(np.sum(w_edge * dpsi * dh * lengths))
+    # T = psi^T K h, K the loop's P1 stiffness weighted by V^{tau+beta-2alpha}.
+    k_bnd = _scatter(ring, _p1_kernel(ring)[1],
+                     params.tau(2) + params.beta - 2.0 * params.alpha)
+    t_pairing = float(np.sum(psi * (k_bnd @ h)))
 
     quantity = k_constant * energy - 2.0 * t_pairing
     positive_scale = k_constant * energy + 2.0 * abs(t_pairing)

@@ -6,6 +6,7 @@ cofactor loop), or builds an input that no built-in scenario needs.
 """
 
 import numpy as np
+import scipy.sparse
 import scipy.sparse.linalg
 
 from affconn import spectral
@@ -13,7 +14,6 @@ from affconn.algebra import det
 from affconn.charts import eval_metric
 from affconn.curvature import riemann_tensor
 from affconn.errors import DegenerateCell
-from affconn.meshes import cell_measures
 from affconn.operators import _normal_generic
 from affconn.scenarios import _REGISTRY
 
@@ -149,6 +149,20 @@ def check_closed(mesh):
     return all(count == 2 for count in facets.values())
 
 
+def cell_measures(mesh):
+    """Lengths (segments) or areas (triangles) of all cells, by the cross
+    product; the reference for the Gram measures of ``spectral._p1_kernel``."""
+    v = mesh.vertices
+    c = mesh.cells
+    if mesh.cell_dim == 1:
+        return np.linalg.norm(v[c[:, 1]] - v[c[:, 0]], axis=1)
+    e1 = v[c[:, 1]] - v[c[:, 0]]
+    e2 = v[c[:, 2]] - v[c[:, 0]]
+    if v.shape[1] == 2:
+        return 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    return 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
+
+
 def check_nondegenerate(mesh, tol=1e-14):
     measures = cell_measures(mesh)
     if np.min(measures) <= tol:
@@ -166,11 +180,103 @@ def force_path(monkeypatch, method):
                         np.inf if method == "dense" else 0)
 
 
+# P1 assembly by the closed forms of each cell kind: the triangle Gram
+# inverse written out, w / L [[1, -1], [-1, 1]] for a segment, the two mass
+# tables, and the boundary polyline's lengths; the reference for
+# ``spectral._p1_kernel`` and its callers.
+
+MASS_SEG = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
+MASS_TRI = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+
+
+def triangle_gradients(verts, cells):
+    """Per-cell area and local stiffness for P1 elements on triangles."""
+    e1 = verts[cells[:, 1]] - verts[cells[:, 0]]
+    e2 = verts[cells[:, 2]] - verts[cells[:, 0]]
+    g11 = np.einsum("ij,ij->i", e1, e1)
+    g12 = np.einsum("ij,ij->i", e1, e2)
+    g22 = np.einsum("ij,ij->i", e2, e2)
+    det = g11 * g22 - g12 * g12
+    area = 0.5 * np.sqrt(det)
+    inv11, inv12, inv22 = g22 / det, -g12 / det, g11 / det
+    d = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    local = np.empty((len(cells), 3, 3))
+    for i in range(3):
+        for j in range(3):
+            local[:, i, j] = (d[i, 0] * inv11 * d[j, 0]
+                              + d[i, 0] * inv12 * d[j, 1]
+                              + d[i, 1] * inv12 * d[j, 0]
+                              + d[i, 1] * inv22 * d[j, 1]) * area
+    return area, local
+
+
+def _coo(cells, local, size):
+    k = cells.shape[1]
+    rows = np.repeat(cells, k, axis=1).ravel()
+    cols = np.tile(cells, (1, k)).ravel()
+    return scipy.sparse.coo_matrix((local.ravel(), (rows, cols)),
+                                   shape=(size, size)).tocsr()
+
+
+def _cell_weight(mesh, exponent):
+    return np.exp(exponent * np.mean(mesh.u[mesh.cells], axis=1))
+
+
+def closed_form_stiffness(mesh, exponent):
+    """P1 stiffness weighted by V^exponent, and the cell measures."""
+    w = _cell_weight(mesh, exponent)
+    if mesh.cell_dim == 1:
+        measure = cell_measures(mesh)
+        k_local = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        local = (w / measure)[:, None, None] * k_local[None, :, :]
+    else:
+        measure, local = triangle_gradients(mesh.vertices, mesh.cells)
+        local *= w[:, None, None]
+    return _coo(mesh.cells, local, len(mesh.vertices)), measure
+
+
+def closed_form_assemble(mesh, params):
+    """Weighted stiffness and mass of ``spectral.assemble``."""
+    stiff_exp = params.energy_exponent(mesh.cell_dim)
+    a, measure = closed_form_stiffness(mesh, stiff_exp)
+    w_mass = _cell_weight(mesh, stiff_exp + params.alpha - params.beta)
+    table = MASS_SEG if mesh.cell_dim == 1 else MASS_TRI
+    local = (w_mass * measure)[:, None, None] * table[None, :, :]
+    return a, _coo(mesh.cells, local, len(mesh.vertices))
+
+
+def boundary_lengths(mesh):
+    """Length of each boundary edge, from loop vertex i to vertex i + 1."""
+    verts = mesh.vertices[np.asarray(mesh.boundary_loop)]
+    return np.linalg.norm(np.roll(verts, -1, axis=0) - verts, axis=1)
+
+
+def polyline_flux(mesh, a, phi):
+    """Boundary rows of A phi over the polyline's lumped mass (half the
+    lengths of the two edges at each vertex)."""
+    residual = np.asarray(a @ phi)[np.asarray(mesh.boundary_loop)]
+    lengths = boundary_lengths(mesh)
+    return residual / (0.5 * lengths + 0.5 * np.roll(lengths, 1))
+
+
+def polyline_pairing(mesh, params, psi, h):
+    """T = sum over boundary edges of V^{tau + beta - 2 alpha} at the edge
+    midpoint times psi' h' L, with P1 gradients along the polyline."""
+    u_b = mesh.u[np.asarray(mesh.boundary_loop)]
+    lengths = boundary_lengths(mesh)
+    dpsi = (np.roll(psi, -1) - psi) / lengths
+    dh = (np.roll(h, -1) - h) / lengths
+    u_mid = 0.5 * (u_b + np.roll(u_b, -1))
+    tau = params.tau(2)
+    w_edge = np.exp((tau + params.beta - 2.0 * params.alpha) * u_mid)
+    return float(np.sum(w_edge * dpsi * dh * lengths))
+
+
 def dirichlet_lu(mesh, params, boundary_values):
     """Harmonic extension by one sparse LU of the interior block in scipy's
     default column order, the reference for the multigrid-preconditioned CG
     of ``harmonic_extension_2d``."""
-    a = spectral._stiffness(mesh, params.energy_exponent(2))[0]
+    a = closed_form_stiffness(mesh, params.energy_exponent(2))[0]
     size = len(mesh.vertices)
     boundary = np.asarray(mesh.boundary_loop)
     interior = np.setdiff1d(np.arange(size), boundary)

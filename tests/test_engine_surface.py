@@ -181,3 +181,10 @@ def test_only_the_eigensolve_factors():
     # The Dirichlet solve is PCG with a V-cycle that ends in its smoother;
     # the one sparse LU is the shift-invert eigensolve's.
     assert _scopes_reading("splu") == {"spectral.py:eigenvalues"}
+
+
+def test_one_kernel_for_every_p1_matrix():
+    # Segments, triangles and the boundary loop share one cell kernel, and
+    # one scatter sums its local matrices.
+    assert _scopes_reading("DegenerateCell") == {"spectral.py:_p1_kernel"}
+    assert _scopes_reading("coo_matrix") == {"spectral.py:_scatter"}

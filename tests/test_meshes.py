@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from affconn.errors import DegenerateCell, UnsupportedKind
-from affconn.meshes import (_ICO_FACES, _ICO_VERTS, build_mesh, cell_measures,
+from affconn.meshes import (_ICO_FACES, _ICO_VERTS, build_mesh,
                             circle_mesh, disk_mesh, disk_prolongation,
                             hemisphere_mesh, icosphere)
-from oracles import check_closed, check_nondegenerate
+from oracles import cell_measures, check_closed, check_nondegenerate
 
 
 def icosphere_by_loops(level):

@@ -8,10 +8,11 @@ import scipy.sparse.linalg
 
 from affconn import spectral
 from affconn.charts import WeightParams, height_weight, sphere_chart
-from affconn.errors import (MeshNotTwoDim, NonpositiveK, NotDMinimal,
-                            SingularSystem, SolverNoConvergence)
-from affconn.meshes import (SurfaceMesh, build_mesh, disk_mesh,
-                            hemisphere_mesh)
+from affconn.errors import (DegenerateCell, GeometryError, MeshNotTwoDim,
+                            NonpositiveK, NotDMinimal, SingularSystem,
+                            SolverNoConvergence)
+from affconn.meshes import (SurfaceMesh, build_mesh, circle_mesh, disk_mesh,
+                            hemisphere_mesh, icosphere)
 from affconn.operators import Hypersurface
 from affconn.scenarios import get_scenario
 from affconn.spectral import (_nested_dissection, assemble,
@@ -19,7 +20,9 @@ from affconn.spectral import (_nested_dissection, assemble,
                               harmonic_extension_2d, proof_chain_inequality,
                               recover_normal_flux,
                               smallest_nonzero_eigenvalue)
-from oracles import circle_collocation_eigenvalues, dirichlet_lu, force_path
+from oracles import (cell_measures, circle_collocation_eigenvalues,
+                     closed_form_assemble, dirichlet_lu, force_path,
+                     polyline_flux, polyline_pairing)
 
 P0 = WeightParams(0.0, 0.0)
 PW = WeightParams(1.0, 0.0)
@@ -63,6 +66,117 @@ class TestAssembly:
         prob.stiffness *= 2.0
         prob.mass *= 2.0
         assert smallest_nonzero_eigenvalue(prob) == pytest.approx(lam)
+
+
+def ulps(new, ref):
+    """Largest distance of ``new`` from ``ref`` in units of ``ref``'s last
+    place, entry by entry; sparse matrices must share their pattern."""
+    if scipy.sparse.issparse(ref):
+        new, ref = new.tocsr(), ref.tocsr()
+        new.sort_indices()
+        ref.sort_indices()
+        assert np.array_equal(new.indptr, ref.indptr)
+        assert np.array_equal(new.indices, ref.indices)
+        new, ref = new.data, ref.data
+    return np.max(np.abs(new - ref) / np.spacing(np.abs(ref)))
+
+
+def weighted_hemisphere(level):
+    mesh = hemisphere_mesh(level).with_weight(lambda v: 0.2 * v[2] ** 2)
+    loop = mesh.boundary_loop
+    return mesh, np.sin(np.arctan2(mesh.vertices[loop, 1],
+                                   mesh.vertices[loop, 0]))
+
+
+class TestP1Kernel:
+    """``spectral._p1_kernel`` against the closed form of each cell kind."""
+
+    # The Gram route does the triangle closed form's arithmetic, operation
+    # for operation, so every triangle stiffness and unweighted mass keeps
+    # its bits.
+    @pytest.mark.parametrize("mesh_of,params,mass_too", [
+        (lambda: icosphere(5), P0, True),
+        (lambda: weighted_hemisphere(5)[0], PW, False),
+        (lambda: disk_mesh(5).with_weight(lambda v: 0.3 * v[0] + 0.2 * v[1]),
+         PW, False),
+    ], ids=["icosphere", "weighted-hemisphere", "weighted-disk"])
+    def test_triangle_matrices_keep_their_bits(self, mesh_of, params,
+                                               mass_too):
+        mesh = mesh_of()
+        prob = assemble(mesh, params)
+        stiffness, mass = closed_form_assemble(mesh, params)
+        assert ulps(prob.stiffness, stiffness) == 0
+        assert not mass_too or ulps(prob.mass, mass) == 0
+
+    # 1 / L^2 * L for a segment's w / L; the weight applied after the mass
+    # table rather than before; the lumped mass as row sums.
+    def test_rounding_moves_within_four_ulp(self):
+        circle = circle_mesh(6)
+        assert ulps(assemble(circle, P0).stiffness,
+                    closed_form_assemble(circle, P0)[0]) <= 4
+        mesh, psi = weighted_hemisphere(5)
+        assert ulps(assemble(mesh, PW).mass,
+                    closed_form_assemble(mesh, PW)[1]) <= 4
+        phi, a = harmonic_extension_2d(mesh, PW, psi)
+        assert ulps(recover_normal_flux(mesh, a, phi),
+                    polyline_flux(mesh, a, phi)) <= 4
+
+    @pytest.mark.parametrize("mesh", [circle_mesh(4), icosphere(3),
+                                      disk_mesh(3), hemisphere_mesh(3)],
+                             ids=["circle", "icosphere", "disk", "hemisphere"])
+    def test_gram_measures_match_cross_products(self, mesh):
+        measure = spectral._p1_kernel(mesh)[0]
+        assert np.max(np.abs(measure / cell_measures(mesh) - 1)) <= 2e-15
+
+    def test_loop_pairing_matches_the_polyline_sum(self):
+        mesh, psi = weighted_hemisphere(4)
+        pairing = proof_chain_inequality(mesh, PW, psi, 0.5)["pairing"]
+        phi, a = harmonic_extension_2d(mesh, PW, psi)
+        u_b = mesh.u[mesh.boundary_loop]
+        h = recover_normal_flux(mesh, a, phi) * np.exp(
+            (PW.beta - PW.energy_exponent(2)) * u_b)
+        assert pairing == pytest.approx(polyline_pairing(mesh, PW, psi, h),
+                                        rel=1e-12)
+
+    def test_zero_length_segment(self):
+        mesh = circle_mesh(2)
+        mesh.vertices[1] = mesh.vertices[0]
+        with pytest.raises(DegenerateCell):
+            assemble(mesh, P0)
+        # A boundary loop that visits a vertex twice in a row.
+        mesh, psi = weighted_hemisphere(1)
+        mesh.boundary_loop = np.r_[mesh.boundary_loop, mesh.boundary_loop[-1]]
+        with pytest.raises(DegenerateCell):
+            proof_chain_inequality(mesh, PW, np.r_[psi, psi[-1]], 0.5)
+
+    def test_collapsed_triangle(self):
+        mesh = disk_mesh(1)
+        mesh.vertices[1] = mesh.vertices[2]
+        with pytest.raises(DegenerateCell):
+            assemble(mesh, P0)
+        with pytest.raises(DegenerateCell):
+            harmonic_extension_2d(mesh, P0, np.zeros(48))
+
+    # A NaN coordinate must stop at assemble: past it, scipy's eigh raises a
+    # ValueError that no GeometryError handler catches.
+    @pytest.mark.parametrize("kind", ["circle", "icosphere"])
+    def test_nonfinite_vertex_is_a_degenerate_cell(self, kind):
+        mesh = build_mesh(kind, 2)
+        mesh.vertices[3, 0] = np.nan
+        with pytest.raises(DegenerateCell):
+            smallest_nonzero_eigenvalue(assemble(mesh, P0))
+
+    # A NaN weight is named where it enters, not left to show up as a
+    # singular factor or a nonpositive diagonal of the Dirichlet block.
+    def test_nonfinite_weight_is_named(self):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sphere = icosphere(3).with_weight(lambda v: np.log(v[2]))
+            mesh, psi = weighted_hemisphere(2)
+            mesh = mesh.with_weight(lambda v: np.log(v[2] - 0.5))
+        with pytest.raises(GeometryError, match="non-finite weight"):
+            assemble(sphere, PW)
+        with pytest.raises(GeometryError, match="non-finite weight"):
+            harmonic_extension_2d(mesh, PW, psi)
 
 
 class TestEigenvalues:
