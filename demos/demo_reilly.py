@@ -6,8 +6,8 @@ a refinement ladder confirms second-order convergence of the residual.
 """
 
 from affconn import reilly_residual
-from affconn.operators import REFINEMENT_GRIDS, reilly_refinement
 from affconn.scenarios import get_scenario
+from affconn.suite import convergence_rows
 
 
 def show(region, params, label, phi):
@@ -28,10 +28,10 @@ def main():
     show(hemi.region(), hemi.params, f"  phi = {label}", phi)
 
     print("\nrefinement ladder (midpoint quadrature):")
-    residuals, orders = reilly_refinement(hemi.region(), hemi.params, phi)
-    for i, (grid, r) in enumerate(zip(REFINEMENT_GRIDS, residuals)):
-        tail = f"   observed order {orders[i - 1]:.2f}" if i else ""
-        print(f"  grid {grid:3d}: residual {r:.3e}{tail}")
+    for level, _, _, r, order in convergence_rows(hemi.name, "reilly",
+                                                  (3, 4, 5)):
+        tail = f"   observed order {order:.2f}" if order != "" else ""
+        print(f"  grid {2 ** level:3d}: residual {r:.3e}{tail}")
 
 
 if __name__ == "__main__":

@@ -21,10 +21,6 @@ class DegenerateJacobian(GeometryError):
     """Hypersurface embedding Jacobian is rank deficient."""
 
 
-class QuadratureUnderResolved(GeometryError):
-    """Quadrature residual fails to decrease under refinement."""
-
-
 class UnsupportedKind(GeometryError):
     """Unknown mesh kind or scenario name."""
 

@@ -21,7 +21,7 @@ from . import algebra
 from .connections import christoffel_generic
 from .curvature import ricci_generic, scalar_hessian_lc
 from .dual import exp, floats, jacobian, sqrt
-from .errors import DegenerateJacobian, QuadratureUnderResolved
+from .errors import DegenerateJacobian
 
 
 def grad_D(man, params, phi, x):
@@ -242,8 +242,6 @@ class DomainRegion:
 # boundary) and Gauss points per cell per axis.
 QUAD_GRID = 24
 QUAD_ORDER = 8
-# Midpoint-rule grids of the refinement study.
-REFINEMENT_GRIDS = (8, 16, 32)
 
 
 def _gauss_axis(lo, hi, cells, order):
@@ -375,24 +373,3 @@ def reilly_residual(region, params, phi, grid=QUAD_GRID, order=QUAD_ORDER):
     rhs = float(np.sum(bwts * _boundary_integrand(region, params, phi, bcoords)))
     residual = abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
     return IntegralIdentityResult(lhs=lhs, rhs=rhs, residual=residual)
-
-
-def reilly_refinement(region, params, phi):
-    """Midpoint-rule residuals on ``REFINEMENT_GRIDS``, plus observed orders.
-
-    Raises :class:`QuadratureUnderResolved` if the residual fails to
-    decrease across the grids.
-    """
-    residuals = [reilly_residual(region, params, phi, grid=grid,
-                                 order=1).residual
-                 for grid in REFINEMENT_GRIDS]
-    orders = []
-    for a, b in zip(residuals, residuals[1:]):
-        if b <= 0 or a <= 0:
-            orders.append(np.inf)
-        else:
-            orders.append(np.log2(a / b))
-    if residuals[-1] > residuals[0]:
-        raise QuadratureUnderResolved(
-            f"residuals {residuals} not decreasing under refinement")
-    return residuals, orders

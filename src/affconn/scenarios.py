@@ -40,6 +40,18 @@ class Scenario:
     extension_mesh: object = None  # () -> flat disk mesh, harmonic extension
     proof_mesh: object = None      # () -> weighted hemisphere mesh, proof chain
 
+    def __post_init__(self):
+        # The checks apply by the field they read, so each field must come
+        # with the data those checks also read.
+        if self.mesh_spec is not None and (
+                self.hypersurface_factory is None
+                or not {"lambda1", "lambda1_rtol"} <= self.expected.keys()):
+            raise ValueError(f"scenario {self.name!r}: a mesh needs a "
+                             f"hypersurface, lambda1 and lambda1_rtol")
+        if (self.region_factory is None) != (not self.reilly_fields):
+            raise ValueError(f"scenario {self.name!r}: a region needs Reilly "
+                             f"fields, and Reilly fields need a region")
+
     @property
     def weighted(self):
         """True unless the chart carries the trivial weight."""

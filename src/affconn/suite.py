@@ -21,8 +21,7 @@ from .curvature import (curvature_bound_scan, ricci_tensor, static_ricci,
                         weighted_ricci)
 from .errors import (CheckNotRefinable, ConfigInvalid, GeometryError,
                      NonpositiveK)
-from .operators import (D_MINIMAL_TOL, d_minimal_residual, reilly_refinement,
-                        reilly_residual)
+from .operators import D_MINIMAL_TOL, d_minimal_residual, reilly_residual
 from .scenarios import get_scenario, scenario_names
 from .spectral import (assemble, choi_wang_certificate, harmonic_extension_2d,
                        proof_chain_inequality, smallest_nonzero_eigenvalue)
@@ -203,9 +202,9 @@ def check_reilly(scn):
                  "resolution")
     probes = True
     if scn.weighted:
-        _, orders = reilly_refinement(region, scn.params,
-                                      scn.reilly_fields[0][1])
-        values["refinement_orders"] = [float(o) for o in orders]
+        orders = [row[4] for row in convergence_rows(scn.name, "reilly",
+                                                     (3, 4, 5))[1:]]
+        values["refinement_orders"] = orders
         probes = all(o >= 2.0 for o in orders)
         statement += ", with second-order quadrature refinement"
     return _record(statement, 1e-5 if scn.weighted else 1e-8, values, held,
@@ -243,44 +242,33 @@ def check_proof_inequality(scn):
 # --- registry --------------------------------------------------------------
 
 
-def _has_hypersurface(scn):
-    return scn.hypersurface_factory is not None
-
-
-def _has_mesh_expected(scn):
-    return scn.mesh_spec is not None and "lambda1" in scn.expected
-
-
-def _has_certificate(scn):
-    return (_has_hypersurface(scn) and scn.mesh_spec is not None
-            and scn.expected.get("k_best", 1.0) > 0.0)
-
-
-def _has_region(scn):
-    return scn.region_factory is not None and scn.reilly_fields
-
-
+# Each check with the Scenario field it reads (None: the manifold alone);
+# Scenario refuses a field without the data its checks also read.
 CHECKS = {
-    "torsion": (check_torsion, lambda s: True),
-    "duality": (check_duality, lambda s: True),
-    "statistical": (check_statistical, lambda s: True),
-    "equiaffine": (check_equiaffine, lambda s: True),
-    "ricci-symmetry": (check_ricci_symmetry, lambda s: True),
-    "curvature-oracles": (check_curvature_oracles, lambda s: True),
-    "curvature-bound": (check_curvature_bound, lambda s: True),
-    "d-minimal": (check_d_minimal, _has_hypersurface),
-    "eigenvalue": (check_eigenvalue, _has_mesh_expected),
-    "choi-wang": (check_choi_wang, _has_certificate),
-    "reilly": (check_reilly, _has_region),
-    "harmonic-extension": (check_harmonic_extension,
-                           lambda s: s.extension_mesh is not None),
-    "proof-inequality": (check_proof_inequality,
-                         lambda s: s.proof_mesh is not None),
+    "torsion": (check_torsion, None),
+    "duality": (check_duality, None),
+    "statistical": (check_statistical, None),
+    "equiaffine": (check_equiaffine, None),
+    "ricci-symmetry": (check_ricci_symmetry, None),
+    "curvature-oracles": (check_curvature_oracles, None),
+    "curvature-bound": (check_curvature_bound, None),
+    "d-minimal": (check_d_minimal, "hypersurface_factory"),
+    "eigenvalue": (check_eigenvalue, "mesh_spec"),
+    "choi-wang": (check_choi_wang, "mesh_spec"),
+    "reilly": (check_reilly, "region_factory"),
+    "harmonic-extension": (check_harmonic_extension, "extension_mesh"),
+    "proof-inequality": (check_proof_inequality, "proof_mesh"),
 }
 
 
 def check_names():
     return list(CHECKS)
+
+
+def applies(check_id, scn):
+    """True when ``scn`` carries the field that check ``check_id`` reads."""
+    field = CHECKS[check_id][1]
+    return field is None or getattr(scn, field) is not None
 
 
 # --- configuration and suite run -------------------------------------------
@@ -333,7 +321,7 @@ def run_suite(config=None):
     """Execute the configured checks and return the report dictionary."""
     cfg = normalize_config({} if config is None else config)
     tasks = [(s, c) for s in cfg["scenarios"] for c in cfg["checks"]
-             if CHECKS[c][1](get_scenario(s))]
+             if applies(c, get_scenario(s))]
     if not tasks:
         raise ConfigInvalid("no selected check applies to a selected scenario")
     # Tasks are built in report order, and map keeps that order.
@@ -368,39 +356,34 @@ def report_json(report):
 
 
 def convergence_rows(scenario_name, check_id, levels):
-    """Refinement study rows (level, h, value, error, observed order)."""
+    """Refinement study rows (level, h, value, error, observed order); the
+    order between two rows is log2(e0/e1) / log2(h0/h1)."""
     scn = get_scenario(scenario_name)
+    if check_id not in ("eigenvalue", "reilly"):
+        raise CheckNotRefinable(f"check {check_id!r} has no refinement ladder")
+    if not applies(check_id, scn):
+        raise CheckNotRefinable(f"scenario {scenario_name!r} has no "
+                                f"{CHECKS[check_id][1]}")
     rows = []
     if check_id == "eigenvalue":
-        if not _has_mesh_expected(scn):
-            raise CheckNotRefinable(
-                f"scenario {scenario_name!r} has no eigenvalue reference")
         expected = scn.expected["lambda1"]
         for level in levels:
             mesh = scn.mesh(level)
             lam = smallest_nonzero_eigenvalue(assemble(mesh, scn.params))
             h = 1.0 / len(mesh.vertices) ** (1.0 / mesh.cell_dim)
             rows.append([level, h, lam, abs(lam - expected)])
-    elif check_id == "reilly":
-        if not _has_region(scn):
-            raise CheckNotRefinable(f"scenario {scenario_name!r} has no region")
+    else:
         region = scn.region()
-        label, phi = scn.reilly_fields[0]
+        phi = scn.reilly_fields[0][1]
         for level in levels:
             grid = 2 ** level
             res = reilly_residual(region, scn.params, phi, grid=grid, order=1)
             rows.append([level, 1.0 / grid, res.lhs, res.residual])
-    else:
-        raise CheckNotRefinable(f"check {check_id!r} has no refinement ladder")
-    out = []
-    for i, (level, h, val, err) in enumerate(rows):
-        if i == 0 or err <= 0 or rows[i - 1][3] <= 0:
-            order = ""
-        else:
-            order = float(np.log(rows[i - 1][3] / err)
-                          / np.log(rows[i - 1][1] / h))
-        out.append([level, h, val, err, order])
-    return out
+    # A zero error gives an infinite or NaN order, not a gap in the column.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        orders = [float(np.log2(np.divide(e0, e1)) / np.log2(h0 / h1))
+                  for (_, h0, _, e0), (_, h1, _, e1) in zip(rows, rows[1:])]
+    return [row + [order] for row, order in zip(rows, [""] + orders)]
 
 
 def emit_convergence(scenario_name, check_id, levels, stream):

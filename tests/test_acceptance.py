@@ -13,13 +13,13 @@ from affconn.connections import (amari_chentsov, amari_chentsov_closed_form,
                                  duality_residual, equiaffine_residual)
 from affconn.curvature import ricci_tensor, static_ricci, weighted_ricci
 from affconn.meshes import build_mesh, disk_mesh, hemisphere_mesh
-from affconn.operators import (d_minimal_residual, reilly_refinement,
-                               reilly_residual)
+from affconn.operators import d_minimal_residual, reilly_residual
 from affconn.scenarios import get_scenario
 from affconn.spectral import (assemble, choi_wang_certificate,
                               harmonic_extension_2d, proof_chain_inequality,
                               smallest_nonzero_eigenvalue)
-from affconn.suite import _poly_field, report_json, run_suite
+from affconn.suite import (_poly_field, convergence_rows, report_json,
+                           run_suite)
 from affconn.curvature import curvature_bound_scan
 from oracles import force_path, weighted_scenarios
 
@@ -101,7 +101,8 @@ def test_criterion_5_integral_identity():
     region = hemi.region()
     label, phi = hemi.reilly_fields[0]
     res = reilly_residual(region, hemi.params, phi)
-    residuals, orders = reilly_refinement(region, hemi.params, phi)
+    orders = [row[4] for row in convergence_rows(hemi.name, "reilly",
+                                                 (3, 4, 5))[1:]]
     disk = get_scenario("disk-flat")
     flat_worst = max(
         reilly_residual(disk.region(), disk.params, f).residual

@@ -183,6 +183,13 @@ def test_only_the_eigensolve_factors():
     assert _scopes_reading("splu") == {"spectral.py:eigenvalues"}
 
 
+def test_one_refinement_ladder():
+    # The report's refinement orders and `affconn converge` share one
+    # ladder, so they agree to the last bit.
+    assert _scopes_reading("reilly_residual") == {"suite.py:check_reilly",
+                                                  "suite.py:convergence_rows"}
+
+
 def test_one_kernel_for_every_p1_matrix():
     # Segments, triangles and the boundary loop share one cell kernel, and
     # one scatter sums its local matrices.

@@ -4,7 +4,8 @@ Each case replaces the engine function that a check calls with one that
 returns NaN on a later call, runs the check through ``run_suite``, and
 expects ``"passed": false``.  A record keeps its values, so the report
 shows the NaN; the choi-wang certificate refuses a NaN D-minimality
-residual with ``NotDMinimal``.
+residual with ``NotDMinimal``.  A Reilly residual that grows on the
+refinement ladder's finest grid fails its record the same way.
 """
 
 import dataclasses
@@ -30,9 +31,12 @@ def nan_residual(out):
     return dataclasses.replace(out, residual=math.nan)
 
 
-def nan_second_order(out):
-    residuals, orders = out
-    return residuals, [orders[0], math.nan, *orders[2:]]
+def nan_second_order(rows):
+    return [*rows[:2], [*rows[2][:4], math.nan], *rows[3:]]
+
+
+def grown_residual(out):
+    return dataclasses.replace(out, residual=100.0 * out.residual)
 
 
 def nan_mean_curvature(out):
@@ -86,7 +90,7 @@ CASES = [
      nan_mean_curvature, "max_affine_mean_curvature"),
     ("disk-flat", "reilly", suite, "reilly_residual", 2, nan_residual,
      "residual_radial-square"),
-    ("s2-hemisphere-weighted", "reilly", suite, "reilly_refinement", 1,
+    ("s2-hemisphere-weighted", "reilly", suite, "convergence_rows", 1,
      nan_second_order, "refinement_orders"),
 ]
 
@@ -102,6 +106,18 @@ def test_nan_sample_fails_the_record(monkeypatch, scenario, check, owner,
     assert "error" not in record
     assert record["passed"] is False
     assert np.isnan(record["values"][key]).any()
+
+
+def test_grown_finest_residual_fails_the_record(monkeypatch):
+    # Call 1 is the reference quadrature; calls 2 to 4 are the ladder's
+    # grids 8, 16 and 32.
+    calls = poison(monkeypatch, suite, "reilly_residual", 4, grown_residual)
+    record = run_record("s2-hemisphere-weighted", "reilly")
+    assert calls[0] == 4
+    assert "error" not in record
+    assert record["passed"] is False
+    orders = record["values"]["refinement_orders"]
+    assert orders[0] >= 2.0 and orders[1] < 0.0
 
 
 def test_nan_d_minimal_residual_refuses_the_certificate(monkeypatch):

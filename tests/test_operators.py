@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from affconn import dual, operators
+from affconn import dual
 from affconn.charts import (WeightParams, euclidean_chart, halton_points,
                             height_squared_weight, height_weight,
                             polar_disk_chart, sphere_chart)
-from affconn.errors import DegenerateJacobian, QuadratureUnderResolved
+from affconn.errors import DegenerateJacobian
 from affconn.operators import (DomainRegion, Hypersurface, d_minimal_residual,
-                               grad_D, hess_D, lap_D, reilly_refinement,
-                               reilly_residual, second_fundamental)
+                               grad_D, hess_D, lap_D, reilly_residual,
+                               second_fundamental)
 from oracles import linear_weight, validate_orientation
 
 P0 = WeightParams(0.0, 0.0)
@@ -171,16 +171,10 @@ class TestIntegralIdentity:
         assert res.residual <= 1e-5
 
     def test_refinement_order(self):
+        # The midpoint rule's residual falls at least fourfold per halving.
         region = hemisphere_region(height_weight(0.2))
-        residuals, orders = reilly_refinement(
-            region, WeightParams(0.5, 0.3), lambda z: dual.cos(z[0]))
-        assert len(residuals) == 3
-        assert min(orders) >= 2.0
-
-    def test_under_resolved_detected(self, monkeypatch):
-        region = hemisphere_region(height_weight(0.2))
-        # Reversed grids make the residual grow instead of shrink.
-        monkeypatch.setattr(operators, "REFINEMENT_GRIDS", (32, 16, 8))
-        with pytest.raises(QuadratureUnderResolved):
-            reilly_refinement(region, WeightParams(0.5, 0.3),
-                              lambda z: dual.cos(z[0]))
+        residuals = [reilly_residual(region, WeightParams(0.5, 0.3),
+                                     lambda z: dual.cos(z[0]), grid=grid,
+                                     order=1).residual
+                     for grid in (8, 16, 32)]
+        assert min(np.log2(np.divide(residuals[:-1], residuals[1:]))) >= 2.0

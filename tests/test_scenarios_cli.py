@@ -1,5 +1,6 @@
 """Scenario registry, suite orchestration, report format, and the CLI."""
 
+import dataclasses
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import affconn
 from affconn.cli import main
 from affconn.errors import CheckNotRefinable, ConfigInvalid, UnsupportedKind
 from affconn.scenarios import get_scenario, scenario_names
-from affconn.suite import (CHECKS, check_names, convergence_rows,
+from affconn.suite import (applies, check_names, convergence_rows,
                            emit_convergence, normalize_config, report_json,
                            run_suite)
 from oracles import weighted_scenarios
@@ -59,11 +60,25 @@ class TestRegistry:
             "s3-classical": ["d-minimal", "eigenvalue", "choi-wang"],
         }
         table = {name: [c for c in check_names()
-                        if CHECKS[c][1](get_scenario(name))]
+                        if applies(c, get_scenario(name))]
                  for name in scenario_names()}
         assert table == {name: pointwise + extra
                          for name, extra in expected.items()}
         assert sum(len(checks) for checks in table.values()) == 81
+
+    @pytest.mark.parametrize("name, changes, message", [
+        ("s2-classical", {"expected": {"k_best": 1.0}}, "a mesh needs"),
+        ("s2-classical", {"hypersurface_factory": None}, "a mesh needs"),
+        ("s2-hemisphere-weighted", {"reilly_fields": ()}, "a region needs"),
+        ("s2-hemisphere-weighted", {"region_factory": None},
+         "a region needs"),
+    ], ids=["no-lambda1", "mesh-without-hypersurface",
+            "region-without-fields", "fields-without-region"])
+    def test_incomplete_scenario_is_refused(self, name, changes, message):
+        # A check applies by the field it reads, so a field without the
+        # rest of its data is refused rather than its records dropped.
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(get_scenario(name), **changes)
 
     def test_parameter_specializations(self):
         assert get_scenario("s2-substatic").params.alpha == 0.0
@@ -163,7 +178,14 @@ class TestConvergence:
 
     def test_reilly_ladder(self):
         rows = convergence_rows("s2-hemisphere-weighted", "reilly", [3, 4, 5])
-        assert rows[-1][4] >= 2.0
+        assert all(row[4] >= 2.0 for row in rows[1:])
+
+    def test_reilly_ladder_orders_are_the_reports(self):
+        rows = convergence_rows("s2-hemisphere-weighted", "reilly", [3, 4, 5])
+        (record,) = run_suite({"scenarios": ["s2-hemisphere-weighted"],
+                               "checks": ["reilly"]})["records"]
+        assert [row[4] for row in rows[1:]] == \
+            record["values"]["refinement_orders"]
 
     def test_unrefinable_check(self):
         with pytest.raises(CheckNotRefinable):
