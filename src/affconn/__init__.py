@@ -17,8 +17,8 @@ from .operators import (DomainRegion, Hypersurface, d_minimal_residual,
                         grad_D, hess_D, lap_D, reilly_residual,
                         second_fundamental)
 from .scenarios import Scenario, get_scenario, scenario_names
-from .spectral import (SpectralProblem, assemble, choi_wang_certificate,
-                       harmonic_extension_2d, smallest_nonzero_eigenvalue)
+from .spectral import (SpectralProblem, assemble, harmonic_extension_2d,
+                       smallest_nonzero_eigenvalue)
 from .suite import emit_convergence, report_json, run_suite
 
 __all__ = [
@@ -33,8 +33,8 @@ __all__ = [
     "DomainRegion", "Hypersurface", "d_minimal_residual",
     "grad_D", "hess_D", "lap_D", "reilly_residual", "second_fundamental",
     "Scenario", "get_scenario", "scenario_names",
-    "SpectralProblem", "assemble", "choi_wang_certificate",
-    "harmonic_extension_2d", "smallest_nonzero_eigenvalue",
+    "SpectralProblem", "assemble", "harmonic_extension_2d",
+    "smallest_nonzero_eigenvalue",
     "emit_convergence", "report_json", "run_suite",
     "__version__",
 ]

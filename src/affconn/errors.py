@@ -33,14 +33,6 @@ class SolverNoConvergence(GeometryError):
     """Iterative solver (Lanczos or PCG) hit its iteration cap."""
 
 
-class NotDMinimal(GeometryError):
-    """Hypersurface fails the D-minimality certificate."""
-
-
-class NonpositiveK(GeometryError):
-    """Curvature scan produced K <= 0; the eigenvalue bound does not apply."""
-
-
 class MeshNotTwoDim(GeometryError):
     """Harmonic extension requires a triangle mesh of a 2-dimensional region."""
 

@@ -200,7 +200,6 @@ def second_fundamental(hyp, params, s):
 
 # Parameter grid points per axis for the D-minimality residual.
 GRID_PER_AXIS = 32
-D_MINIMAL_TOL = 1e-8  # largest max |H^D| over the grid that is D-minimal
 
 
 def _param_grid(hyp):

@@ -24,12 +24,9 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .algebra import det, dot, inv
-from .curvature import curvature_bound_scan
 from .errors import (DegenerateCell, GeometryError, MeshNotTwoDim,
-                     NonpositiveK, NotDMinimal, SingularSystem,
-                     SolverNoConvergence)
+                     SingularSystem, SolverNoConvergence)
 from .meshes import SurfaceMesh, disk_prolongation
-from .operators import D_MINIMAL_TOL, d_minimal_residual
 
 # Below this many vertices dense eigh beats shift-invert Lanczos.
 DENSE_CUTOFF = 300
@@ -349,40 +346,3 @@ def proof_chain_inequality(mesh, params, boundary_values, k_constant):
     positive_scale = k_constant * energy + 2.0 * abs(t_pairing)
     return {"quantity": quantity, "energy": energy, "pairing": t_pairing,
             "positive_scale": positive_scale}
-
-
-# ---------------------------------------------------------------------------
-# Eigenvalue-bound certificate.
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Outcome of the first-eigenvalue lower-bound check on one scenario."""
-
-    k_best: float
-    lambda1: float
-    margin: float
-    tolerance: float
-    passed: bool
-    d_minimal_residual: float
-
-
-def choi_wang_certificate(man, params, hypersurface, mesh):
-    """Certify lambda_1 >= K/2 on a D-minimal hypersurface scenario.
-
-    ``mesh`` must discretize ``hypersurface`` with vertex weights already
-    sampled from the ambient weight.
-    """
-    dmin = d_minimal_residual(hypersurface, params)
-    if not dmin <= D_MINIMAL_TOL:  # a NaN residual certifies nothing
-        raise NotDMinimal(f"max |H^D| = {dmin} is not within {D_MINIMAL_TOL}")
-    report = curvature_bound_scan(man, params)
-    if report.k_best <= 0.0:
-        raise NonpositiveK(f"scan found K = {report.k_best}")
-    prob = assemble(mesh, params)
-    lam1 = smallest_nonzero_eigenvalue(prob)
-    tol = 1e-3 * report.k_best
-    margin = lam1 - report.k_best / 2.0
-    return Certificate(k_best=report.k_best, lambda1=lam1, margin=margin,
-                       tolerance=tol, passed=margin >= -tol,
-                       d_minimal_residual=dmin)

@@ -19,14 +19,14 @@ from .connections import (LEVI_CIVITA, amari_chentsov,
                           duality_residual, equiaffine_residual)
 from .curvature import (curvature_bound_scan, ricci_tensor, static_ricci,
                         weighted_ricci)
-from .errors import (CheckNotRefinable, ConfigInvalid, GeometryError,
-                     NonpositiveK)
-from .operators import D_MINIMAL_TOL, d_minimal_residual, reilly_residual
+from .errors import CheckNotRefinable, ConfigInvalid, GeometryError
+from .operators import d_minimal_residual, reilly_residual
 from .scenarios import get_scenario, scenario_names
-from .spectral import (assemble, choi_wang_certificate, harmonic_extension_2d,
-                       proof_chain_inequality, smallest_nonzero_eigenvalue)
+from .spectral import (assemble, harmonic_extension_2d, proof_chain_inequality,
+                       smallest_nonzero_eigenvalue)
 
 POINT_COUNT = 50
+D_MINIMAL_TOL = 1e-8  # largest max |H^D| over the grid that is D-minimal
 
 
 def _poly_field(n, seed):
@@ -181,15 +181,17 @@ def check_eigenvalue(scn):
 
 
 def check_choi_wang(scn):
-    cert = choi_wang_certificate(scn.manifold(), scn.params,
-                                 scn.hypersurface(), scn.mesh())
-    # The certificate's rule, margin >= -tolerance.
+    # The bound lambda1 >= K/2 needs a D-minimal hypersurface and K > 0;
+    # a failed premise fails the record, which keeps its values.
+    dmin = d_minimal_residual(scn.hypersurface(), scn.params)
+    k = curvature_bound_scan(scn.manifold(), scn.params).k_best
+    lam1 = smallest_nonzero_eigenvalue(assemble(scn.mesh(), scn.params))
+    margin = lam1 - k / 2.0
     return _record("first eigenvalue dominates half the certified curvature "
-                   "constant", cert.tolerance,
-                   {"k_best": cert.k_best, "lambda1": cert.lambda1,
-                    "margin": cert.margin,
-                    "d_minimal_residual": cert.d_minimal_residual},
-                   [-cert.margin])
+                   "constant", 1e-3 * k,
+                   {"k_best": k, "lambda1": lam1, "margin": margin,
+                    "d_minimal_residual": dmin},
+                   [-margin], dmin <= D_MINIMAL_TOL and k > 0.0)
 
 
 def check_reilly(scn):
@@ -202,8 +204,7 @@ def check_reilly(scn):
                  "resolution")
     probes = True
     if scn.weighted:
-        orders = [row[4] for row in convergence_rows(scn.name, "reilly",
-                                                     (3, 4, 5))[1:]]
+        orders = [row[4] for row in _ladder(scn, "reilly", (3, 4, 5))[1:]]
         values["refinement_orders"] = orders
         probes = all(o >= 2.0 for o in orders)
         statement += ", with second-order quadrature refinement"
@@ -226,8 +227,6 @@ def check_proof_inequality(scn):
     loop = mesh.boundary_loop
     angle = np.arctan2(mesh.vertices[loop, 1], mesh.vertices[loop, 0])
     report = curvature_bound_scan(scn.manifold(), scn.params)
-    if report.k_best <= 0.0:
-        raise NonpositiveK(f"scan found K = {report.k_best}")
     result = proof_chain_inequality(mesh, scn.params, np.sin(angle),
                                     report.k_best)
     return _record("the intermediate boundary-term inequality of the "
@@ -236,7 +235,8 @@ def check_proof_inequality(scn):
                    {"quantity": result["quantity"], "energy": result["energy"],
                     "pairing": result["pairing"],
                     "positive_scale": result["positive_scale"],
-                    "k_best": report.k_best}, [result["quantity"]])
+                    "k_best": report.k_best}, [result["quantity"]],
+                   report.k_best > 0.0)
 
 
 # --- registry --------------------------------------------------------------
@@ -356,13 +356,18 @@ def report_json(report):
 
 
 def convergence_rows(scenario_name, check_id, levels):
-    """Refinement study rows (level, h, value, error, observed order); the
-    order between two rows is log2(e0/e1) / log2(h0/h1)."""
-    scn = get_scenario(scenario_name)
+    """Refinement study rows (level, h, value, error, observed order) of a
+    registry scenario; see :func:`_ladder`."""
+    return _ladder(get_scenario(scenario_name), check_id, levels)
+
+
+def _ladder(scn, check_id, levels):
+    """Refinement study rows of ``scn`` itself; the order between two rows
+    is log2(e0/e1) / log2(h0/h1)."""
     if check_id not in ("eigenvalue", "reilly"):
         raise CheckNotRefinable(f"check {check_id!r} has no refinement ladder")
     if not applies(check_id, scn):
-        raise CheckNotRefinable(f"scenario {scenario_name!r} has no "
+        raise CheckNotRefinable(f"scenario {scn.name!r} has no "
                                 f"{CHECKS[check_id][1]}")
     rows = []
     if check_id == "eigenvalue":

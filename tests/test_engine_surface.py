@@ -187,7 +187,7 @@ def test_one_refinement_ladder():
     # The report's refinement orders and `affconn converge` share one
     # ladder, so they agree to the last bit.
     assert _scopes_reading("reilly_residual") == {"suite.py:check_reilly",
-                                                  "suite.py:convergence_rows"}
+                                                  "suite.py:_ladder"}
 
 
 def test_one_kernel_for_every_p1_matrix():
@@ -195,3 +195,14 @@ def test_one_kernel_for_every_p1_matrix():
     # one scatter sums its local matrices.
     assert _scopes_reading("DegenerateCell") == {"spectral.py:_p1_kernel"}
     assert _scopes_reading("coo_matrix") == {"spectral.py:_scatter"}
+
+
+def test_engine_surface():
+    # The FEM layer stands below the geometry layer: the premises of the
+    # eigenvalue bound are probes of the suite's choi-wang record.
+    tree = ast.parse((PACKAGE / "spectral.py").read_text())
+    imported = {_imported_module(node, PACKAGE / "spectral.py")
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not imported & {"curvature", "operators"}
+    assert {scope.split(":")[0]
+            for scope in _scopes_reading("D_MINIMAL_TOL")} == {"suite.py"}

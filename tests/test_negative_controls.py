@@ -3,9 +3,9 @@
 Each case replaces the engine function that a check calls with one that
 returns NaN on a later call, runs the check through ``run_suite``, and
 expects ``"passed": false``.  A record keeps its values, so the report
-shows the NaN; the choi-wang certificate refuses a NaN D-minimality
-residual with ``NotDMinimal``.  A Reilly residual that grows on the
-refinement ladder's finest grid fails its record the same way.
+shows the NaN.  A Reilly residual that grows on the refinement ladder's
+finest grid, and a curvature scan that finds K <= 0, fail their records
+the same way.
 """
 
 import dataclasses
@@ -90,8 +90,11 @@ CASES = [
      nan_mean_curvature, "max_affine_mean_curvature"),
     ("disk-flat", "reilly", suite, "reilly_residual", 2, nan_residual,
      "residual_radial-square"),
-    ("s2-hemisphere-weighted", "reilly", suite, "convergence_rows", 1,
+    ("s2-hemisphere-weighted", "reilly", suite, "_ladder", 1,
      nan_second_order, "refinement_orders"),
+    # A NaN D-minimality residual fails the premise probe of the bound.
+    ("s2-classical", "choi-wang", operators, "second_fundamental", 5,
+     nan_mean_curvature, "d_minimal_residual"),
 ]
 
 
@@ -120,13 +123,16 @@ def test_grown_finest_residual_fails_the_record(monkeypatch):
     assert orders[0] >= 2.0 and orders[1] < 0.0
 
 
-def test_nan_d_minimal_residual_refuses_the_certificate(monkeypatch):
-    calls = poison(monkeypatch, operators, "second_fundamental", 5,
-                   nan_mean_curvature)
-    record = run_record("s2-classical", "choi-wang")
-    assert calls[0] >= 5
+@pytest.mark.parametrize("scenario, check", [
+    ("s2-classical", "choi-wang"), ("s2-classical", "proof-inequality")])
+def test_nonpositive_k_fails_the_record(monkeypatch, scenario, check):
+    calls = poison(monkeypatch, suite, "curvature_bound_scan", 1,
+                   lambda out: dataclasses.replace(out, k_best=-1.0))
+    record = run_record(scenario, check)
+    assert calls[0] == 1
+    assert "error" not in record
     assert record["passed"] is False
-    assert record["error"].startswith("NotDMinimal: max |H^D| = nan")
+    assert record["values"]["k_best"] == -1.0
 
 
 def test_non_finite_values_are_written_as_strict_json_strings():

@@ -14,9 +14,9 @@ import affconn
 from affconn.cli import main
 from affconn.errors import CheckNotRefinable, ConfigInvalid, UnsupportedKind
 from affconn.scenarios import get_scenario, scenario_names
-from affconn.suite import (applies, check_names, convergence_rows,
-                           emit_convergence, normalize_config, report_json,
-                           run_suite)
+from affconn.suite import (applies, check_names, check_reilly,
+                           convergence_rows, emit_convergence,
+                           normalize_config, report_json, run_suite)
 from oracles import weighted_scenarios
 
 SMALL_CONFIG = {"scenarios": ["euclidean-flat", "disk-flat"],
@@ -186,6 +186,21 @@ class TestConvergence:
                                "checks": ["reilly"]})["records"]
         assert [row[4] for row in rows[1:]] == \
             record["values"]["refinement_orders"]
+
+    def test_reilly_orders_follow_the_scenario_passed_in(self):
+        # The ladder of a scenario with changed parameters is its own, not
+        # that of the registry scenario of the same name.
+        scn = dataclasses.replace(get_scenario("s2-hemisphere-weighted"),
+                                  params=affconn.WeightParams(0.9, -0.4))
+        errors = [affconn.reilly_residual(scn.region(), scn.params,
+                                          scn.reilly_fields[0][1], grid=grid,
+                                          order=1).residual
+                  for grid in (8, 16, 32)]
+        expected = [float(np.log2(e0 / e1)) for e0, e1 in zip(errors,
+                                                              errors[1:])]
+        orders = check_reilly(scn)["values"]["refinement_orders"]
+        assert orders == expected
+        assert orders == pytest.approx([2.02051, 2.00510], abs=1e-5)
 
     def test_unrefinable_check(self):
         with pytest.raises(CheckNotRefinable):

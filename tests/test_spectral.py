@@ -7,19 +7,18 @@ import pytest
 import scipy.sparse.linalg
 
 from affconn import spectral
-from affconn.charts import WeightParams, height_weight, sphere_chart
+from affconn.charts import WeightParams
 from affconn.errors import (DegenerateCell, GeometryError, MeshNotTwoDim,
-                            NonpositiveK, NotDMinimal, SingularSystem,
-                            SolverNoConvergence)
+                            SingularSystem, SolverNoConvergence)
 from affconn.meshes import (SurfaceMesh, build_mesh, circle_mesh, disk_mesh,
                             hemisphere_mesh, icosphere)
 from affconn.operators import Hypersurface
 from affconn.scenarios import get_scenario
-from affconn.spectral import (_nested_dissection, assemble,
-                              choi_wang_certificate, eigenvalues,
+from affconn.spectral import (_nested_dissection, assemble, eigenvalues,
                               harmonic_extension_2d, proof_chain_inequality,
                               recover_normal_flux,
                               smallest_nonzero_eigenvalue)
+from affconn.suite import check_choi_wang
 from oracles import (cell_measures, circle_collocation_eigenvalues,
                      closed_form_assemble, dirichlet_lu, force_path,
                      polyline_flux, polyline_pairing)
@@ -476,33 +475,42 @@ class TestProofChain:
 
 
 class TestCertificate:
-    def equator(self, man):
-        return Hypersurface(ambient=man, lower=(0.0,), upper=(2 * np.pi,),
-                            periodic=(True,),
-                            embedding=lambda s: [np.pi / 2 + 0.0 * s[0], s[0]])
+    """The premises of the bound, a D-minimal hypersurface and K > 0, are
+    probes of the choi-wang record: a failed premise fails the record and
+    keeps its values."""
 
     def test_classical_sphere(self):
-        man = sphere_chart()
-        cert = choi_wang_certificate(man, P0, self.equator(man),
-                                     build_mesh("circle", 6))
-        assert cert.passed
-        assert cert.k_best == pytest.approx(1.0, abs=1e-10)
-        assert cert.margin == pytest.approx(0.5, abs=1e-4)
+        record = check_choi_wang(get_scenario("s2-classical"))
+        values = record["values"]
+        assert record["passed"]
+        assert values["k_best"] == pytest.approx(1.0, abs=1e-10)
+        assert values["margin"] == pytest.approx(0.5, abs=1e-4)
 
     def test_not_d_minimal_rejected(self):
-        man = sphere_chart(weight=height_weight(0.3))
-        with pytest.raises(NotDMinimal):
-            choi_wang_certificate(man, PW, self.equator(man),
-                                  build_mesh("circle", 4))
+        # At (1, 0) the weight's normal derivative enters H^D on the equator.
+        scn = dataclasses.replace(get_scenario("s2-substatic"), params=PW)
+        record = check_choi_wang(scn)
+        values = record["values"]
+        assert "error" not in record and record["passed"] is False
+        assert values["d_minimal_residual"] == pytest.approx(0.3, rel=1e-12)
+        assert values["margin"] > 0.0
 
     def test_nonpositive_k_rejected(self):
-        from affconn.charts import euclidean_chart
-        man = euclidean_chart(2)
-        flat_line = Hypersurface(ambient=man, lower=(-0.5,), upper=(0.5,),
-                                 periodic=(False,),
-                                 embedding=lambda s: [s[0], 0.0 * s[0]])
-        with pytest.raises(NonpositiveK):
-            choi_wang_certificate(man, P0, flat_line, build_mesh("circle", 4))
+        def flat_line(man):
+            return Hypersurface(ambient=man, lower=(-0.5,), upper=(0.5,),
+                                periodic=(False,),
+                                embedding=lambda s: [s[0], 0.0 * s[0]])
+        scn = dataclasses.replace(
+            get_scenario("euclidean-flat"), hypersurface_factory=flat_line,
+            mesh_spec=("circle", 4),
+            expected={"lambda1": 1.0, "lambda1_rtol": 1e-4})
+        record = check_choi_wang(scn)
+        values = record["values"]
+        assert "error" not in record and record["passed"] is False
+        assert values["k_best"] <= 0.0
+        assert values["d_minimal_residual"] <= 1e-8
+        # The margin holds against its threshold; only the K > 0 probe fails.
+        assert -values["margin"] <= record["threshold"]
 
 
 def lu_fill(lu):
