@@ -30,7 +30,7 @@ class DegenerateCell(GeometryError):
 
 
 class SolverNoConvergence(GeometryError):
-    """Iterative solver (Lanczos or PCG) hit its iteration cap."""
+    """Iterative solver (LOBPCG or PCG) hit its iteration cap."""
 
 
 class MeshNotTwoDim(GeometryError):

@@ -36,22 +36,39 @@ class SurfaceMesh:
     cells: np.ndarray                 # (C, 2) segments or (C, 3) triangles
     u: np.ndarray                     # weight u at vertices
     boundary_loop: np.ndarray = None  # ordered boundary vertex ids (open meshes)
-    level: int = None                 # disk_mesh level of the vertex ids
+    level: int = None                 # generator level of the vertex ids
 
     def __post_init__(self):
         if self.level is None:
             return
         if self.level < 0:
             raise ValueError("level must be >= 0")
-        rings = 4 * 2 ** self.level
-        if len(self.vertices) != 1 + 3 * rings * (rings + 1):
-            raise ValueError(
-                f"disk_mesh({self.level}) has {1 + 3 * rings * (rings + 1)} "
-                f"vertices, this mesh {len(self.vertices)}")
+        name, size, _ = self._generator
+        if len(self.vertices) != size:
+            raise ValueError(f"{name}({self.level}) has {size} vertices, "
+                             f"this mesh {len(self.vertices)}")
 
     @property
     def cell_dim(self):
         return self.cells.shape[1] - 1
+
+    @property
+    def _generator(self):
+        """Name, size at ``level`` and prolongation of the generator of a
+        segment mesh (circle_mesh), closed triangle mesh (icosphere) or open
+        one (disk_mesh)."""
+        if self.cell_dim == 1:
+            return "circle_mesh", 2 ** (self.level + 4), circle_prolongation
+        if self.boundary_loop is None:
+            return ("icosphere", 10 * 4 ** self.level + 2,
+                    icosphere_prolongation)
+        rings = 4 * 2 ** self.level
+        return "disk_mesh", 1 + 3 * rings * (rings + 1), disk_prolongation
+
+    def prolongation(self, level):
+        """Interpolation from ``level - 1`` to ``level`` of this mesh's
+        generator, and the fine ids of the coarse vertices in order."""
+        return self._generator[2](level)
 
     def with_weight(self, u_fn):
         """Copy with u sampled at the vertices in one call.
@@ -81,7 +98,27 @@ def circle_mesh(level):
     angles = 2.0 * np.pi * np.arange(count) / count
     vertices = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     cells = np.stack([np.arange(count), (np.arange(count) + 1) % count], axis=-1)
-    return SurfaceMesh(vertices=vertices, cells=cells, u=np.zeros(count))
+    return SurfaceMesh(vertices=vertices, cells=cells, u=np.zeros(count),
+                       level=level)
+
+
+def circle_prolongation(level):
+    """Interpolation from circle_mesh(level - 1) to circle_mesh(level), and
+    the fine ids of the coarse vertices: coarse vertex k is bit for bit fine
+    vertex 2k, and fine vertex 2k + 1 lies between coarse k and k + 1."""
+    k = np.arange(2 ** (level + 3))
+    return _bisection(2 * k, 2 * k + 1, np.stack([k, np.roll(k, -1)], axis=1))
+
+
+def _bisection(nested, new, ends):
+    """Prolongation in which fine vertex ``nested[k]`` takes coarse vertex
+    k alone and fine vertex ``new[j]`` half of each coarse vertex in
+    ``ends[j]``; and ``nested``."""
+    rows = np.r_[nested, np.repeat(new, 2)]
+    cols = np.r_[np.arange(len(nested)), ends.ravel()]
+    weights = np.r_[np.ones(len(nested)), np.full(ends.size, 0.5)]
+    return scipy.sparse.csr_matrix((weights, (rows, cols)), shape=(
+        len(nested) + len(new), len(nested))), nested
 
 
 def _normalize(m):
@@ -116,7 +153,20 @@ def icosphere(level):
         a, b, c = faces.T
         faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca],
                          axis=1).reshape(-1, 3)
-    return SurfaceMesh(vertices=verts, cells=faces, u=np.zeros(len(verts)))
+    return SurfaceMesh(vertices=verts, cells=faces, u=np.zeros(len(verts)),
+                       level=level)
+
+
+def icosphere_prolongation(level):
+    """Interpolation from icosphere(level - 1) to icosphere(level), and the
+    fine ids of the coarse vertices.  The coarse vertices are the first
+    fine ones, and fine faces 4f .. 4f + 3 split coarse face f = abc as
+    (a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca); so each new vertex
+    is read off with the ends of its parent edge."""
+    faces = icosphere(level).cells.reshape(-1, 12)
+    new, first = np.unique(faces[:, [1, 4, 2]], return_index=True)
+    ends = faces[:, [0, 3, 3, 6, 6, 0]].reshape(-1, 2)[first]
+    return _bisection(np.arange(new[0]), new, ends)
 
 
 def disk_mesh(level):

@@ -12,25 +12,26 @@ weak form
     int_S w g(grad psi, grad chi) = lambda int_S w V^{alpha-beta} psi chi,
 
 which is what :func:`assemble` discretizes with piecewise-linear elements
-and cell-averaged weights.
+and cell-averaged weights.  :func:`eigenvalues` solves it by multigrid
+LOBPCG, and the Dirichlet problems are solved by multigrid PCG: nothing
+here factors a sparse matrix or needs scipy.linalg.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .algebra import det, dot, inv
 from .errors import (DegenerateCell, GeometryError, MeshNotTwoDim,
                      SingularSystem, SolverNoConvergence)
-from .meshes import SurfaceMesh, disk_prolongation
+from .meshes import SurfaceMesh
 
-# Below this many vertices dense eigh beats shift-invert Lanczos.
+# Below this many vertices the eigensolve is dense.
 DENSE_CUTOFF = 300
 PCG_RTOL, PCG_MAX_ITER = 1e-13, 100
+LOBPCG_RTOL, LOBPCG_MAX_ITER = 1e-7, 100
 
 
 @dataclass
@@ -105,94 +106,97 @@ def assemble(mesh, params):
     return SpectralProblem(stiffness=a, mass=b, mesh=mesh)
 
 
-def _nested_dissection(mesh):
-    """Nested-dissection order of the vertices (George 1973).
-
-    The graph is the mesh's edge graph, the sparsity pattern of the P1
-    matrices.  The domains are those of a k-d bisection of the vertex
-    coordinates at midpoints, cycling through the axes, i.e. the prefixes
-    of each vertex's Morton code.  At each cut, the low-side vertices with
-    a neighbour on the high side form the separator.  The order is
-    post-order: both halves first, then the separator.
-    """
-    pts = mesh.vertices.T.copy()
-    dim, size = pts.shape
-    bits = int(np.ceil(np.log2(size) / dim)) + 1  # cuts per axis
-    depth = bits * dim
-    lo = pts.min(axis=1, keepdims=True)
-    span = np.ptp(pts, axis=1, keepdims=True)
-    cell = np.floor((pts - lo) / np.where(span > 0, span, 1.0) * 2 ** bits)
-    cell = np.minimum(cell.astype(np.int64), 2 ** bits - 1)
-    code = np.zeros(size, dtype=np.int64)
-    for b in range(bits - 1, -1, -1):
-        for axis in range(dim):
-            code = (code << 1) | ((cell[axis] >> b) & 1)
-    corners = mesh.cells.T.copy()
-    ends = np.triu_indices(len(corners), 1)
-    i, j = corners[ends[0]].ravel(), corners[ends[1]].ravel()
-    ci, cj = code[i], code[j]
-    low, high = np.where(ci < cj, i, j), np.where(ci < cj, j, i)
-    # The first cut an edge crosses is its endpoints' first differing
-    # digit (depth for none); frexp reads it exactly while depth <= 53.
-    first = depth - np.frexp((ci ^ cj).astype(float))[1]
-    by_cut = np.argsort(first.astype(np.int8), kind="stable")
-    low, high, first = low[by_cut], high[by_cut], first[by_cut]
-    # level[v] is the cut whose separator holds v, or depth for none.  An
-    # edge whose endpoints are both still free at its first cut crosses it.
-    level = np.full(size, depth)
-    bounds = np.searchsorted(first, np.arange(depth + 1))
-    for d in range(depth):
-        v, w = low[bounds[d]:bounds[d + 1]], high[bounds[d]:bounds[d + 1]]
-        level[v[(level[v] > d) & (level[w] > d)]] = d
-    # A separator sorts after every vertex of its domain: its code with the
-    # digits below its level set to one, and after deeper levels on a tie
-    # (depth - level fits the low 6 bits).
-    key = code | ((np.int64(1) << (depth - level)) - 1)
-    return np.argsort((key << 6) | (depth - level), kind="stable")
-
-
 def eigenvalues(prob, count=6):
     """Smallest ``count`` eigenvalues of the generalized pair (A, B).
 
-    Dense below ``DENSE_CUTOFF`` vertices, shift-invert Lanczos from there.
+    Dense below ``DENSE_CUTOFF`` vertices, or below five times the block of
+    ``count + 2`` columns; block LOBPCG preconditioned with a multigrid
+    V-cycle of A + sigma B from there (:func:`_lobpcg`).
     """
     a, b = prob.stiffness, prob.mass
     n = prob.size
-    if n < DENSE_CUTOFF:
-        # The whole spectrum, then the slice: a bisection subset stops at
-        # about eps * ||A||, so its lowest values would depend on ``count``.
+    block = count + 2
+    if n < max(DENSE_CUTOFF, 5 * block):
+        # B = L L^T, then the whole spectrum of L^-1 A L^-T and the slice: a
+        # subset stops at about eps * ||A||, so its lowest values would
+        # depend on ``count``.
         try:
-            vals = scipy.linalg.eigh(a.toarray(), b.toarray(),
-                                     eigvals_only=True)
+            l_inv = np.linalg.inv(np.linalg.cholesky(b.toarray()))
         except np.linalg.LinAlgError as err:
             raise SingularSystem(f"dense eigensolve: {err}") from err
-        return vals[:count]
-    # tr A / tr B grows like n^(2/d); dividing that out puts the shift at the
-    # scale of the lowest eigenvalues, where 1/(lambda - sigma) separates them.
-    sigma = -0.1 * (a.diagonal().sum() / b.diagonal().sum()) / n ** (
+        return np.linalg.eigvalsh(l_inv @ a.toarray() @ l_inv.T)[:count]
+    # tr A / tr B grows like n^(2/d); dividing that out puts sigma at the
+    # scale of the lowest eigenvalues, and A + sigma B is SPD.
+    sigma = (a.diagonal().sum() / b.diagonal().sum()) / n ** (
         2.0 / prob.mesh.cell_dim)
-    # A - sigma B is SPD, so in nested-dissection order its LU needs no
-    # column ordering and no pivoting: the diagonal is a stable pivot.
-    order = _nested_dissection(prob.mesh)
-    rank = np.argsort(order)
-    try:
-        lu = scipy.sparse.linalg.splu(
-            (a - sigma * b)[order][:, order].tocsc(), permc_spec="NATURAL",
-            diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    except RuntimeError as err:
-        raise SingularSystem(str(err)) from err
-    opinv = scipy.sparse.linalg.LinearOperator(
-        (n, n), matvec=lambda x: lu.solve(x[order])[rank], dtype=float)
-    # Fixed start vector keeps the Lanczos iteration fully deterministic.
-    v0 = 1.5 + np.sin(np.arange(n, dtype=float))
-    try:
-        vals = scipy.sparse.linalg.eigsh(a, k=count, M=b, sigma=sigma,
-                                         which="LM", return_eigenvectors=False,
-                                         maxiter=2000, v0=v0, OPinv=opinv)
-    except scipy.sparse.linalg.ArpackNoConvergence as err:
-        raise SolverNoConvergence(
-            "shift-invert Lanczos did not converge") from err
-    return np.sort(vals)
+    precond = _multigrid(prob.mesh, (a + sigma * b).tocsr())
+    # The constants, the smooth coordinate functions, then fixed
+    # oscillating columns: a deterministic start block.
+    coords = [c for c in prob.mesh.vertices.T if np.ptp(c) > 0]
+    fill = np.sin(np.outer(np.arange(1.0, n + 1), np.arange(1.0, block + 1)))
+    start = np.column_stack([np.ones(n), *coords, fill])[:, :block]
+    return _lobpcg(a, b, start, precond, count)
+
+
+def _gram(u, v):
+    """u^T v by einsum, as every block product here: a BLAS product would
+    make the bits depend on the BLAS thread count."""
+    return np.einsum("ik,il->kl", u, v)
+
+
+def _b_orthonormal(v, b, x=None, bx=None):
+    """B-orthonormal basis of span(v) with the B-orthonormal x projected
+    out twice, by SVQB (Stathopoulos & Wu, SIAM J. Sci. Comput. 23, 2002):
+    it drops directions below 1e-13 of the largest instead of failing."""
+    for _ in range(0 if x is None else 2):
+        v = v - np.einsum("ik,kl->il", x, _gram(bx, v))
+    g = _gram(v, b @ v)
+    scale = np.diag(g)
+    if not np.all(scale > 0):
+        raise SingularSystem("mass matrix is not positive definite")
+    scale = 1.0 / np.sqrt(scale)
+    theta, q = np.linalg.eigh(g * scale[:, None] * scale)
+    keep = theta > 1e-13 * theta[-1]
+    return np.einsum("ik,kl->il", v, scale[:, None] * q[:, keep]
+                     / np.sqrt(theta[keep]))
+
+
+def _lobpcg(a, b, x, precond, count):
+    """The ``count`` smallest eigenvalues of (A, B) by block LOBPCG
+    (Knyazev, SIAM J. Sci. Comput. 23, 2001) from the start block ``x``.
+
+    Each step is a Rayleigh-Ritz on X and, B-orthonormal to it, the
+    preconditioned residuals W and last updates P of the columns not yet
+    converged.  A column converges at a residual, in the lumped mass's
+    B^-1 norm, of LOBPCG_RTOL times its Ritz value (lambda_1's for the
+    constant mode).  The result is the converged vectors' Rayleigh
+    quotients, not the Ritz values, whose error is eps times the largest.
+    """
+    lumped = b @ np.ones(len(x))
+    s = _b_orthonormal(x, b)
+    m = s.shape[1]
+    for step in range(LOBPCG_MAX_ITER + 1):
+        ritz = _gram(s, a @ s)
+        if not np.all(np.isfinite(ritz)):
+            raise SolverNoConvergence(f"LOBPCG Ritz matrix not finite at "
+                                      f"step {step}")
+        theta, c = np.linalg.eigh(ritz)
+        theta, x = theta[:m], np.einsum("ik,kl->il", s, c[:, :m])
+        ax, bx = a @ x, b @ x
+        r = ax - bx * theta
+        res = np.sqrt(np.einsum("ik,ik,i->k", r, r, 1.0 / lumped))
+        active = res > LOBPCG_RTOL * np.maximum(abs(theta), abs(theta[1]))
+        if not active[:count].any():
+            return np.sort(np.einsum("ik,ik->k", x, ax)[:count]
+                           / np.einsum("ik,ik->k", x, bx)[:count])
+        if step == LOBPCG_MAX_ITER or not np.all(np.isfinite(res)):
+            raise SolverNoConvergence(
+                f"LOBPCG residual {np.max(res)} at step {step}")
+        w = precond(r[:, active])
+        if s.shape[1] > m:
+            p = np.einsum("ik,kl->il", s[:, m:], c[m:, :m])
+            w = np.hstack([w, p[:, active]])
+        s = np.hstack([x, _b_orthonormal(w, b, x, bx)])
 
 
 def smallest_nonzero_eigenvalue(prob):
@@ -214,12 +218,13 @@ def smallest_nonzero_eigenvalue(prob):
 # inequality.
 
 
-def _multigrid(mesh, a, ids):
-    """V-cycle for the block ``a`` on ``mesh``'s interior ``ids``: levels
-    P^T A P of the disk_mesh ring prolongation down to level 0 (each with
-    the interior first), and two damped Jacobi sweeps before and after each
-    correction; level 0, or the one level of a mesh without one, is only
-    smoothed."""
+def _multigrid(mesh, a):
+    """V-cycle for the block ``a`` of ``mesh``'s first vertices (the
+    interior, or all of a closed mesh): levels P^T A P of the mesh's
+    prolongation down to level 0 (each with the interior first), and two
+    damped Jacobi sweeps before and after each correction; level 0, or the
+    one level of a mesh without one, is only smoothed.  It takes a vector
+    or a block of columns."""
     levels = []
     for level in range(mesh.level or 0, -1, -1):
         diag = a.diagonal()
@@ -227,7 +232,7 @@ def _multigrid(mesh, a, ids):
             raise SingularSystem("interior block has a nonpositive diagonal")
         # Damping 4 / (3 rho) with rho(D^-1 A) from ten power steps.
         inv_diag = 1.0 / diag
-        x = y = 1.5 + np.sin(np.arange(len(ids), dtype=float))
+        x = y = 1.5 + np.sin(np.arange(len(diag), dtype=float))
         for _ in range(10):
             x, y = inv_diag * (a @ x), x
         rho = np.sqrt(np.sum(x * x) / np.sum(y * y))
@@ -235,17 +240,18 @@ def _multigrid(mesh, a, ids):
         if level == 0:
             levels.append((a, None, None, w))
             break
-        p, nested = disk_prolongation(level)
-        coarse = np.searchsorted(nested, len(ids))
-        p = p[:len(ids), :coarse]
+        p, nested = mesh.prolongation(level)
+        p = p[:len(diag), :np.searchsorted(nested, len(diag))]
         levels.append((a, p, p.T.tocsr(), w))
-        a, ids = levels[-1][2] @ a @ p, ids[nested[:coarse]]
+        a = levels[-1][2] @ a @ p
     return lambda r: _vcycle(levels, r)
 
 
 def _vcycle(levels, r, depth=0):
     """One V-cycle of :func:`_multigrid`'s ``levels`` applied to ``r``."""
     a, p, pt, w = levels[depth]
+    if r.ndim == 2:
+        w = w[:, None]
     x = w * r
     x += w * (r - a @ x)
     if p is not None:
@@ -290,12 +296,13 @@ def harmonic_extension_2d(mesh, params, boundary_values):
         raise ValueError(f"need {len(boundary)} finite boundary values")
     a = _scatter(mesh, _p1_kernel(mesh)[1], params.energy_exponent(2))
     interior = np.delete(np.arange(len(mesh.vertices)), boundary)
-    aii = a[interior][:, interior]
+    rows = a[interior]
+    aii = rows[:, interior]
     phi = np.zeros(len(mesh.vertices))
     phi[boundary] = psi
     if len(interior):
-        phi[interior] = _pcg(aii, -a[interior][:, boundary] @ psi,
-                             _multigrid(mesh, aii, interior))
+        phi[interior] = _pcg(aii, -rows[:, boundary] @ psi,
+                             _multigrid(mesh, aii))
     return phi, a
 
 

@@ -175,7 +175,7 @@ def check_nondegenerate(mesh, tol=1e-14):
 
 def force_path(monkeypatch, method):
     """Send every eigensolve down one path, ``"dense"`` or ``"iterative"``
-    (shift-invert Lanczos), by moving ``spectral.DENSE_CUTOFF``."""
+    (multigrid LOBPCG), by moving ``spectral.DENSE_CUTOFF``."""
     monkeypatch.setattr(spectral, "DENSE_CUTOFF",
                         np.inf if method == "dense" else 0)
 
@@ -286,6 +286,78 @@ def dirichlet_lu(mesh, params, boundary_values):
     phi[interior] = scipy.sparse.linalg.splu(
         a[interior][:, interior].tocsc()).solve(rhs)
     return phi
+
+
+def nested_dissection(mesh):
+    """Nested-dissection order of the vertices (George, SIAM J. Numer. Anal.
+    10, 1973), the fill-reducing order of :func:`shift_invert_eigenvalues`.
+
+    The graph is the mesh's edge graph, the sparsity pattern of the P1
+    matrices.  The domains are those of a k-d bisection of the vertex
+    coordinates at midpoints, cycling through the axes, i.e. the prefixes
+    of each vertex's Morton code.  At each cut, the low-side vertices with
+    a neighbour on the high side form the separator.  The order is
+    post-order: both halves first, then the separator.
+    """
+    pts = mesh.vertices.T.copy()
+    dim, size = pts.shape
+    bits = int(np.ceil(np.log2(size) / dim)) + 1  # cuts per axis
+    depth = bits * dim
+    lo = pts.min(axis=1, keepdims=True)
+    span = np.ptp(pts, axis=1, keepdims=True)
+    cell = np.floor((pts - lo) / np.where(span > 0, span, 1.0) * 2 ** bits)
+    cell = np.minimum(cell.astype(np.int64), 2 ** bits - 1)
+    code = np.zeros(size, dtype=np.int64)
+    for b in range(bits - 1, -1, -1):
+        for axis in range(dim):
+            code = (code << 1) | ((cell[axis] >> b) & 1)
+    corners = mesh.cells.T.copy()
+    ends = np.triu_indices(len(corners), 1)
+    i, j = corners[ends[0]].ravel(), corners[ends[1]].ravel()
+    ci, cj = code[i], code[j]
+    low, high = np.where(ci < cj, i, j), np.where(ci < cj, j, i)
+    # The first cut an edge crosses is its endpoints' first differing
+    # digit (depth for none); frexp reads it exactly while depth <= 53.
+    first = depth - np.frexp((ci ^ cj).astype(float))[1]
+    by_cut = np.argsort(first.astype(np.int8), kind="stable")
+    low, high, first = low[by_cut], high[by_cut], first[by_cut]
+    # level[v] is the cut whose separator holds v, or depth for none.  An
+    # edge whose endpoints are both still free at its first cut crosses it.
+    level = np.full(size, depth)
+    bounds = np.searchsorted(first, np.arange(depth + 1))
+    for d in range(depth):
+        v, w = low[bounds[d]:bounds[d + 1]], high[bounds[d]:bounds[d + 1]]
+        level[v[(level[v] > d) & (level[w] > d)]] = d
+    # A separator sorts after every vertex of its domain: its code with the
+    # digits below its level set to one, and after deeper levels on a tie
+    # (depth - level fits the low 6 bits).
+    key = code | ((np.int64(1) << (depth - level)) - 1)
+    return np.argsort((key << 6) | (depth - level), kind="stable")
+
+
+def shift_invert_eigenvalues(prob, count=6):
+    """Smallest ``count`` eigenvalues of (A, B) by ARPACK's shift-invert
+    Lanczos (``eigsh``) on one SuperLU factor of A - sigma B, the reference
+    for the multigrid LOBPCG of ``spectral.eigenvalues``.
+
+    sigma = -0.1 (tr A / tr B) / n^(2/d) sits at the scale of the lowest
+    eigenvalues, below them; the factor is taken in the nested-dissection
+    order with no pivoting, which an SPD matrix needs none of.
+    """
+    a, b, n = prob.stiffness, prob.mass, prob.size
+    sigma = -0.1 * (a.diagonal().sum() / b.diagonal().sum()) / n ** (
+        2.0 / prob.mesh.cell_dim)
+    order = nested_dissection(prob.mesh)
+    rank = np.argsort(order)
+    lu = scipy.sparse.linalg.splu(
+        (a - sigma * b)[order][:, order].tocsc(), permc_spec="NATURAL",
+        diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    opinv = scipy.sparse.linalg.LinearOperator(
+        (n, n), matvec=lambda x: lu.solve(x[order])[rank], dtype=float)
+    v0 = 1.5 + np.sin(np.arange(n, dtype=float))
+    return np.sort(scipy.sparse.linalg.eigsh(
+        a, k=count, M=b, sigma=sigma, which="LM", return_eigenvectors=False,
+        maxiter=2000, v0=v0, OPinv=opinv))
 
 
 # Fourier collocation of the non-symmetric weighted operator on a circle.

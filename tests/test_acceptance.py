@@ -154,16 +154,16 @@ def test_criterion_8_spectral_solver(monkeypatch):
     lam_sphere = smallest_nonzero_eigenvalue(
         assemble(build_mesh("icosphere", 5), p0))
     prob = assemble(build_mesh("icosphere", 3), p0)
-    # Read before force_path moves the cutoff: the solve above took the
-    # shift-invert path.
-    shift_invert = prob.size >= spectral.DENSE_CUTOFF
+    # Read before force_path moves the cutoff: the solve below takes the
+    # multigrid LOBPCG path.
+    took_lobpcg = prob.size >= spectral.DENSE_CUTOFF
     iterative = smallest_nonzero_eigenvalue(prob)
     force_path(monkeypatch, "dense")
     dense = smallest_nonzero_eigenvalue(prob)
     _verdict(8, "spectral solver",
              abs(lam_circle - 1.0) <= 1e-4
              and abs(lam_sphere - 2.0) / 2.0 <= 5e-3
-             and shift_invert
+             and took_lobpcg
              and abs(dense - iterative) / dense <= 1e-8)
 
 

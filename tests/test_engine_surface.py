@@ -13,7 +13,10 @@ module``.  So ``np.log`` is not a caller of an engine ``log``.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import affconn
 
@@ -177,10 +180,66 @@ def test_points_enter_through_one_conversion():
                                          "operators.py:second_fundamental"}
 
 
-def test_only_the_eigensolve_factors():
-    # The Dirichlet solve is PCG with a V-cycle that ends in its smoother;
-    # the one sparse LU is the shift-invert eigensolve's.
-    assert _scopes_reading("splu") == {"spectral.py:eigenvalues"}
+def _dotted(node):
+    """``a.b.c`` of an attribute chain on a name, else ``""``."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(
+        node, ast.Name) else ""
+
+
+def _scopes_loading(module):
+    """``file:scope`` of every engine scope that imports ``module``, or a
+    name from it, or reads an attribute path through it."""
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            for scope, node in _scopes(stmt):
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Import):
+                        names = [alias.name for alias in sub.names]
+                    elif isinstance(sub, ast.ImportFrom) and not sub.level:
+                        names = [f"{sub.module}.{alias.name}"
+                                 for alias in sub.names]
+                    else:
+                        names = [_dotted(sub)]
+                    if any(name == module or name.startswith(module + ".")
+                           for name in names):
+                        out.add(f"{path.name}:{scope}")
+    return out
+
+
+def test_the_engine_factors_nothing():
+    # The Dirichlet solve is PCG and the eigensolve LOBPCG, both with a
+    # V-cycle that ends in its smoother; neither reads a sparse direct
+    # factor, ARPACK or dense scipy.linalg.
+    assert not _scopes_reading("splu") | _scopes_reading("eigsh")
+    assert not (_scopes_loading("scipy.linalg")
+                | _scopes_loading("scipy.sparse.linalg"))
+
+
+def test_the_scope_scan_sees_scipy_linalg():
+    tree = ast.parse("y = np.linalg.eigh(x)\nz = scipy.linalg.eigh(x)\n")
+    assert "scipy.linalg.eigh" in {_dotted(sub)
+                                   for sub in ast.walk(tree.body[1])}
+    assert not any(_dotted(sub).startswith("scipy")
+                   for sub in ast.walk(tree.body[0]))
+
+
+def test_a_suite_run_loads_no_scipy_linalg():
+    # A fresh interpreter: the test session itself loads both modules
+    # through the oracles.
+    script = ("import sys; from affconn.suite import run_suite; "
+              "run_suite({'scenarios': ['s2-classical', 's3-classical'], "
+              "'checks': ['eigenvalue', 'choi-wang']}); "
+              "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg')"
+              " if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    assert out.strip() == "[]"
 
 
 def test_one_refinement_ladder():

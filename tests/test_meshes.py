@@ -7,8 +7,9 @@ import pytest
 
 from affconn.errors import DegenerateCell, UnsupportedKind
 from affconn.meshes import (_ICO_FACES, _ICO_VERTS, build_mesh,
-                            circle_mesh, disk_mesh, disk_prolongation,
-                            hemisphere_mesh, icosphere)
+                            circle_mesh, circle_prolongation, disk_mesh,
+                            disk_prolongation, hemisphere_mesh, icosphere,
+                            icosphere_prolongation)
 from oracles import cell_measures, check_closed, check_nondegenerate
 
 
@@ -154,7 +155,8 @@ class TestOpenMeshes:
         with pytest.raises(ValueError, match="level must be >= 0"):
             make(-1)
 
-    @pytest.mark.parametrize("make", [disk_mesh, hemisphere_mesh])
+    @pytest.mark.parametrize("make", [circle_mesh, icosphere, disk_mesh,
+                                      hemisphere_mesh])
     def test_level_is_recorded_and_kept_by_with_weight(self, make):
         mesh = make(2)
         assert mesh.level == 2
@@ -165,6 +167,54 @@ class TestOpenMeshes:
         message = rf"disk_mesh\({level}\) has {count} vertices, this mesh 3169"
         with pytest.raises(ValueError, match=message):
             replace(disk_mesh(3), level=level)
+
+    @pytest.mark.parametrize("make,message", [
+        (circle_mesh, r"circle_mesh\(2\) has 64 vertices, this mesh 128"),
+        (icosphere, r"icosphere\(2\) has 162 vertices, this mesh 642")])
+    def test_each_kind_checks_its_vertex_count(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            replace(make(3), level=2)
+
+
+@pytest.mark.parametrize("make,prolongation,level", [
+    (circle_mesh, circle_prolongation, 1),
+    (circle_mesh, circle_prolongation, 6),
+    (icosphere, icosphere_prolongation, 1),
+    (icosphere, icosphere_prolongation, 4)])
+class TestClosedProlongation:
+    def test_nested_vertices_take_their_coarse_vertex_alone(
+            self, make, prolongation, level):
+        p, nested = prolongation(level)
+        fine, coarse = make(level), make(level - 1)
+        assert p.shape == (len(fine.vertices), len(coarse.vertices))
+        assert fine.vertices[nested].tobytes() == coarse.vertices.tobytes()
+        rows = p[nested].tocoo()
+        assert np.array_equal(rows.row, np.arange(len(nested)))
+        assert np.array_equal(rows.col, np.arange(len(nested)))
+        assert np.all(rows.data == 1.0)
+
+    # A new vertex is its parent edge's midpoint pushed out to the unit
+    # circle or sphere.
+    def test_new_vertices_take_half_of_each_end_of_an_edge(
+            self, make, prolongation, level):
+        p, nested = prolongation(level)
+        fine, coarse = make(level), make(level - 1)
+        new = np.setdiff1d(np.arange(len(fine.vertices)), nested)
+        rows = p[new]
+        assert np.all(np.diff(rows.indptr) == 2) and np.all(rows.data == 0.5)
+        mid = rows @ coarse.vertices
+        mid /= np.linalg.norm(mid, axis=1)[:, None]
+        assert np.max(np.abs(mid - fine.vertices[new])) <= 1e-15
+        edges = {tuple(sorted(c)) for cell in coarse.cells
+                 for c in zip(cell, np.roll(cell, -1))}
+        assert {tuple(sorted(rows.indices[k:k + 2]))
+                for k in rows.indptr[:-1]} <= edges
+
+    def test_the_mesh_picks_its_prolongation(self, make, prolongation,
+                                             level):
+        p, nested = make(level).prolongation(level)
+        q, same = prolongation(level)
+        assert (p != q).nnz == 0 and np.array_equal(nested, same)
 
 
 @pytest.mark.parametrize("level", [2, 5])

@@ -141,10 +141,14 @@ class TestSuite:
 
     def test_byte_identical_across_blas_threads(self):
         # The proof-chain energy sums ~50,000 products; a BLAS dot product
-        # splits that sum by thread count, which moves its last bit.
+        # splits that sum by thread count, which moves its last bit.  The
+        # eigensolve sums by einsum for the same reason: s3-classical is an
+        # icosphere and s2-classical a circle.
         script = ("import sys; from affconn.suite import report_json, "
                   "run_suite; sys.stdout.write(report_json(run_suite("
-                  "{'checks': ['proof-inequality']})))")
+                  "{'scenarios': ['s2-classical', 's2-weighted-quadratic', "
+                  "'s3-classical'], 'checks': ['eigenvalue', 'choi-wang', "
+                  "'proof-inequality']})))")
         src = os.path.dirname(os.path.dirname(affconn.__file__))
         reports = []
         for threads in ("1", "2"):
@@ -153,7 +157,11 @@ class TestSuite:
             reports.append(subprocess.run(
                 [sys.executable, "-c", script], env=env, check=True,
                 capture_output=True, text=True, timeout=300).stdout)
-        assert '"proof-inequality"' in reports[0]
+        records = json.loads(reports[0])["records"]
+        assert {(r["scenario"], r["check"]) for r in records} >= {
+            (name, check) for name in ("s2-classical", "s3-classical")
+            for check in ("eigenvalue", "choi-wang")}
+        assert sum(r["check"] == "proof-inequality" for r in records) == 2
         assert reports[0] == reports[1]
 
     def test_records_carry_values_and_threshold(self):

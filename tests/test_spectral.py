@@ -14,14 +14,14 @@ from affconn.meshes import (SurfaceMesh, build_mesh, circle_mesh, disk_mesh,
                             hemisphere_mesh, icosphere)
 from affconn.operators import Hypersurface
 from affconn.scenarios import get_scenario
-from affconn.spectral import (_nested_dissection, assemble, eigenvalues,
-                              harmonic_extension_2d, proof_chain_inequality,
-                              recover_normal_flux,
+from affconn.spectral import (assemble, eigenvalues, harmonic_extension_2d,
+                              proof_chain_inequality, recover_normal_flux,
                               smallest_nonzero_eigenvalue)
 from affconn.suite import check_choi_wang
 from oracles import (cell_measures, circle_collocation_eigenvalues,
                      closed_form_assemble, dirichlet_lu, force_path,
-                     polyline_flux, polyline_pairing)
+                     nested_dissection, polyline_flux, polyline_pairing,
+                     shift_invert_eigenvalues)
 
 P0 = WeightParams(0.0, 0.0)
 PW = WeightParams(1.0, 0.0)
@@ -192,10 +192,58 @@ class TestEigenvalues:
         assert np.max(np.abs(vals[1:] - exact) / exact) <= 2e-11
 
     def test_circle_level_11_converges(self):
-        # 32,768 vertices, where a shift at the 1/h^2 scale stalled Lanczos.
+        # 32,768 vertices; the rounded entries of the assembled pair put its
+        # own lambda_1 3.5e-11 off the closed form.
         lam = smallest_nonzero_eigenvalue(
             assemble(build_mesh("circle", 11), P0))
         assert abs(lam - polygon_eigenvalues(2 ** 15, 1)) <= 1e-9
+
+    # Shift-invert eigsh was 4.7e-12 off here, and so are the LOBPCG Ritz
+    # values; the Rayleigh quotients of the Ritz vectors are 1.4e-13 off.
+    def test_circle_6_lambda1_matches_the_polygon(self):
+        lam = smallest_nonzero_eigenvalue(assemble(circle_mesh(6), P0))
+        exact = polygon_eigenvalues(1024, 1)
+        assert abs(lam - exact) <= 1e-12 * exact
+
+    def test_s3_classical_matches_the_shift_invert_oracle(self):
+        scn = get_scenario("s3-classical")
+        prob = assemble(scn.mesh(), scn.params)
+        lam = smallest_nonzero_eigenvalue(prob)
+        oracle = shift_invert_eigenvalues(prob, 2)[1]
+        assert abs(lam - oracle) <= 1e-12 * oracle
+
+    # 4 steps on icosphere-5 and 6 on a weighted circle-6 (the coordinates
+    # start an unweighted circle at its eigenvectors); a V-cycle that is
+    # damaged or lacks its coarse levels needs many more.
+    @pytest.mark.parametrize("mesh", [
+        icosphere(5), circle_mesh(6).with_weight(lambda v: 0.3 * v[0])],
+        ids=["icosphere-5", "weighted-circle-6"])
+    def test_lobpcg_converges_within_eight_steps(self, mesh, monkeypatch):
+        monkeypatch.setattr(spectral, "LOBPCG_MAX_ITER", 8)
+        smallest_nonzero_eigenvalue(assemble(mesh, PW))
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "LOBPCG_MAX_ITER", 1)
+        with pytest.raises(SolverNoConvergence, match="LOBPCG residual"):
+            smallest_nonzero_eigenvalue(assemble(icosphere(4), P0))
+
+    # Without coarse levels the NaN does not reach a Galerkin diagonal,
+    # which would raise SingularSystem first.
+    def test_nonfinite_ritz_matrix_raises(self):
+        prob = assemble(dataclasses.replace(icosphere(4), level=None), P0)
+        prob.stiffness.data[1] = np.nan  # off the diagonal of row 0
+        assert prob.stiffness.indices[1] != 0
+        with pytest.raises(SolverNoConvergence, match="not finite at step 0"):
+            smallest_nonzero_eigenvalue(prob)
+
+    # The block of count + 2 columns must stay below a fifth of the
+    # vertices, or the solve is dense.
+    def test_a_large_count_is_solved_densely(self, monkeypatch):
+        prob = assemble(circle_mesh(4), P0)
+        force_path(monkeypatch, "iterative")
+        many = eigenvalues(prob, count=60)
+        force_path(monkeypatch, "dense")
+        assert many.tolist() == eigenvalues(prob, count=60).tolist()
 
     def test_circle_first_eigenvalue_level_6(self):
         lam = smallest_nonzero_eigenvalue(assemble(build_mesh("circle", 6), P0))
@@ -521,14 +569,14 @@ class TestNestedDissection:
     @pytest.mark.parametrize("mesh", [build_mesh("icosphere", 4),
                                       build_mesh("circle", 5)])
     def test_returns_a_permutation_of_the_vertices(self, mesh):
-        order = _nested_dissection(mesh)
+        order = nested_dissection(mesh)
         assert np.array_equal(np.sort(order), np.arange(len(mesh.vertices)))
 
     def test_fill_within_ten_percent_of_minimum_degree(self):
         mesh = build_mesh("icosphere", 4)
         prob = assemble(mesh, P0)
         mat = prob.stiffness + 0.05 * prob.mass
-        order = _nested_dissection(mesh)
+        order = nested_dissection(mesh)
         options = {"diag_pivot_thresh": 0.0,
                    "options": {"SymmetricMode": True}}
         nd = scipy.sparse.linalg.splu(mat[order][:, order].tocsc(),
