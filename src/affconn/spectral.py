@@ -28,8 +28,9 @@ from .errors import (DegenerateCell, GeometryError, MeshNotTwoDim,
                      SingularSystem, SolverNoConvergence)
 from .meshes import SurfaceMesh
 
-# Below this many vertices the eigensolve is dense.
-DENSE_CUTOFF = 300
+# Below this many vertices the eigensolve is dense; LOBPCG is faster from
+# the 256-vertex circle on, dense up to the 162-vertex icosphere.
+DENSE_CUTOFF = 200
 PCG_RTOL, PCG_MAX_ITER = 1e-13, 100
 LOBPCG_RTOL, LOBPCG_MAX_ITER = 1e-7, 100
 
@@ -52,14 +53,16 @@ def _p1_kernel(mesh):
 
     G is the Gram matrix of each cell's edges at its vertex 0; the measure
     is sqrt(det G) / k! and the stiffness measure * D G^-1 D^T, with
-    D = [-1 ... -1; I] the barycentric gradients.  Each entry sums over the
-    (a, b) pairs in row order, which keeps the triangle matrices bit for bit
-    those of the written-out closed form.
+    D = [-1 ... -1; I] the barycentric gradients.  Column q of the
+    stiffness is local entry (i, j) = np.triu_indices(k + 1)[q] of every
+    cell; it sums over the (a, b) pairs in row order, which keeps the
+    triangle entries bit for bit those of the written-out closed form.
     """
     v, cells = mesh.vertices, mesh.cells
     k = cells.shape[1] - 1
     edges = [v[cells[:, a + 1]] - v[cells[:, 0]] for a in range(k)]
     gram = [[np.einsum("ij,ij->i", ea, eb) for eb in edges] for ea in edges]
+    del edges
     det_g = det(gram)
     if not np.min(det_g) > 0:  # a non-finite vertex fails this too
         raise DegenerateCell(f"{k}-cell with vanishing or non-finite measure")
@@ -67,10 +70,11 @@ def _p1_kernel(mesh):
     g_inv = inv(gram)
     d = [[-1.0] * k] + np.eye(k).tolist()
     pairs = [(a, b) for a in range(k) for b in range(k)]
-    local = np.empty((len(cells), k + 1, k + 1))
-    for i, j in np.ndindex(k + 1, k + 1):
-        local[:, i, j] = dot([d[i][a] * g_inv[a][b] for a, b in pairs],
-                             [d[j][b] for a, b in pairs]) * measure
+    upper = np.triu_indices(k + 1)
+    local = np.empty((len(cells), len(upper[0])))
+    for q, (i, j) in enumerate(zip(*upper)):
+        local[:, q] = dot([d[i][a] * g_inv[a][b] for a, b in pairs],
+                          [d[j][b] for a, b in pairs]) * measure
     return measure, local
 
 
@@ -78,23 +82,29 @@ def _mass(mesh, measure, exponent):
     """P1 mass weighted by V^exponent: measure * (1 + I)/((k+1)(k+2))."""
     k = mesh.cell_dim
     table = (1.0 + np.eye(k + 1)) / ((k + 1) * (k + 2))
-    return _scatter(mesh, measure[:, None, None] * table, exponent)
+    return _scatter(mesh, measure[:, None] * table[np.triu_indices(k + 1)],
+                    exponent)
 
 
 def _scatter(mesh, local, exponent):
-    """Global matrix of the local ones, each scaled in place by V^exponent
-    with u averaged over its cell's vertices."""
+    """Global matrix U + U^T of local entries ordered as in _p1_kernel,
+    each scaled in place by V^exponent with u averaged over its cell's
+    vertices.  U sums entry (i, j) at (min, max) of its corners, diagonal
+    ones halved (exactly), so U + U^T counts each once and is symmetric."""
     w = np.exp(exponent * np.mean(mesh.u[mesh.cells], axis=1))
     if not np.all(np.isfinite(w)):
         raise GeometryError(f"non-finite weight V^{exponent} on "
                             f"{np.sum(~np.isfinite(w))} cells")
-    local *= w[:, None, None]
+    i, j = np.triu_indices(mesh.cell_dim + 1)
+    local *= w[:, None]
+    local[:, i == j] *= 0.5
     cells = mesh.cells.astype(np.int32)
-    k, size = cells.shape[1], len(mesh.vertices)
-    rows = np.repeat(cells, k, axis=1).ravel()
-    cols = np.tile(cells, (1, k)).ravel()
-    return scipy.sparse.coo_matrix((local.ravel(), (rows, cols)),
-                                   shape=(size, size)).tocsr()
+    size = len(mesh.vertices)
+    upper = scipy.sparse.coo_matrix(
+        (local.ravel(), (np.minimum(cells[:, i], cells[:, j]).ravel(),
+                         np.maximum(cells[:, i], cells[:, j]).ravel())),
+        shape=(size, size)).tocsr()
+    return upper + upper.T
 
 
 def assemble(mesh, params):
@@ -296,13 +306,12 @@ def harmonic_extension_2d(mesh, params, boundary_values):
         raise ValueError(f"need {len(boundary)} finite boundary values")
     a = _scatter(mesh, _p1_kernel(mesh)[1], params.energy_exponent(2))
     interior = np.delete(np.arange(len(mesh.vertices)), boundary)
-    rows = a[interior]
-    aii = rows[:, interior]
     phi = np.zeros(len(mesh.vertices))
     phi[boundary] = psi
     if len(interior):
-        phi[interior] = _pcg(aii, -rows[:, boundary] @ psi,
-                             _multigrid(mesh, aii))
+        aii = a[interior][:, interior]
+        # A phi, with phi zero inside, is A[interior, boundary] psi there.
+        phi[interior] = _pcg(aii, -(a @ phi)[interior], _multigrid(mesh, aii))
     return phi, a
 
 

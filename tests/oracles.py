@@ -210,12 +210,28 @@ def triangle_gradients(verts, cells):
     return area, local
 
 
-def _coo(cells, local, size):
+def coo_sum(cells, local, size):
+    """The (k+1)^2 local entries of every cell summed by one COO matrix, the
+    plain reference for the pair order of :func:`_coo`."""
     k = cells.shape[1]
     rows = np.repeat(cells, k, axis=1).ravel()
     cols = np.tile(cells, (1, k)).ravel()
     return scipy.sparse.coo_matrix((local.ravel(), (rows, cols)),
                                    shape=(size, size)).tocsr()
+
+
+def _coo(cells, local, size):
+    """The local matrices summed in the pair order of ``spectral._scatter``:
+    U holds entry (i, j), i <= j, at (min, max) of its corners, halved on
+    the diagonal, and the sum is U + U^T."""
+    i, j = np.triu_indices(cells.shape[1])
+    upper = local[:, i, j]
+    upper[:, i == j] *= 0.5
+    lo = np.minimum(cells[:, i], cells[:, j])
+    hi = np.maximum(cells[:, i], cells[:, j])
+    u = scipy.sparse.coo_matrix((upper.ravel(), (lo.ravel(), hi.ravel())),
+                                shape=(size, size)).tocsr()
+    return u + u.T
 
 
 def _cell_weight(mesh, exponent):
@@ -243,6 +259,23 @@ def closed_form_assemble(mesh, params):
     table = MASS_SEG if mesh.cell_dim == 1 else MASS_TRI
     local = (w_mass * measure)[:, None, None] * table[None, :, :]
     return a, _coo(mesh.cells, local, len(mesh.vertices))
+
+
+def plain_assemble(mesh, params):
+    """Stiffness and mass of ``spectral.assemble``'s own local entries,
+    mirrored below the diagonal, weighted and summed by :func:`coo_sum`."""
+    measure, upper = spectral._p1_kernel(mesh)
+    k = mesh.cell_dim
+    i, j = np.triu_indices(k + 1)
+    stiffness = np.empty((len(measure), k + 1, k + 1))
+    stiffness[:, i, j] = stiffness[:, j, i] = upper
+    mass = measure[:, None, None] * (MASS_SEG if k == 1 else MASS_TRI)
+    stiff_exp = params.energy_exponent(k)
+    mass_exp = stiff_exp + params.alpha - params.beta
+    return tuple(
+        coo_sum(mesh.cells, local * _cell_weight(mesh, exp)[:, None, None],
+                len(mesh.vertices))
+        for local, exp in ((stiffness, stiff_exp), (mass, mass_exp)))
 
 
 def boundary_lengths(mesh):

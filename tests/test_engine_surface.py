@@ -251,9 +251,12 @@ def test_one_refinement_ladder():
 
 def test_one_kernel_for_every_p1_matrix():
     # Segments, triangles and the boundary loop share one cell kernel, and
-    # one scatter sums its local matrices.
+    # one scatter sums its local entries, one per pair i <= j: no spectral
+    # scope tiles the corners into (k + 1)^2 index pairs per cell.
     assert _scopes_reading("DegenerateCell") == {"spectral.py:_p1_kernel"}
     assert _scopes_reading("coo_matrix") == {"spectral.py:_scatter"}
+    assert not {scope for scope in _scopes_reading("tile")
+                if scope.startswith("spectral.py:")}
 
 
 def test_engine_surface():

@@ -1,6 +1,7 @@
 """Discrete eigenproblems, the collocation oracle, and the proof chain."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from affconn.spectral import (assemble, eigenvalues, harmonic_extension_2d,
 from affconn.suite import check_choi_wang
 from oracles import (cell_measures, circle_collocation_eigenvalues,
                      closed_form_assemble, dirichlet_lu, force_path,
-                     nested_dissection, polyline_flux, polyline_pairing,
-                     shift_invert_eigenvalues)
+                     nested_dissection, plain_assemble, polyline_flux,
+                     polyline_pairing, shift_invert_eigenvalues)
 
 P0 = WeightParams(0.0, 0.0)
 PW = WeightParams(1.0, 0.0)
@@ -58,6 +59,22 @@ class TestAssembly:
         weighted = assemble(mesh, PW)
         assert abs(plain.stiffness - weighted.stiffness).max() <= 1e-14
         assert abs(plain.mass - weighted.mass).max() <= 1e-14
+
+    # U + U^T is symmetric bit for bit; only the order in which each
+    # diagonal entry sums its cells differs from the plain COO sum.
+    @pytest.mark.parametrize("mesh_of", [
+        lambda: circle_mesh(6),
+        lambda: icosphere(5),
+        lambda: weighted_hemisphere(5)[0],
+        lambda: disk_mesh(5).with_weight(lambda v: 0.3 * v[0] + 0.2 * v[1]),
+    ], ids=["circle-6", "icosphere-5", "weighted-hemisphere-5", "disk-5"])
+    def test_pair_sum_is_symmetric_and_within_two_ulp(self, mesh_of):
+        mesh = mesh_of()
+        prob = assemble(mesh, PW)
+        for new, ref in zip((prob.stiffness, prob.mass),
+                            plain_assemble(mesh, PW)):
+            assert (new != new.T).nnz == 0
+            assert ulps(new, ref) <= 2
 
     def test_scaling_both_matrices_leaves_spectrum(self):
         prob = assemble(build_mesh("circle", 4), P0)
@@ -459,6 +476,18 @@ class TestHarmonicExtension:
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
         harmonic_extension_2d(*suite_dirichlet(name, mesh_of, data))
+
+    # The stiffness is summed from one entry per local pair i <= j, and no
+    # row slice of it outlives the right-hand side.
+    def test_peak_memory_on_the_weighted_hemisphere(self):
+        mesh, psi = weighted_hemisphere(5)
+        tracemalloc.start()
+        try:
+            harmonic_extension_2d(mesh, PW, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24e6
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(spectral, "PCG_MAX_ITER", 2)
