@@ -68,7 +68,13 @@ class SurfaceMesh:
     def prolongation(self, level):
         """Interpolation from ``level - 1`` to ``level`` of this mesh's
         generator, and the fine ids of the coarse vertices in order."""
-        return self._generator[2](level)
+        name, _, prolong = self._generator
+        if name != "icosphere":
+            return prolong(level)
+        faces = self.cells  # faces 4f .. 4f + 3 begin at face f's corners
+        for _ in range(self.level - level):
+            faces = faces[:, 0].reshape(-1, 4)[:, :3]
+        return prolong(faces)
 
     def with_weight(self, u_fn):
         """Copy with u sampled at the vertices in one call.
@@ -157,13 +163,13 @@ def icosphere(level):
                        level=level)
 
 
-def icosphere_prolongation(level):
-    """Interpolation from icosphere(level - 1) to icosphere(level), and the
-    fine ids of the coarse vertices.  The coarse vertices are the first
-    fine ones, and fine faces 4f .. 4f + 3 split coarse face f = abc as
-    (a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca); so each new vertex
-    is read off with the ends of its parent edge."""
-    faces = icosphere(level).cells.reshape(-1, 12)
+def icosphere_prolongation(faces):
+    """Interpolation to the icosphere with ``faces`` from the one a level
+    below, and the fine ids of the coarse vertices.  The coarse vertices
+    are the first fine ones, and fine faces 4f .. 4f + 3 split coarse face
+    f = abc as (a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca); so each
+    new vertex is read off with the ends of its parent edge."""
+    faces = faces.reshape(-1, 12)
     new, first = np.unique(faces[:, [1, 4, 2]], return_index=True)
     ends = faces[:, [0, 3, 3, 6, 6, 0]].reshape(-1, 2)[first]
     return _bisection(np.arange(new[0]), new, ends)
@@ -219,22 +225,22 @@ def disk_prolongation(level):
     vertex (J, K) sits at index K c / J, between two neighbours.  So (2j, 2k)
     takes (j, k) alone, and the boundary the coarse boundary alone."""
     rings = 2 ** level * 4
-    ring = np.repeat(np.arange(rings + 1), [1, *(6 * np.arange(1, rings + 1))])
-    k = np.arange(len(ring)) - (ring > 0) - 3 * ring * (ring - 1)
+    ring = np.repeat(np.arange(rings + 1, dtype=np.int32),
+                     [1, *(6 * np.arange(1, rings + 1))])
+    k = np.arange(len(ring), dtype=np.int32) - (ring > 0) - 3 * ring * (ring - 1)
     fine, odd = np.maximum(ring, 1), ring % 2
-    cols, weights = [], []
-    for c, share in ((ring // 2, 2 - odd), ((ring + 1) // 2, odd)):
+    cols, weights = np.empty((len(ring), 4), np.int32), np.empty((len(ring), 4))
+    for q, c, share in ((0, ring // 2, 2 - odd), (2, (ring + 1) // 2, odd)):
         pos, rem = np.divmod(k * c, fine)
         start, count = (c > 0) + 3 * c * (c - 1), np.maximum(6 * c, 1)
         for step, w in ((0, fine - rem), (1, rem)):
-            cols.append(start + (pos + step) % count)
-            weights.append(share * w / (2 * fine))
-    p = scipy.sparse.csr_matrix(
-        (np.stack(weights, axis=1).ravel(), np.stack(cols, axis=1).ravel(),
-         np.arange(0, 4 * len(ring) + 1, 4)),
-        shape=(len(ring), 1 + 3 * rings * (rings + 2) // 4))
-    p.eliminate_zeros()
-    return p, np.flatnonzero((odd == 0) & (k % 2 == 0))
+            cols[:, q + step] = start + (pos + step) % count
+            weights[:, q + step] = share * w / (2 * fine)
+    keep = weights != 0  # rem = 0 and an even ring's second share: no entry
+    return scipy.sparse.csr_matrix(
+        (weights[keep], cols[keep], np.r_[0, np.cumsum(keep.sum(axis=1))]),
+        shape=(len(ring), 1 + 3 * rings * (rings + 2) // 4)), np.flatnonzero(
+            (odd == 0) & (k % 2 == 0))
 
 
 def hemisphere_mesh(level):

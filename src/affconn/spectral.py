@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .algebra import det, dot, inv
+from .algebra import det, inv
 from .errors import (DegenerateCell, GeometryError, MeshNotTwoDim,
                      SingularSystem, SolverNoConvergence)
 from .meshes import SurfaceMesh
@@ -55,7 +55,8 @@ def _p1_kernel(mesh):
     is sqrt(det G) / k! and the stiffness measure * D G^-1 D^T, with
     D = [-1 ... -1; I] the barycentric gradients.  Column q of the
     stiffness is local entry (i, j) = np.triu_indices(k + 1)[q] of every
-    cell; it sums over the (a, b) pairs in row order, which keeps the
+    cell.  It sums in place, in row order of (a, b), only the terms with
+    D_ia D_jb = +-1, each exact (a skipped one is +-0), which keeps the
     triangle entries bit for bit those of the written-out closed form.
     """
     v, cells = mesh.vertices, mesh.cells
@@ -68,14 +69,17 @@ def _p1_kernel(mesh):
         raise DegenerateCell(f"{k}-cell with vanishing or non-finite measure")
     measure = np.sqrt(det_g) / math.factorial(k)
     g_inv = inv(gram)
+    del gram, det_g
     d = [[-1.0] * k] + np.eye(k).tolist()
     pairs = [(a, b) for a in range(k) for b in range(k)]
     upper = np.triu_indices(k + 1)
-    local = np.empty((len(cells), len(upper[0])))
-    for q, (i, j) in enumerate(zip(*upper)):
-        local[:, q] = dot([d[i][a] * g_inv[a][b] for a, b in pairs],
-                          [d[j][b] for a, b in pairs]) * measure
-    return measure, local
+    local = np.zeros((len(upper[0]), len(cells)))
+    for col, i, j in zip(local, *upper):
+        for a, b in pairs:
+            if d[i][a] * d[j][b]:
+                col += d[i][a] * d[j][b] * g_inv[a][b]
+        col *= measure
+    return measure, local.T
 
 
 def _mass(mesh, measure, exponent):
@@ -87,24 +91,28 @@ def _mass(mesh, measure, exponent):
 
 
 def _scatter(mesh, local, exponent):
-    """Global matrix U + U^T of local entries ordered as in _p1_kernel,
-    each scaled in place by V^exponent with u averaged over its cell's
-    vertices.  U sums entry (i, j) at (min, max) of its corners, diagonal
-    ones halved (exactly), so U + U^T counts each once and is symmetric."""
+    """Global matrix U + U^T + diag of local entries ordered as in
+    _p1_kernel, each scaled in place by V^exponent with u averaged over its
+    cell's vertices.  The diagonal sums its cells in cell order; U sums each
+    pair i < j at (min, max) of its corners, where an edge of a manifold
+    mesh has at most two, so their order cannot matter."""
     w = np.exp(exponent * np.mean(mesh.u[mesh.cells], axis=1))
     if not np.all(np.isfinite(w)):
         raise GeometryError(f"non-finite weight V^{exponent} on "
                             f"{np.sum(~np.isfinite(w))} cells")
     i, j = np.triu_indices(mesh.cell_dim + 1)
     local *= w[:, None]
-    local[:, i == j] *= 0.5
-    cells = mesh.cells.astype(np.int32)
-    size = len(mesh.vertices)
-    upper = scipy.sparse.coo_matrix(
-        (local.ravel(), (np.minimum(cells[:, i], cells[:, j]).ravel(),
-                         np.maximum(cells[:, i], cells[:, j]).ravel())),
-        shape=(size, size)).tocsr()
-    return upper + upper.T
+    size, off = len(mesh.vertices), i < j
+    diag = np.bincount(mesh.cells.ravel(), local[:, ~off].ravel(), size)
+    # The pairs alone; the caller's array goes too if it keeps no reference.
+    local = local.T[off].ravel()
+    ends = mesh.cells.T.astype(np.int32)[[i[off], j[off]]]
+    ends.sort(axis=0)  # each pair's row and column in U
+    upper = scipy.sparse.coo_matrix((local, tuple(ends.reshape(2, -1))),
+                                    shape=(size, size)).tocsr()
+    del local, ends
+    upper = upper + upper.T
+    return upper + scipy.sparse.diags(diag, format="csr")
 
 
 def assemble(mesh, params):
@@ -228,13 +236,38 @@ def smallest_nonzero_eigenvalue(prob):
 # inequality.
 
 
+def _head(m, n):
+    """The first ``n`` rows of the CSR matrix ``m``, sharing its arrays."""
+    return scipy.sparse.csr_matrix((m.data, m.indices, m.indptr[:n + 1]),
+                                   shape=(n, m.shape[1]))
+
+
+class _Interior:
+    """A_II, never copied: A's interior rows (a view when the interior
+    comes first) times a length-N buffer that is zero off the interior.  A
+    product with a zero adds +-0, so each row sum keeps its bits."""
+
+    def __init__(self, a, interior):
+        first = interior[-1] < len(interior)  # sorted: 0 .. n - 1
+        self.rows = _head(a, len(interior)) if first else a[interior]
+        self.at = slice(len(interior)) if first else interior
+        self.buffer, self.diag = np.zeros(a.shape[1]), a.diagonal()[interior]
+
+    def diagonal(self):
+        return self.diag
+
+    def __matmul__(self, x):
+        self.buffer[self.at] = x
+        return self.rows @ self.buffer
+
+
 def _multigrid(mesh, a):
-    """V-cycle for the block ``a`` of ``mesh``'s first vertices (the
-    interior, or all of a closed mesh): levels P^T A P of the mesh's
-    prolongation down to level 0 (each with the interior first), and two
-    damped Jacobi sweeps before and after each correction; level 0, or the
-    one level of a mesh without one, is only smoothed.  It takes a vector
-    or a block of columns."""
+    """V-cycle for the block ``a`` (a matrix or an :class:`_Interior`) of
+    ``mesh``'s first vertices, the interior or all of a closed mesh: levels
+    P^T A P down to level 0, each P on the coarse interior's columns, which
+    leave its fine boundary rows empty; two damped Jacobi sweeps before and
+    after each correction; level 0, or the one level of a mesh without one,
+    is only smoothed.  It takes a vector or a block of columns."""
     levels = []
     for level in range(mesh.level or 0, -1, -1):
         diag = a.diagonal()
@@ -251,9 +284,10 @@ def _multigrid(mesh, a):
             levels.append((a, None, None, w))
             break
         p, nested = mesh.prolongation(level)
-        p = p[:len(diag), :np.searchsorted(nested, len(diag))]
-        levels.append((a, p, p.T.tocsr(), w))
-        a = levels[-1][2] @ a @ p
+        p = p[:, :np.searchsorted(nested, len(diag))]
+        p_i, rows = _head(p, len(diag)), getattr(a, "rows", a)
+        levels.append((a, p_i, p_i.T, w))
+        a = p_i.T.tocsr() @ rows @ _head(p, rows.shape[1])
     return lambda r: _vcycle(levels, r)
 
 
@@ -309,9 +343,9 @@ def harmonic_extension_2d(mesh, params, boundary_values):
     phi = np.zeros(len(mesh.vertices))
     phi[boundary] = psi
     if len(interior):
-        aii = a[interior][:, interior]
+        a_ii = _Interior(a, interior)
         # A phi, with phi zero inside, is A[interior, boundary] psi there.
-        phi[interior] = _pcg(aii, -(a @ phi)[interior], _multigrid(mesh, aii))
+        phi[interior] = _pcg(a_ii, -(a_ii.rows @ phi), _multigrid(mesh, a_ii))
     return phi, a
 
 

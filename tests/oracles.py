@@ -5,15 +5,19 @@ collocation, an orthonormal-frame contraction, a facet count, the general
 cofactor loop), or builds an input that no built-in scenario needs.
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
 from affconn import spectral
-from affconn.algebra import det
+from affconn.algebra import det, dot, inv
 from affconn.charts import eval_metric
 from affconn.curvature import riemann_tensor
 from affconn.errors import DegenerateCell
+from affconn.meshes import _bisection, icosphere
 from affconn.operators import _normal_generic
 from affconn.scenarios import _REGISTRY
 
@@ -173,6 +177,16 @@ def check_nondegenerate(mesh, tol=1e-14):
 # --- spectrum --------------------------------------------------------------
 
 
+def peak_bytes(call, *args):
+    """tracemalloc's peak during ``call(*args)``."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def force_path(monkeypatch, method):
     """Send every eigensolve down one path, ``"dense"`` or ``"iterative"``
     (multigrid LOBPCG), by moving ``spectral.DENSE_CUTOFF``."""
@@ -221,17 +235,17 @@ def coo_sum(cells, local, size):
 
 
 def _coo(cells, local, size):
-    """The local matrices summed in the pair order of ``spectral._scatter``:
-    U holds entry (i, j), i <= j, at (min, max) of its corners, halved on
-    the diagonal, and the sum is U + U^T."""
-    i, j = np.triu_indices(cells.shape[1])
-    upper = local[:, i, j]
-    upper[:, i == j] *= 0.5
+    """The local matrices summed in the order of ``spectral._scatter``: U
+    holds entry (i, j), i < j, at (min, max) of its corners, the diagonal
+    sums its cells in cell order, and the sum is U + U^T + diag."""
+    i, j = np.triu_indices(cells.shape[1], 1)
     lo = np.minimum(cells[:, i], cells[:, j])
     hi = np.maximum(cells[:, i], cells[:, j])
-    u = scipy.sparse.coo_matrix((upper.ravel(), (lo.ravel(), hi.ravel())),
+    u = scipy.sparse.coo_matrix((local[:, i, j].ravel(), (lo.ravel(), hi.ravel())),
                                 shape=(size, size)).tocsr()
-    return u + u.T
+    corner = np.arange(cells.shape[1])
+    diag = np.bincount(cells.ravel(), local[:, corner, corner].ravel(), size)
+    return u + u.T + scipy.sparse.diags(diag)
 
 
 def _cell_weight(mesh, exponent):
@@ -318,6 +332,119 @@ def dirichlet_lu(mesh, params, boundary_values):
     rhs = -a[interior][:, boundary] @ phi[boundary]
     phi[interior] = scipy.sparse.linalg.splu(
         a[interior][:, interior].tocsc()).solve(rhs)
+    return phi
+
+
+# The Dirichlet path as it was before it read the interior rows through a
+# view: the dot-product cell kernel, the scatter that halves the diagonal
+# into U, the stacked disk prolongation, the icosphere prolongation read off
+# a rebuilt icosphere, and the solve on a sliced copy of A_II; the bit
+# references of their replacements.  The solve takes the engine's own A, so
+# it checks the solve alone.
+
+
+def dot_kernel(mesh):
+    """``spectral._p1_kernel`` by ``dot`` over all (a, b) pairs, zero
+    terms included: measure * D G^-1 D^T, one column per i <= j."""
+    v, cells = mesh.vertices, mesh.cells
+    k = cells.shape[1] - 1
+    edges = [v[cells[:, a + 1]] - v[cells[:, 0]] for a in range(k)]
+    gram = [[np.einsum("ij,ij->i", ea, eb) for eb in edges] for ea in edges]
+    det_g = det(gram)
+    if not np.min(det_g) > 0:
+        raise DegenerateCell(f"{k}-cell with vanishing or non-finite measure")
+    measure = np.sqrt(det_g) / math.factorial(k)
+    g_inv = inv(gram)
+    d = [[-1.0] * k] + np.eye(k).tolist()
+    pairs = [(a, b) for a in range(k) for b in range(k)]
+    upper = np.triu_indices(k + 1)
+    local = np.empty((len(cells), len(upper[0])))
+    for q, (i, j) in enumerate(zip(*upper)):
+        local[:, q] = dot([d[i][a] * g_inv[a][b] for a, b in pairs],
+                          [d[j][b] for a, b in pairs]) * measure
+    return measure, local
+
+
+def halved_scatter(mesh, local, exponent):
+    """``spectral._scatter`` with the diagonal halved into U: one COO sum
+    of every pair i <= j at (min, max) of its corners, then U + U^T."""
+    w = np.exp(exponent * np.mean(mesh.u[mesh.cells], axis=1))
+    i, j = np.triu_indices(mesh.cell_dim + 1)
+    local = local * w[:, None]
+    local[:, i == j] *= 0.5
+    cells = mesh.cells.astype(np.int32)
+    size = len(mesh.vertices)
+    upper = scipy.sparse.coo_matrix(
+        (local.ravel(), (np.minimum(cells[:, i], cells[:, j]).ravel(),
+                         np.maximum(cells[:, i], cells[:, j]).ravel())),
+        shape=(size, size)).tocsr()
+    return upper + upper.T
+
+
+def stacked_disk_prolongation(level):
+    """``meshes.disk_prolongation`` from lists of int64 columns, stacked,
+    with the zero weights removed by ``eliminate_zeros``."""
+    rings = 2 ** level * 4
+    ring = np.repeat(np.arange(rings + 1), [1, *(6 * np.arange(1, rings + 1))])
+    k = np.arange(len(ring)) - (ring > 0) - 3 * ring * (ring - 1)
+    fine, odd = np.maximum(ring, 1), ring % 2
+    cols, weights = [], []
+    for c, share in ((ring // 2, 2 - odd), ((ring + 1) // 2, odd)):
+        pos, rem = np.divmod(k * c, fine)
+        start, count = (c > 0) + 3 * c * (c - 1), np.maximum(6 * c, 1)
+        for step, w in ((0, fine - rem), (1, rem)):
+            cols.append(start + (pos + step) % count)
+            weights.append(share * w / (2 * fine))
+    p = scipy.sparse.csr_matrix(
+        (np.stack(weights, axis=1).ravel(), np.stack(cols, axis=1).ravel(),
+         np.arange(0, 4 * len(ring) + 1, 4)),
+        shape=(len(ring), 1 + 3 * rings * (rings + 2) // 4))
+    p.eliminate_zeros()
+    return p, np.flatnonzero((odd == 0) & (k % 2 == 0))
+
+
+def built_icosphere_prolongation(level):
+    """``meshes.icosphere_prolongation`` of the faces of a freshly built
+    ``icosphere(level)``."""
+    faces = icosphere(level).cells.reshape(-1, 12)
+    new, first = np.unique(faces[:, [1, 4, 2]], return_index=True)
+    ends = faces[:, [0, 3, 3, 6, 6, 0]].reshape(-1, 2)[first]
+    return _bisection(np.arange(new[0]), new, ends)
+
+
+def _sliced_multigrid(mesh, a):
+    """``spectral._multigrid`` on a sliced block: each level keeps its
+    P[:n, :nc] and a CSR copy of its transpose."""
+    levels = []
+    for level in range(mesh.level or 0, -1, -1):
+        diag = a.diagonal()
+        inv_diag = 1.0 / diag
+        x = y = 1.5 + np.sin(np.arange(len(diag), dtype=float))
+        for _ in range(10):
+            x, y = inv_diag * (a @ x), x
+        w = 4.0 / (3.0 * np.sqrt(np.sum(x * x) / np.sum(y * y))) * inv_diag
+        if level == 0:
+            levels.append((a, None, None, w))
+            break
+        p, nested = mesh.prolongation(level)
+        p = p[:len(diag), :np.searchsorted(nested, len(diag))]
+        levels.append((a, p, p.T.tocsr(), w))
+        a = levels[-1][2] @ a @ p
+    return lambda r: spectral._vcycle(levels, r)
+
+
+def sliced_harmonic_extension(mesh, params, boundary_values):
+    """``spectral.harmonic_extension_2d``'s phi from the copy
+    A[interior][:, interior] of the engine's own stiffness."""
+    a = spectral._scatter(mesh, spectral._p1_kernel(mesh)[1],
+                          params.energy_exponent(2))
+    boundary = np.asarray(mesh.boundary_loop)
+    interior = np.delete(np.arange(len(mesh.vertices)), boundary)
+    phi = np.zeros(len(mesh.vertices))
+    phi[boundary] = boundary_values
+    aii = a[interior][:, interior]
+    phi[interior] = spectral._pcg(aii, -(a @ phi)[interior],
+                                  _sliced_multigrid(mesh, aii))
     return phi
 
 

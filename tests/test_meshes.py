@@ -10,7 +10,9 @@ from affconn.meshes import (_ICO_FACES, _ICO_VERTS, build_mesh,
                             circle_mesh, circle_prolongation, disk_mesh,
                             disk_prolongation, hemisphere_mesh, icosphere,
                             icosphere_prolongation)
-from oracles import cell_measures, check_closed, check_nondegenerate
+from oracles import (built_icosphere_prolongation, cell_measures,
+                     check_closed, check_nondegenerate, peak_bytes,
+                     stacked_disk_prolongation)
 
 
 def icosphere_by_loops(level):
@@ -184,8 +186,8 @@ class TestOpenMeshes:
 class TestClosedProlongation:
     def test_nested_vertices_take_their_coarse_vertex_alone(
             self, make, prolongation, level):
-        p, nested = prolongation(level)
         fine, coarse = make(level), make(level - 1)
+        p, nested = fine.prolongation(level)
         assert p.shape == (len(fine.vertices), len(coarse.vertices))
         assert fine.vertices[nested].tobytes() == coarse.vertices.tobytes()
         rows = p[nested].tocoo()
@@ -197,8 +199,8 @@ class TestClosedProlongation:
     # circle or sphere.
     def test_new_vertices_take_half_of_each_end_of_an_edge(
             self, make, prolongation, level):
-        p, nested = prolongation(level)
         fine, coarse = make(level), make(level - 1)
+        p, nested = fine.prolongation(level)
         new = np.setdiff1d(np.arange(len(fine.vertices)), nested)
         rows = p[new]
         assert np.all(np.diff(rows.indptr) == 2) and np.all(rows.data == 0.5)
@@ -210,11 +212,42 @@ class TestClosedProlongation:
         assert {tuple(sorted(rows.indices[k:k + 2]))
                 for k in rows.indptr[:-1]} <= edges
 
+    # A circle's prolongation is a function of the level, an icosphere's of
+    # the faces it subdivides into.
     def test_the_mesh_picks_its_prolongation(self, make, prolongation,
                                              level):
-        p, nested = make(level).prolongation(level)
-        q, same = prolongation(level)
+        fine = make(level)
+        p, nested = fine.prolongation(level)
+        q, same = prolongation(level if make is circle_mesh else fine.cells)
         assert (p != q).nnz == 0 and np.array_equal(nested, same)
+
+
+def same_bits(p, q):
+    """CSR matrices with the same arrays, bit for bit."""
+    return (p.shape == q.shape and p.indptr.tobytes() == q.indptr.tobytes()
+            and p.indices.tobytes() == q.indices.tobytes()
+            and p.data.tobytes() == q.data.tobytes())
+
+
+# Fine faces 4f .. 4f + 3 split coarse face f and begin at its corners, so
+# an icosphere reads every coarser level's faces off its own.
+def test_icosphere_prolongations_read_off_the_fine_faces():
+    fine = icosphere(6)
+    for level in range(1, 7):
+        p, nested = fine.prolongation(level)
+        q, same = built_icosphere_prolongation(level)
+        assert same_bits(p, q) and np.array_equal(nested, same)
+
+
+@pytest.mark.parametrize("level", range(1, 6))
+def test_disk_prolongation_keeps_the_bits_of_the_stacked_one(level):
+    p, nested = disk_prolongation(level)
+    q, same = stacked_disk_prolongation(level)
+    assert same_bits(p, q) and np.array_equal(nested, same)
+
+
+def test_disk_prolongation_peak_memory():
+    assert peak_bytes(disk_prolongation, 5) <= 7e6
 
 
 @pytest.mark.parametrize("level", [2, 5])

@@ -1,7 +1,6 @@
 """Discrete eigenproblems, the collocation oracle, and the proof chain."""
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,9 +19,11 @@ from affconn.spectral import (assemble, eigenvalues, harmonic_extension_2d,
                               smallest_nonzero_eigenvalue)
 from affconn.suite import check_choi_wang
 from oracles import (cell_measures, circle_collocation_eigenvalues,
-                     closed_form_assemble, dirichlet_lu, force_path,
-                     nested_dissection, plain_assemble, polyline_flux,
-                     polyline_pairing, shift_invert_eigenvalues)
+                     closed_form_assemble, dirichlet_lu, dot_kernel,
+                     force_path, halved_scatter, nested_dissection,
+                     peak_bytes, plain_assemble, polyline_flux,
+                     polyline_pairing, shift_invert_eigenvalues,
+                     sliced_harmonic_extension)
 
 P0 = WeightParams(0.0, 0.0)
 PW = WeightParams(1.0, 0.0)
@@ -102,6 +103,23 @@ def weighted_hemisphere(level):
     loop = mesh.boundary_loop
     return mesh, np.sin(np.arctan2(mesh.vertices[loop, 1],
                                    mesh.vertices[loop, 0]))
+
+
+def weighted_disk(level):
+    return disk_mesh(level).with_weight(lambda v: 0.3 * v[0] + 0.2 * v[1])
+
+
+# Every mesh kind at the levels the suite and the multigrid hierarchy use.
+KERNEL_MESHES = (
+    [pytest.param(circle_mesh, level, id=f"circle-{level}")
+     for level in range(2, 7)]
+    + [pytest.param(icosphere, level, id=f"icosphere-{level}")
+       for level in range(1, 6)]
+    + [pytest.param(weighted_disk, level, id=f"disk-{level}")
+       for level in range(1, 6)]
+    + [pytest.param(lambda level: weighted_hemisphere(level)[0], level,
+                    id=f"weighted-hemisphere-{level}")
+       for level in range(1, 6)])
 
 
 class TestP1Kernel:
@@ -193,6 +211,41 @@ class TestP1Kernel:
             assemble(sphere, PW)
         with pytest.raises(GeometryError, match="non-finite weight"):
             harmonic_extension_2d(mesh, PW, psi)
+
+    # The kernel sums only the terms whose D_ia D_jb is +-1: each skipped
+    # one is +-0 and each kept one exact.
+    @pytest.mark.parametrize("make,level", KERNEL_MESHES)
+    def test_kernel_keeps_the_bits_of_the_dot_product(self, make, level):
+        mesh = make(level)
+        measure, local = spectral._p1_kernel(mesh)
+        ref_measure, ref_local = dot_kernel(mesh)
+        assert measure.tobytes() == ref_measure.tobytes()
+        assert np.ascontiguousarray(local).tobytes() == ref_local.tobytes()
+
+    def test_kernel_peak_memory_on_the_weighted_hemisphere(self):
+        assert peak_bytes(spectral._p1_kernel,
+                          weighted_hemisphere(5)[0]) <= 11.5e6
+
+    # Off the diagonal an entry sums at most two cells, in either order.
+    # A diagonal sums its cells in cell order, which scipy's in-row sort of
+    # the halved COO sum kept only in rows of at most 16 raw entries (an
+    # insertion sort); in longer rows it moves by up to 2 ulp.
+    @pytest.mark.parametrize("make,level", KERNEL_MESHES)
+    def test_scatter_keeps_the_bits_of_the_halved_sum(self, make, level):
+        mesh = make(level)
+        local = spectral._p1_kernel(mesh)[1]
+        new = spectral._scatter(mesh, np.array(local), 1.3)
+        ref = halved_scatter(mesh, np.array(local), 1.3)
+        assert (new != new.T).nnz == 0 and ulps(new, ref) <= 2
+        new.sort_indices()
+        ref.sort_indices()
+        i, j = np.triu_indices(mesh.cell_dim + 1)
+        raw = np.bincount(np.minimum(mesh.cells[:, i],
+                                     mesh.cells[:, j]).ravel())
+        rows = np.repeat(np.arange(new.shape[0]), np.diff(new.indptr))
+        moved = new.data != ref.data
+        assert np.all(rows[moved] == new.indices[moved])
+        assert np.all(raw[rows[moved]] > 16)
 
 
 class TestEigenvalues:
@@ -385,6 +438,22 @@ SUITE_DIRICHLET = [
 ]
 
 
+def reversed_ids(mesh):
+    """``mesh`` with its vertex ids in reverse order and no level."""
+    order = np.arange(len(mesh.vertices))[::-1]
+    return dataclasses.replace(mesh, vertices=mesh.vertices[order],
+                               u=mesh.u[order], cells=order[mesh.cells],
+                               boundary_loop=order[mesh.boundary_loop],
+                               level=None)
+
+
+def hemisphere_problem(level, remesh):
+    """The weighted hemisphere's Dirichlet problem on ``remesh(mesh)``,
+    which keeps the boundary loop's vertices and their order."""
+    mesh, psi = weighted_hemisphere(level)
+    return remesh(mesh), PW, psi
+
+
 def suite_dirichlet(name, mesh_of, data):
     scn = get_scenario(name)
     mesh = mesh_of(scn)
@@ -477,17 +546,43 @@ class TestHarmonicExtension:
         monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
         harmonic_extension_2d(*suite_dirichlet(name, mesh_of, data))
 
-    # The stiffness is summed from one entry per local pair i <= j, and no
-    # row slice of it outlives the right-hand side.
+    # The stiffness is summed from one entry per local pair i < j and one
+    # bincount of the diagonal, and A_II is read through A's own arrays.
     def test_peak_memory_on_the_weighted_hemisphere(self):
         mesh, psi = weighted_hemisphere(5)
-        tracemalloc.start()
-        try:
-            harmonic_extension_2d(mesh, PW, psi)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 24e6
+        assert peak_bytes(harmonic_extension_2d, mesh, PW, psi) <= 19e6
+
+    def test_interior_rows_share_the_memory_of_a(self, monkeypatch):
+        blocks, solve = [], spectral._pcg
+
+        def pcg(a_ii, *args):
+            blocks.append(a_ii)
+            return solve(a_ii, *args)
+
+        monkeypatch.setattr(spectral, "_pcg", pcg)
+        mesh, psi = weighted_hemisphere(3)
+        _, a = harmonic_extension_2d(mesh, PW, psi)
+        rows = blocks[0].rows
+        assert rows.shape == (a.shape[0] - len(psi), a.shape[1])
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(rows, name), getattr(a, name))
+
+    # The three suite problems, a mesh without a level (one-level cycle),
+    # and one whose interior does not come first, so its rows are gathered.
+    @pytest.mark.parametrize("problem", [
+        *[pytest.param(lambda case=case: suite_dirichlet(*case), id=case[0])
+          for case in SUITE_DIRICHLET],
+        pytest.param(lambda: hemisphere_problem(
+            3, lambda mesh: dataclasses.replace(mesh, level=None)),
+                     id="no-level"),
+        pytest.param(lambda: hemisphere_problem(2, reversed_ids),
+                     id="interior-last"),
+    ])
+    def test_matches_the_sliced_solve_to_the_bit(self, problem):
+        mesh, params, psi = problem()
+        phi, _ = harmonic_extension_2d(mesh, params, psi)
+        assert phi.tobytes() == sliced_harmonic_extension(
+            mesh, params, psi).tobytes()
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(spectral, "PCG_MAX_ITER", 2)
