@@ -8,7 +8,6 @@ the finite element assembly.  All generators are deterministic.
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse
 
 from .errors import UnsupportedKind
 
@@ -43,38 +42,28 @@ class SurfaceMesh:
             return
         if self.level < 0:
             raise ValueError("level must be >= 0")
-        name, size, _ = self._generator
-        if len(self.vertices) != size:
-            raise ValueError(f"{name}({self.level}) has {size} vertices, "
-                             f"this mesh {len(self.vertices)}")
+        name, size, _ = self.generator
+        if len(self.vertices) != size(self.level):
+            raise ValueError(f"{name}({self.level}) has {size(self.level)} "
+                             f"vertices, this mesh {len(self.vertices)}")
 
     @property
     def cell_dim(self):
         return self.cells.shape[1] - 1
 
     @property
-    def _generator(self):
-        """Name, size at ``level`` and prolongation of the generator of a
-        segment mesh (circle_mesh), closed triangle mesh (icosphere) or open
-        one (disk_mesh)."""
+    def generator(self):
+        """Name, vertex count at a level and ids there of the level below's
+        vertices, of the generator of a segment mesh (circle_mesh), closed
+        triangle mesh (icosphere) or open one (disk_mesh)."""
         if self.cell_dim == 1:
-            return "circle_mesh", 2 ** (self.level + 4), circle_prolongation
+            return ("circle_mesh", lambda level: 2 ** (level + 4),
+                    lambda level: np.arange(0, 2 ** (level + 4), 2))
         if self.boundary_loop is None:
-            return ("icosphere", 10 * 4 ** self.level + 2,
-                    icosphere_prolongation)
-        rings = 4 * 2 ** self.level
-        return "disk_mesh", 1 + 3 * rings * (rings + 1), disk_prolongation
-
-    def prolongation(self, level):
-        """Interpolation from ``level - 1`` to ``level`` of this mesh's
-        generator, and the fine ids of the coarse vertices in order."""
-        name, _, prolong = self._generator
-        if name != "icosphere":
-            return prolong(level)
-        faces = self.cells  # faces 4f .. 4f + 3 begin at face f's corners
-        for _ in range(self.level - level):
-            faces = faces[:, 0].reshape(-1, 4)[:, :3]
-        return prolong(faces)
+            return ("icosphere", lambda level: 10 * 4 ** level + 2,
+                    lambda level: np.arange(10 * 4 ** (level - 1) + 2))
+        return ("disk_mesh", lambda level: 1 + 12 * 2 ** level * (
+            4 * 2 ** level + 1), _disk_nested)
 
     def with_weight(self, u_fn):
         """Copy with u sampled at the vertices in one call.
@@ -106,25 +95,6 @@ def circle_mesh(level):
     cells = np.stack([np.arange(count), (np.arange(count) + 1) % count], axis=-1)
     return SurfaceMesh(vertices=vertices, cells=cells, u=np.zeros(count),
                        level=level)
-
-
-def circle_prolongation(level):
-    """Interpolation from circle_mesh(level - 1) to circle_mesh(level), and
-    the fine ids of the coarse vertices: coarse vertex k is bit for bit fine
-    vertex 2k, and fine vertex 2k + 1 lies between coarse k and k + 1."""
-    k = np.arange(2 ** (level + 3))
-    return _bisection(2 * k, 2 * k + 1, np.stack([k, np.roll(k, -1)], axis=1))
-
-
-def _bisection(nested, new, ends):
-    """Prolongation in which fine vertex ``nested[k]`` takes coarse vertex
-    k alone and fine vertex ``new[j]`` half of each coarse vertex in
-    ``ends[j]``; and ``nested``."""
-    rows = np.r_[nested, np.repeat(new, 2)]
-    cols = np.r_[np.arange(len(nested)), ends.ravel()]
-    weights = np.r_[np.ones(len(nested)), np.full(ends.size, 0.5)]
-    return scipy.sparse.csr_matrix((weights, (rows, cols)), shape=(
-        len(nested) + len(new), len(nested))), nested
 
 
 def _normalize(m):
@@ -161,18 +131,6 @@ def icosphere(level):
                          axis=1).reshape(-1, 3)
     return SurfaceMesh(vertices=verts, cells=faces, u=np.zeros(len(verts)),
                        level=level)
-
-
-def icosphere_prolongation(faces):
-    """Interpolation to the icosphere with ``faces`` from the one a level
-    below, and the fine ids of the coarse vertices.  The coarse vertices
-    are the first fine ones, and fine faces 4f .. 4f + 3 split coarse face
-    f = abc as (a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca); so each
-    new vertex is read off with the ends of its parent edge."""
-    faces = faces.reshape(-1, 12)
-    new, first = np.unique(faces[:, [1, 4, 2]], return_index=True)
-    ends = faces[:, [0, 3, 3, 6, 6, 0]].reshape(-1, 2)[first]
-    return _bisection(np.arange(new[0]), new, ends)
 
 
 def disk_mesh(level):
@@ -218,29 +176,13 @@ def disk_mesh(level):
                        level=level)
 
 
-def disk_prolongation(level):
-    """Interpolation from disk_mesh(level - 1) to disk_mesh(level), and the
-    fine ids of the coarse vertices.  Fine ring 2j lies on coarse ring j and
-    ring 2j + 1 halfway between j and j + 1; on each such coarse ring c, fine
-    vertex (J, K) sits at index K c / J, between two neighbours.  So (2j, 2k)
-    takes (j, k) alone, and the boundary the coarse boundary alone."""
-    rings = 2 ** level * 4
-    ring = np.repeat(np.arange(rings + 1, dtype=np.int32),
-                     [1, *(6 * np.arange(1, rings + 1))])
-    k = np.arange(len(ring), dtype=np.int32) - (ring > 0) - 3 * ring * (ring - 1)
-    fine, odd = np.maximum(ring, 1), ring % 2
-    cols, weights = np.empty((len(ring), 4), np.int32), np.empty((len(ring), 4))
-    for q, c, share in ((0, ring // 2, 2 - odd), (2, (ring + 1) // 2, odd)):
-        pos, rem = np.divmod(k * c, fine)
-        start, count = (c > 0) + 3 * c * (c - 1), np.maximum(6 * c, 1)
-        for step, w in ((0, fine - rem), (1, rem)):
-            cols[:, q + step] = start + (pos + step) % count
-            weights[:, q + step] = share * w / (2 * fine)
-    keep = weights != 0  # rem = 0 and an even ring's second share: no entry
-    return scipy.sparse.csr_matrix(
-        (weights[keep], cols[keep], np.r_[0, np.cumsum(keep.sum(axis=1))]),
-        shape=(len(ring), 1 + 3 * rings * (rings + 2) // 4)), np.flatnonzero(
-            (odd == 0) & (k % 2 == 0))
+def _disk_nested(level):
+    """Ids in disk_mesh(level) of the vertices of disk_mesh(level - 1):
+    ring 2j's even vertices are ring j's, in order."""
+    rings = 4 * 2 ** level
+    ring = np.repeat(np.arange(rings + 1), [1, *(6 * np.arange(1, rings + 1))])
+    k = np.arange(len(ring)) - (ring > 0) - 3 * ring * (ring - 1)
+    return np.flatnonzero((ring % 2 == 0) & (k % 2 == 0))
 
 
 def hemisphere_mesh(level):

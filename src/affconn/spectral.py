@@ -17,6 +17,7 @@ LOBPCG, and the Dirichlet problems are solved by multigrid PCG: nothing
 here factors a sparse matrix or needs scipy.linalg.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -261,33 +262,70 @@ class _Interior:
         return self.rows @ self.buffer
 
 
+def _bisection(mesh, n):
+    """Each level's interpolation from the one below, finest first, on
+    the columns of the coarse vertices among the first ``n`` of ``mesh``.
+
+    Every level bisects each edge of the one below, so a nested vertex
+    takes its coarse vertex, and a new one half of each of its two nested
+    neighbours: the ends of its parent edge, a cell of the level below."""
+    name, size, nested_ids = mesh.generator
+    cells = mesh.cells
+    for level in range(mesh.level or 0, 0, -1):
+        nested = nested_ids(level)
+        coarse = np.full(size(level), -1, np.int32)  # id a level below
+        coarse[nested] = np.arange(len(nested))
+        fresh, edges = coarse[cells] < 0, []
+        for i, j in itertools.permutations(range(cells.shape[1]), 2):
+            at = np.flatnonzero(fresh[:, i] & ~fresh[:, j])
+            edges.append((cells[at, i], coarse[cells[at, j]]))
+        new, end = map(np.concatenate, zip(*edges))  # per cell edge
+        del fresh, edges
+        # A new vertex's least and greatest nested neighbour, its only ones
+        ends = np.c_[coarse, coarse]
+        ends[coarse < 0] = len(coarse), -1
+        np.minimum.at(ends[:, 0], new, end)
+        np.maximum.at(ends[:, 1], new, end)
+        cells = ends[coarse < 0]
+        if not (np.all(cells[:, 0] < cells[:, 1]) and np.all(
+                (ends[new, 0] == end) | (ends[new, 1] == end))):
+            raise ValueError(f"{name}({level}): a new vertex without two "
+                             f"nested neighbours, the ends of its edge")
+        del coarse, new, end  # before the CSR: a lower RSS peak
+        n, single = np.searchsorted(nested, n), ends[:, 0] == ends[:, 1]
+        keep = ends < n
+        keep[single, 1] = False
+        yield scipy.sparse.csr_matrix((
+            np.where(single, 1.0, 0.5)[:, None].repeat(2, axis=1)[keep],
+            ends[keep], np.r_[0, np.cumsum(keep.sum(axis=1))]),
+            shape=(len(ends), n))
+
+
+def _jacobi(a):
+    """Damped Jacobi weights 4 / (3 rho) D^-1, rho(D^-1 A) by power steps."""
+    diag = a.diagonal()
+    if not np.all(diag > 0):  # as an SPD block's must be
+        raise SingularSystem("interior block has a nonpositive diagonal")
+    inv_diag = 1.0 / diag
+    x = y = 1.5 + np.sin(np.arange(len(diag), dtype=float))
+    for _ in range(10):
+        x, y = inv_diag * (a @ x), x
+    return 4.0 / (3.0 * np.sqrt(np.sum(x * x) / np.sum(y * y))) * inv_diag
+
+
 def _multigrid(mesh, a):
     """V-cycle for the block ``a`` (a matrix or an :class:`_Interior`) of
     ``mesh``'s first vertices, the interior or all of a closed mesh: levels
-    P^T A P down to level 0, each P on the coarse interior's columns, which
-    leave its fine boundary rows empty; two damped Jacobi sweeps before and
-    after each correction; level 0, or the one level of a mesh without one,
-    is only smoothed.  It takes a vector or a block of columns."""
-    levels = []
-    for level in range(mesh.level or 0, -1, -1):
-        diag = a.diagonal()
-        if not np.all(diag > 0):  # as an SPD block's must be
-            raise SingularSystem("interior block has a nonpositive diagonal")
-        # Damping 4 / (3 rho) with rho(D^-1 A) from ten power steps.
-        inv_diag = 1.0 / diag
-        x = y = 1.5 + np.sin(np.arange(len(diag), dtype=float))
-        for _ in range(10):
-            x, y = inv_diag * (a @ x), x
-        rho = np.sqrt(np.sum(x * x) / np.sum(y * y))
-        w = 4.0 / (3.0 * rho) * inv_diag
-        if level == 0:
-            levels.append((a, None, None, w))
-            break
-        p, nested = mesh.prolongation(level)
-        p = p[:, :np.searchsorted(nested, len(diag))]
-        p_i, rows = _head(p, len(diag)), getattr(a, "rows", a)
+    P^T A P with :func:`_bisection`'s P; two damped Jacobi sweeps before
+    and after each correction; the coarsest level, the only one of a mesh
+    without a level, is only smoothed.  It takes a vector or a block."""
+    levels, w = [], _jacobi(a)
+    for p in [*_bisection(mesh, len(w))]:  # all first: a lower RSS peak
+        p_i, rows = _head(p, len(w)), getattr(a, "rows", a)
         levels.append((a, p_i, p_i.T, w))
         a = p_i.T.tocsr() @ rows @ _head(p, rows.shape[1])
+        w = _jacobi(a)
+    levels.append((a, None, None, w))
     return lambda r: _vcycle(levels, r)
 
 

@@ -17,7 +17,7 @@ from affconn.algebra import det, dot, inv
 from affconn.charts import eval_metric
 from affconn.curvature import riemann_tensor
 from affconn.errors import DegenerateCell
-from affconn.meshes import _bisection, icosphere
+from affconn.meshes import icosphere
 from affconn.operators import _normal_generic
 from affconn.scenarios import _REGISTRY
 
@@ -337,10 +337,9 @@ def dirichlet_lu(mesh, params, boundary_values):
 
 # The Dirichlet path as it was before it read the interior rows through a
 # view: the dot-product cell kernel, the scatter that halves the diagonal
-# into U, the stacked disk prolongation, the icosphere prolongation read off
-# a rebuilt icosphere, and the solve on a sliced copy of A_II; the bit
-# references of their replacements.  The solve takes the engine's own A, so
-# it checks the solve alone.
+# into U, and the solve on a sliced copy of A_II; the bit references of
+# their replacements.  The solve takes the engine's own A, so it checks the
+# solve alone.
 
 
 def dot_kernel(mesh):
@@ -381,53 +380,22 @@ def halved_scatter(mesh, local, exponent):
     return upper + upper.T
 
 
-def stacked_disk_prolongation(level):
-    """``meshes.disk_prolongation`` from lists of int64 columns, stacked,
-    with the zero weights removed by ``eliminate_zeros``."""
-    rings = 2 ** level * 4
-    ring = np.repeat(np.arange(rings + 1), [1, *(6 * np.arange(1, rings + 1))])
-    k = np.arange(len(ring)) - (ring > 0) - 3 * ring * (ring - 1)
-    fine, odd = np.maximum(ring, 1), ring % 2
-    cols, weights = [], []
-    for c, share in ((ring // 2, 2 - odd), ((ring + 1) // 2, odd)):
-        pos, rem = np.divmod(k * c, fine)
-        start, count = (c > 0) + 3 * c * (c - 1), np.maximum(6 * c, 1)
-        for step, w in ((0, fine - rem), (1, rem)):
-            cols.append(start + (pos + step) % count)
-            weights.append(share * w / (2 * fine))
-    p = scipy.sparse.csr_matrix(
-        (np.stack(weights, axis=1).ravel(), np.stack(cols, axis=1).ravel(),
-         np.arange(0, 4 * len(ring) + 1, 4)),
-        shape=(len(ring), 1 + 3 * rings * (rings + 2) // 4))
-    p.eliminate_zeros()
-    return p, np.flatnonzero((odd == 0) & (k % 2 == 0))
-
-
-def built_icosphere_prolongation(level):
-    """``meshes.icosphere_prolongation`` of the faces of a freshly built
-    ``icosphere(level)``."""
-    faces = icosphere(level).cells.reshape(-1, 12)
-    new, first = np.unique(faces[:, [1, 4, 2]], return_index=True)
-    ends = faces[:, [0, 3, 3, 6, 6, 0]].reshape(-1, 2)[first]
-    return _bisection(np.arange(new[0]), new, ends)
-
-
 def _sliced_multigrid(mesh, a):
-    """``spectral._multigrid`` on a sliced block: each level keeps its
-    P[:n, :nc] and a CSR copy of its transpose."""
+    """``spectral._multigrid`` on a sliced block: each level keeps the first
+    rows P[:n] of its ``spectral._bisection`` P and a CSR copy of their
+    transpose."""
     levels = []
-    for level in range(mesh.level or 0, -1, -1):
+    for p in [*spectral._bisection(mesh, a.shape[0]), None]:
         diag = a.diagonal()
         inv_diag = 1.0 / diag
         x = y = 1.5 + np.sin(np.arange(len(diag), dtype=float))
         for _ in range(10):
             x, y = inv_diag * (a @ x), x
         w = 4.0 / (3.0 * np.sqrt(np.sum(x * x) / np.sum(y * y))) * inv_diag
-        if level == 0:
+        if p is None:
             levels.append((a, None, None, w))
             break
-        p, nested = mesh.prolongation(level)
-        p = p[:len(diag), :np.searchsorted(nested, len(diag))]
+        p = p[:len(diag)]
         levels.append((a, p, p.T.tocsr(), w))
         a = levels[-1][2] @ a @ p
     return lambda r: spectral._vcycle(levels, r)
@@ -446,6 +414,69 @@ def sliced_harmonic_extension(mesh, params, boundary_values):
     phi[interior] = spectral._pcg(aii, -(a @ phi)[interior],
                                   _sliced_multigrid(mesh, aii))
     return phi
+
+
+# The interpolations each mesh kind's hierarchy had before one walk over
+# the cells built them all (``spectral._bisection``): the circle's and the
+# icosphere's are its bit references, and the disk's, by position along the
+# rings, agrees with its ½–½ rule on the even rings.
+
+
+def _split_edges(nested, new, ends):
+    """Prolongation in which fine vertex ``nested[k]`` takes coarse vertex
+    k alone and fine vertex ``new[j]`` half of each coarse vertex in
+    ``ends[j]``; and ``nested``."""
+    rows = np.r_[nested, np.repeat(new, 2)]
+    cols = np.r_[np.arange(len(nested)), ends.ravel()]
+    weights = np.r_[np.ones(len(nested)), np.full(ends.size, 0.5)]
+    return scipy.sparse.csr_matrix((weights, (rows, cols)), shape=(
+        len(nested) + len(new), len(nested))), nested
+
+
+def circle_prolongation(level):
+    """From circle_mesh(level - 1) to circle_mesh(level), and the fine ids
+    of the coarse vertices: coarse vertex k is fine vertex 2k, and fine
+    vertex 2k + 1 lies between coarse k and k + 1."""
+    k = np.arange(2 ** (level + 3))
+    return _split_edges(2 * k, 2 * k + 1,
+                        np.stack([k, np.roll(k, -1)], axis=1))
+
+
+def icosphere_prolongation(level):
+    """From icosphere(level - 1) to icosphere(level), and the fine ids of
+    the coarse vertices.  These are the first fine ones, and fine faces
+    4f .. 4f + 3 split coarse face f = abc as (a, ab, ca), (b, bc, ab),
+    (c, ca, bc), (ab, bc, ca); so each new vertex is read off with the
+    ends of its parent edge."""
+    faces = icosphere(level).cells.reshape(-1, 12)
+    new, first = np.unique(faces[:, [1, 4, 2]], return_index=True)
+    ends = faces[:, [0, 3, 3, 6, 6, 0]].reshape(-1, 2)[first]
+    return _split_edges(np.arange(new[0]), new, ends)
+
+
+def disk_prolongation(level):
+    """From disk_mesh(level - 1) to disk_mesh(level), and the fine ids of
+    the coarse vertices.  Fine ring 2j lies on coarse ring j and ring
+    2j + 1 halfway between j and j + 1; on each such coarse ring c, fine
+    vertex (J, K) sits at index K c / J, between two neighbours, which
+    share it by distance.  So (2j, 2k) takes (j, k) alone."""
+    rings = 2 ** level * 4
+    ring = np.repeat(np.arange(rings + 1), [1, *(6 * np.arange(1, rings + 1))])
+    k = np.arange(len(ring)) - (ring > 0) - 3 * ring * (ring - 1)
+    fine, odd = np.maximum(ring, 1), ring % 2
+    cols, weights = [], []
+    for c, share in ((ring // 2, 2 - odd), ((ring + 1) // 2, odd)):
+        pos, rem = np.divmod(k * c, fine)
+        start, count = (c > 0) + 3 * c * (c - 1), np.maximum(6 * c, 1)
+        for step, w in ((0, fine - rem), (1, rem)):
+            cols.append(start + (pos + step) % count)
+            weights.append(share * w / (2 * fine))
+    p = scipy.sparse.csr_matrix(
+        (np.stack(weights, axis=1).ravel(), np.stack(cols, axis=1).ravel(),
+         np.arange(0, 4 * len(ring) + 1, 4)),
+        shape=(len(ring), 1 + 3 * rings * (rings + 2) // 4))
+    p.eliminate_zeros()
+    return p, np.flatnonzero((odd == 0) & (k % 2 == 0))
 
 
 def nested_dissection(mesh):

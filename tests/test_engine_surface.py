@@ -220,6 +220,13 @@ def test_the_engine_factors_nothing():
                 | _scopes_loading("scipy.sparse.linalg"))
 
 
+def test_only_spectral_imports_scipy():
+    # The meshes hand the sparse layer their cells and the per-kind facts
+    # of their levels; spectral builds every prolongation from them.
+    assert {scope.split(":")[0]
+            for scope in _scopes_loading("scipy")} == {"spectral.py"}
+
+
 def test_the_scope_scan_sees_scipy_linalg():
     tree = ast.parse("y = np.linalg.eigh(x)\nz = scipy.linalg.eigh(x)\n")
     assert "scipy.linalg.eigh" in {_dotted(sub)

@@ -5,14 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from affconn import spectral
 from affconn.errors import DegenerateCell, UnsupportedKind
 from affconn.meshes import (_ICO_FACES, _ICO_VERTS, build_mesh,
-                            circle_mesh, circle_prolongation, disk_mesh,
-                            disk_prolongation, hemisphere_mesh, icosphere,
-                            icosphere_prolongation)
-from oracles import (built_icosphere_prolongation, cell_measures,
-                     check_closed, check_nondegenerate, peak_bytes,
-                     stacked_disk_prolongation)
+                            circle_mesh, disk_mesh, hemisphere_mesh,
+                            icosphere)
+from oracles import (cell_measures, check_closed, check_nondegenerate,
+                     circle_prolongation, disk_prolongation,
+                     icosphere_prolongation, peak_bytes)
 
 
 def icosphere_by_loops(level):
@@ -178,16 +178,27 @@ class TestOpenMeshes:
             replace(make(3), level=2)
 
 
-@pytest.mark.parametrize("make,prolongation,level", [
-    (circle_mesh, circle_prolongation, 1),
-    (circle_mesh, circle_prolongation, 6),
-    (icosphere, icosphere_prolongation, 1),
-    (icosphere, icosphere_prolongation, 4)])
+def finest(mesh, n=None):
+    """``spectral._bisection``'s interpolation to ``mesh`` from the level
+    below, on the columns of the coarse vertices among the first ``n``
+    (all by default), and the fine ids of the coarse vertices."""
+    n = len(mesh.vertices) if n is None else n
+    return next(spectral._bisection(mesh, n)), mesh.generator[2](mesh.level)
+
+
+def coarse_edges(mesh):
+    """Every edge of ``mesh``'s cells, each as a sorted pair."""
+    return {tuple(sorted(c)) for cell in mesh.cells
+            for c in zip(cell, np.roll(cell, -1))}
+
+
+@pytest.mark.parametrize("make,level", [
+    (circle_mesh, 1), (circle_mesh, 6), (icosphere, 1), (icosphere, 4)])
 class TestClosedProlongation:
-    def test_nested_vertices_take_their_coarse_vertex_alone(
-            self, make, prolongation, level):
+    def test_nested_vertices_take_their_coarse_vertex_alone(self, make,
+                                                            level):
         fine, coarse = make(level), make(level - 1)
-        p, nested = fine.prolongation(level)
+        p, nested = finest(fine)
         assert p.shape == (len(fine.vertices), len(coarse.vertices))
         assert fine.vertices[nested].tobytes() == coarse.vertices.tobytes()
         rows = p[nested].tocoo()
@@ -197,29 +208,18 @@ class TestClosedProlongation:
 
     # A new vertex is its parent edge's midpoint pushed out to the unit
     # circle or sphere.
-    def test_new_vertices_take_half_of_each_end_of_an_edge(
-            self, make, prolongation, level):
+    def test_new_vertices_take_half_of_each_end_of_an_edge(self, make,
+                                                          level):
         fine, coarse = make(level), make(level - 1)
-        p, nested = fine.prolongation(level)
+        p, nested = finest(fine)
         new = np.setdiff1d(np.arange(len(fine.vertices)), nested)
         rows = p[new]
         assert np.all(np.diff(rows.indptr) == 2) and np.all(rows.data == 0.5)
         mid = rows @ coarse.vertices
         mid /= np.linalg.norm(mid, axis=1)[:, None]
         assert np.max(np.abs(mid - fine.vertices[new])) <= 1e-15
-        edges = {tuple(sorted(c)) for cell in coarse.cells
-                 for c in zip(cell, np.roll(cell, -1))}
-        assert {tuple(sorted(rows.indices[k:k + 2]))
-                for k in rows.indptr[:-1]} <= edges
-
-    # A circle's prolongation is a function of the level, an icosphere's of
-    # the faces it subdivides into.
-    def test_the_mesh_picks_its_prolongation(self, make, prolongation,
-                                             level):
-        fine = make(level)
-        p, nested = fine.prolongation(level)
-        q, same = prolongation(level if make is circle_mesh else fine.cells)
-        assert (p != q).nnz == 0 and np.array_equal(nested, same)
+        assert {tuple(rows.indices[k:k + 2])
+                for k in rows.indptr[:-1]} <= coarse_edges(coarse)
 
 
 def same_bits(p, q):
@@ -229,48 +229,79 @@ def same_bits(p, q):
             and p.data.tobytes() == q.data.tobytes())
 
 
-# Fine faces 4f .. 4f + 3 split coarse face f and begin at its corners, so
-# an icosphere reads every coarser level's faces off its own.
-def test_icosphere_prolongations_read_off_the_fine_faces():
-    fine = icosphere(6)
-    for level in range(1, 7):
-        p, nested = fine.prolongation(level)
-        q, same = built_icosphere_prolongation(level)
-        assert same_bits(p, q) and np.array_equal(nested, same)
+# One walk over the cells gives the circle and the icosphere the
+# interpolations their hand-derived formulas gave, at every level below
+# the top one.
+@pytest.mark.parametrize("make,prolongation,top", [
+    *[(circle_mesh, circle_prolongation, top) for top in range(1, 7)],
+    *[(icosphere, icosphere_prolongation, top) for top in range(1, 6)]])
+def test_the_walk_keeps_the_bits_of_the_closed_prolongations(
+        make, prolongation, top):
+    mesh = make(top)
+    walk = list(spectral._bisection(mesh, len(mesh.vertices)))
+    assert len(walk) == top
+    for level, p in zip(range(top, 0, -1), walk):
+        q, nested = prolongation(level)
+        assert same_bits(p, q)
+        assert np.array_equal(mesh.generator[2](level), nested)
 
 
-@pytest.mark.parametrize("level", range(1, 6))
-def test_disk_prolongation_keeps_the_bits_of_the_stacked_one(level):
-    p, nested = disk_prolongation(level)
-    q, same = stacked_disk_prolongation(level)
-    assert same_bits(p, q) and np.array_equal(nested, same)
+# The Dirichlet solve's walk over the 49,537-vertex hemisphere.
+def test_the_walk_peak_memory_on_hemisphere_5():
+    mesh = hemisphere_mesh(5)
+    interior = len(mesh.vertices) - len(mesh.boundary_loop)
+    walk = spectral._bisection
+    assert peak_bytes(lambda: list(walk(mesh, interior))) <= 7e6
 
 
-def test_disk_prolongation_peak_memory():
-    assert peak_bytes(disk_prolongation, 5) <= 7e6
+def disk_ring(mesh):
+    """The ring of each disk_mesh vertex."""
+    rings = 4 * 2 ** mesh.level
+    return np.rint(np.linalg.norm(mesh.vertices, axis=1) * rings).astype(int)
 
 
 @pytest.mark.parametrize("level", [2, 5])
 class TestDiskProlongation:
     def test_nested_vertices_take_their_coarse_vertex_alone(self, level):
-        p, nested = disk_prolongation(level)
         fine, coarse = disk_mesh(level), disk_mesh(level - 1)
+        p, nested = finest(fine)
         assert fine.vertices[nested].tobytes() == coarse.vertices.tobytes()
         rows = p[nested].tocoo()
         assert np.array_equal(rows.row, np.arange(len(nested)))
         assert np.array_equal(rows.col, np.arange(len(nested)))
         assert np.all(rows.data == 1.0)
 
-    def test_rows_are_convex_combinations(self, level):
-        p, _ = disk_prolongation(level)
-        assert p.shape == (len(disk_mesh(level).vertices),
-                           len(disk_mesh(level - 1).vertices))
-        assert np.min(p.data) > 0.0
-        assert np.max(np.abs(np.asarray(p.sum(axis=1)).ravel() - 1.0)) <= 1e-15
+    # Each row is 1 on a nested vertex or 1/2-1/2 on the two ends of a
+    # coarse edge, the one its vertex splits: that edge's midpoint lies
+    # within 0.3 ring spacings of the vertex (2 - sqrt(3) at most).
+    def test_rows_split_an_edge_of_the_level_below(self, level):
+        fine, coarse = disk_mesh(level), disk_mesh(level - 1)
+        p, nested = finest(fine)
+        assert p.shape == (len(fine.vertices), len(coarse.vertices))
+        new = np.setdiff1d(np.arange(len(fine.vertices)), nested)
+        rows = p[new]
+        assert np.all(np.diff(rows.indptr) == 2) and np.all(rows.data == 0.5)
+        assert {tuple(rows.indices[k:k + 2])
+                for k in rows.indptr[:-1]} <= coarse_edges(coarse)
+        gap = np.linalg.norm(rows @ coarse.vertices - fine.vertices[new],
+                             axis=1)
+        assert np.max(gap) <= 0.3 / (4 * 2 ** level)
+
+    # An even-ring vertex lies on a coarse ring, on a coarse vertex or
+    # halfway between two, so interpolating by ring position gave it the
+    # same row; an odd-ring vertex's row differs.
+    def test_even_rings_keep_the_rows_of_the_ring_interpolation(self, level):
+        fine = disk_mesh(level)
+        p, _ = finest(fine)
+        q, _ = disk_prolongation(level)
+        even = np.flatnonzero(disk_ring(fine) % 2 == 0)
+        assert (p[even] != q[even]).nnz == 0
+        odd = np.flatnonzero(disk_ring(fine) % 2 == 1)
+        assert (p[odd] != q[odd]).nnz > 0
 
     def test_boundary_ring_takes_only_the_coarse_boundary_ring(self, level):
-        p, _ = disk_prolongation(level)
         fine, coarse = disk_mesh(level), disk_mesh(level - 1)
+        p, _ = finest(fine)
         cols = p[fine.boundary_loop].tocoo().col
         assert set(cols.tolist()) == set(coarse.boundary_loop.tolist())
         # The boundary ring is the last ids, so the interior is a prefix.
@@ -278,6 +309,18 @@ class TestDiskProlongation:
             size = len(mesh.vertices)
             assert np.array_equal(mesh.boundary_loop, np.arange(
                 size - len(mesh.boundary_loop), size))
+
+    # The Dirichlet solve's P keeps the coarse interior's columns, which
+    # leaves the fine boundary rows empty.
+    def test_interior_columns_leave_the_boundary_rows_empty(self, level):
+        fine, coarse = disk_mesh(level), disk_mesh(level - 1)
+        interior = len(fine.vertices) - len(fine.boundary_loop)
+        p, _ = finest(fine, interior)
+        full, _ = finest(fine)
+        size = len(coarse.vertices) - len(coarse.boundary_loop)
+        assert p.shape == (len(fine.vertices), size)
+        assert p[interior:].nnz == 0
+        assert (p[:interior] != full[:interior, :size]).nnz == 0
 
 
 class TestQuality:

@@ -143,11 +143,13 @@ class TestSuite:
         # The proof-chain energy sums ~50,000 products; a BLAS dot product
         # splits that sum by thread count, which moves its last bit.  The
         # eigensolve sums by einsum for the same reason: s3-classical is an
-        # icosphere and s2-classical a circle.
+        # icosphere and s2-classical a circle.  disk-flat's harmonic
+        # extension is the flat disk's Dirichlet solve.
         script = ("import sys; from affconn.suite import report_json, "
                   "run_suite; sys.stdout.write(report_json(run_suite("
-                  "{'scenarios': ['s2-classical', 's2-weighted-quadratic', "
-                  "'s3-classical'], 'checks': ['eigenvalue', 'choi-wang', "
+                  "{'scenarios': ['disk-flat', 's2-classical', "
+                  "'s2-weighted-quadratic', 's3-classical'], 'checks': "
+                  "['eigenvalue', 'choi-wang', 'harmonic-extension', "
                   "'proof-inequality']})))")
         src = os.path.dirname(os.path.dirname(affconn.__file__))
         reports = []
@@ -162,6 +164,8 @@ class TestSuite:
             (name, check) for name in ("s2-classical", "s3-classical")
             for check in ("eigenvalue", "choi-wang")}
         assert sum(r["check"] == "proof-inequality" for r in records) == 2
+        assert ("disk-flat", "harmonic-extension") in {
+            (r["scenario"], r["check"]) for r in records}
         assert reports[0] == reports[1]
 
     def test_records_carry_values_and_threshold(self):

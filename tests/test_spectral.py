@@ -447,6 +447,17 @@ def reversed_ids(mesh):
                                level=None)
 
 
+def shuffled_interior(mesh):
+    """``mesh`` with its interior vertex ids shuffled, its level kept."""
+    size = len(mesh.vertices)
+    order = np.r_[np.random.default_rng(0).permutation(
+        size - len(mesh.boundary_loop)), size - len(mesh.boundary_loop):size]
+    ids = np.argsort(order)
+    return dataclasses.replace(mesh, vertices=mesh.vertices[order],
+                               u=mesh.u[order], cells=ids[mesh.cells],
+                               boundary_loop=ids[mesh.boundary_loop])
+
+
 def hemisphere_problem(level, remesh):
     """The weighted hemisphere's Dirichlet problem on ``remesh(mesh)``,
     which keeps the boundary loop's vertices and their order."""
@@ -531,7 +542,7 @@ class TestHarmonicExtension:
         phi, _ = harmonic_extension_2d(mesh, PW, psi)
         assert np.max(np.abs(phi - dirichlet_lu(mesh, PW, psi))) <= 1e-12
 
-    # 9, 14 and 14 steps are needed; a damaged V-cycle needs many more.
+    # 12, 14 and 14 steps are needed; a damaged V-cycle needs many more.
     @pytest.mark.parametrize("name,mesh_of,data", SUITE_DIRICHLET)
     def test_pcg_converges_within_twenty_steps(self, name, mesh_of, data,
                                                monkeypatch):
@@ -583,6 +594,17 @@ class TestHarmonicExtension:
         phi, _ = harmonic_extension_2d(mesh, params, psi)
         assert phi.tobytes() == sliced_harmonic_extension(
             mesh, params, psi).tobytes()
+
+    # Its ids are not its generator's, so neither are its levels; without
+    # a level the same mesh solves with a one-level cycle.
+    def test_a_level_whose_bisection_the_cells_are_not_is_refused(self):
+        mesh, params, psi = hemisphere_problem(3, shuffled_interior)
+        with pytest.raises(ValueError, match=r"disk_mesh\(3\): a new vertex "
+                           r"without two nested neighbours"):
+            harmonic_extension_2d(mesh, params, psi)
+        mesh = dataclasses.replace(mesh, level=None)
+        phi, _ = harmonic_extension_2d(mesh, params, psi)
+        assert np.max(np.abs(phi - dirichlet_lu(mesh, params, psi))) <= 1e-12
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(spectral, "PCG_MAX_ITER", 2)
