@@ -17,38 +17,39 @@ from .connections import LEVI_CIVITA, affine_gamma_generic, christoffel_generic
 from .dual import derivative, exp, jacobian
 
 
-def riemann_generic(man, params, x):
-    """R[l][k][i][j] coefficients of R(e_i, e_j) e_k = R^l_{kij} e_l."""
-    n = man.dim
-
+def _riemann_entries(man, params, x):
+    """R^l_{kij} = d_i G^l_{jk} - d_j G^l_{ik} + sum_m (G^l_{im} G^m_{jk}
+    - G^l_{jm} G^m_{ik}) at ``x``, as a function of (l, k, i, j)."""
     def gfield(z):
         return affine_gamma_generic(man, params, z)
 
-    gamma = gfield(list(x))
-    dgamma = jacobian(gfield, x)
-    riem = algebra.zeros(n, n, n, n)
-    for l in range(n):
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    acc = dgamma[i][l][j][k] - dgamma[j][l][i][k]
-                    for m in range(n):
-                        acc = acc + gamma[l][i][m] * gamma[m][j][k] \
-                                  - gamma[l][j][m] * gamma[m][i][k]
-                    riem[l][k][i][j] = acc
-    return riem
+    gamma, dgamma = gfield(list(x)), jacobian(gfield, x)
+
+    def entry(l, k, i, j):
+        acc = dgamma[i][l][j][k] - dgamma[j][l][i][k]
+        for m in range(len(gamma)):
+            acc = acc + gamma[l][i][m] * gamma[m][j][k] \
+                      - gamma[l][j][m] * gamma[m][i][k]
+        return acc
+    return entry
+
+
+def riemann_generic(man, params, x):
+    """R[l][k][i][j] coefficients of R(e_i, e_j) e_k = R^l_{kij} e_l."""
+    entry, n = _riemann_entries(man, params, x), man.dim
+    return [[[[entry(l, k, i, j) for j in range(n)] for i in range(n)]
+             for k in range(n)] for l in range(n)]
 
 
 def ricci_generic(man, params, x):
-    """Ric[p][q] as the coordinate trace of Z -> R(Z, e_p) e_q."""
-    n = man.dim
-    riem = riemann_generic(man, params, x)
+    """Ric[p][q] = sum_a R^a_{qap}, the trace of Z -> R(Z, e_p) e_q."""
+    entry, n = _riemann_entries(man, params, x), man.dim
     ric = algebra.zeros(n, n)
     for p in range(n):
         for q in range(n):
             acc = 0.0
             for a in range(n):
-                acc = acc + riem[a][q][a][p]
+                acc = acc + entry(a, q, a, p)
             ric[p][q] = acc
     return ric
 

@@ -150,28 +150,25 @@ def disk_mesh(level):
     a = 2.0 * np.pi * k / (6 * ring)
     vertices = np.concatenate([[[0.0, 0.0]],
                                np.stack([r * np.cos(a), r * np.sin(a)], axis=-1)])
-    # Innermost fan around the center.
-    fan = np.stack([np.zeros(6, dtype=int), 1 + np.arange(6),
-                    1 + (np.arange(6) + 1) % 6], axis=-1)
-    # Between ring j (inner, 6j verts) and ring j+1 (outer, 6(j+1) verts),
-    # each of the 6 sectors zig-zags j inner and j+1 outer nodes.  Slot q of
-    # the sector's 2j+1 triangles is at step q // 2 and spans two outer
-    # nodes (q even) or two inner nodes (q odd).
-    per_ring = 6 * (2 * np.arange(1, rings) + 1)
-    j = np.repeat(np.arange(1, rings), per_ring)
-    slot = np.arange(len(j)) - np.repeat(np.cumsum(per_ring) - per_ring, per_ring)
-    sector, q = np.divmod(slot, 2 * j + 1)
-    step, odd = np.divmod(q, 2)
-    inner0, outer0 = ring_start[j], ring_start[j + 1]
-    ni, no = 6 * j, 6 * (j + 1)
-    ii = sector * j + step       # index within inner ring
-    oo = sector * (j + 1) + step  # index within outer ring
-    zigzag = np.stack([inner0 + ii % ni,
-                       outer0 + (oo + odd) % no,
-                       np.where(odd == 1, inner0 + (ii + 1) % ni,
-                                outer0 + (oo + 1) % no)], axis=-1)
+    # Ring by ring: between ring j (inner; the center alone at j = 0, else
+    # 6j verts) and ring j+1 (outer, 6(j+1) verts), each of the 6 sectors
+    # zig-zags j inner and j+1 outer nodes.  Slot q of the sector's 2j+1
+    # triangles is at step q // 2 and spans two outer nodes (q even) or two
+    # inner nodes (q odd).
+    cells = np.empty((6 * rings * rings, 3), dtype=int)
+    for j in range(rings):
+        sector, q = np.divmod(np.arange(6 * (2 * j + 1)), 2 * j + 1)
+        step, odd = np.divmod(q, 2)
+        inner0, outer0 = ring_start[j], ring_start[j + 1]
+        ni, no = max(6 * j, 1), 6 * (j + 1)
+        ii = sector * j + step       # index within inner ring
+        oo = sector * (j + 1) + step  # index within outer ring
+        cells[6 * j * j:6 * (j + 1) ** 2] = np.stack(
+            [inner0 + ii % ni, outer0 + (oo + odd) % no,
+             np.where(odd == 1, inner0 + (ii + 1) % ni,
+                      outer0 + (oo + 1) % no)], axis=-1)
     boundary = np.arange(ring_start[rings], len(vertices))
-    return SurfaceMesh(vertices=vertices, cells=np.concatenate([fan, zigzag]),
+    return SurfaceMesh(vertices=vertices, cells=cells,
                        u=np.zeros(len(vertices)), boundary_loop=boundary,
                        level=level)
 

@@ -13,6 +13,7 @@ identity relating bulk Bochner-type terms to second-fundamental-form
 terms is verified by tensor-product Gauss quadrature.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,22 +177,33 @@ def _extrinsic_generic(hyp, params, s):
     return gs, two_ff, h, ii_aff, h_aff, u_nu
 
 
+def _full_rank(gs):
+    """``matrix_rank(gs, tol=1e-10) == len(gs)`` for a symmetric Gram matrix
+    of size 0 to 2, in closed form: |det| over the largest singular value
+    exceeds 1e-10; an inf or NaN makes the largest inf or NaN, so it fails."""
+    if len(gs) < 2:
+        return all(1e-10 < abs(row[0]) < math.inf for row in gs)
+    (a, b), (_, c) = gs
+    largest = abs(0.5 * (a + c)) + math.hypot(0.5 * (a - c), b)
+    return abs(a * c - b * b) > 1e-10 * largest
+
+
 def second_fundamental(hyp, params, s):
     """Extrinsic data of the hypersurface at parameter point ``s``."""
-    m = hyp.pdim
     # A rank-deficient Jacobian divides by a zero normal: Python floats
     # raise, numpy scalars give inf/nan that the rank check below catches.
     try:
         with np.errstate(divide="ignore", invalid="ignore"):
             gs, ii, h, ii_aff, h_aff, u_nu = _extrinsic_generic(hyp, params,
                                                                floats(s))
-        gs = np.array(gs)
-        full_rank = np.linalg.matrix_rank(gs, tol=1e-10) == m
+        full_rank = _full_rank(gs)
     except ZeroDivisionError:
         full_rank = False
     if not full_rank:
-        raise DegenerateJacobian(f"embedding Jacobian rank deficient at {tuple(s)}")
-    return ExtrinsicData(induced_metric=gs, second_fundamental=np.array(ii),
+        raise DegenerateJacobian(f"embedding Jacobian rank deficient or not "
+                                 f"finite at {tuple(s)}")
+    return ExtrinsicData(induced_metric=np.array(gs),
+                         second_fundamental=np.array(ii),
                          mean_curvature=float(h),
                          second_fundamental_affine=np.array(ii_aff),
                          mean_curvature_affine=float(h_aff),
@@ -283,10 +295,12 @@ def _bulk_integrand(region, params, phi, coords):
     x = list(coords)
     g = man.metric(x)
     gi = algebra.inv(g)
-    tau = params.tau(n)
     u = man.weight(x)
-    vtau = exp(tau * u)
     scale = exp((params.beta - params.alpha) * u)
+    # The Ricci term first, while little else is alive: a lower peak.
+    grad_d = [scale * c for c in algebra.matvec(gi, jacobian(phi, x))]
+    ric_term = algebra.quadratic_form(ricci_generic(man, params, x), grad_d,
+                                      grad_d)
 
     lap = lap_D_generic(man, params, phi, x)
     hess = hess_D_generic(man, params, phi, x)
@@ -298,11 +312,7 @@ def _bulk_integrand(region, params, phi, coords):
         for j in range(n):
             hess_sq = hess_sq + hess[i][j] * hess_up[i][j]
 
-    dphi = jacobian(phi, x)
-    grad_d = [scale * c for c in algebra.matvec(gi, dphi)]
-    ric = ricci_generic(man, params, x)
-    ric_term = algebra.quadratic_form(ric, grad_d, grad_d)
-
+    vtau = exp(params.tau(n) * u)
     dens = sqrt(algebra.det(g))
     return vtau * (lap * lap - hess_sq - ric_term) * dens
 

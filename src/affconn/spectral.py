@@ -63,7 +63,9 @@ def _p1_kernel(mesh):
     v, cells = mesh.vertices, mesh.cells
     k = cells.shape[1] - 1
     edges = [v[cells[:, a + 1]] - v[cells[:, 0]] for a in range(k)]
-    gram = [[np.einsum("ij,ij->i", ea, eb) for eb in edges] for ea in edges]
+    gram = [[None] * k for _ in edges]  # symmetric: g_ba is g_ab
+    for a, b in itertools.combinations_with_replacement(range(k), 2):
+        gram[a][b] = gram[b][a] = np.einsum("ij,ij->i", edges[a], edges[b])
     del edges
     det_g = det(gram)
     if not np.min(det_g) > 0:  # a non-finite vertex fails this too
@@ -108,9 +110,8 @@ def _scatter(mesh, local, exponent):
     # The pairs alone; the caller's array goes too if it keeps no reference.
     local = local.T[off].ravel()
     ends = mesh.cells.T.astype(np.int32)[[i[off], j[off]]]
-    ends.sort(axis=0)  # each pair's row and column in U
-    upper = scipy.sparse.coo_matrix((local, tuple(ends.reshape(2, -1))),
-                                    shape=(size, size)).tocsr()
+    ends = np.minimum(*ends).ravel(), np.maximum(*ends).ravel()  # U's row, col
+    upper = scipy.sparse.coo_matrix((local, ends), shape=(size, size)).tocsr()
     del local, ends
     upper = upper + upper.T
     return upper + scipy.sparse.diags(diag, format="csr")
@@ -405,7 +406,7 @@ def recover_normal_flux(mesh, a, phi):
     """
     ring = _boundary_mesh(mesh)
     lumped = _mass(ring, _p1_kernel(ring)[0], 0.0) @ np.ones(len(ring.u))
-    return np.asarray(a @ phi)[mesh.boundary_loop] / lumped
+    return a[mesh.boundary_loop] @ phi / lumped
 
 
 def proof_chain_inequality(mesh, params, boundary_values, k_constant):

@@ -15,7 +15,7 @@ import scipy.sparse.linalg
 from affconn import spectral
 from affconn.algebra import det, dot, inv
 from affconn.charts import eval_metric
-from affconn.curvature import riemann_tensor
+from affconn.curvature import riemann_generic, riemann_tensor
 from affconn.errors import DegenerateCell
 from affconn.meshes import icosphere
 from affconn.operators import _normal_generic
@@ -123,6 +123,21 @@ def ricci_frame_sum(man, x, params):
     return np.einsum("ai,bi,lb,lqap->pq", frame, frame, g, riem)
 
 
+def traced_ricci(man, params, x):
+    """Ric[p][q] = sum_a R^a_{qap} read off the full ``riemann_generic``
+    tensor, the reference for ``ricci_generic``'s trace entries."""
+    n = man.dim
+    riem = riemann_generic(man, params, x)
+    ric = [[None] * n for _ in range(n)]
+    for p in range(n):
+        for q in range(n):
+            acc = 0.0
+            for a in range(n):
+                acc = acc + riem[a][q][a][p]
+            ric[p][q] = acc
+    return ric
+
+
 # --- regions and meshes ----------------------------------------------------
 
 
@@ -165,6 +180,37 @@ def cell_measures(mesh):
     if v.shape[1] == 2:
         return 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
     return 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
+
+
+def vectorized_disk_mesh(level):
+    """Vertices and cells of ``disk_mesh(level)`` with every ring's zigzag
+    built at once, from per-triangle ring, sector and slot arrays; the
+    reference for its ring-by-ring loop."""
+    rings = 2 ** level * 4
+    ring_start = np.concatenate([[0], 1 + 3 * np.arange(1, rings + 1)
+                                 * np.arange(rings)])
+    ring = np.repeat(np.arange(1, rings + 1), 6 * np.arange(1, rings + 1))
+    k = np.arange(1, len(ring) + 1) - ring_start[ring]
+    r = ring / rings
+    a = 2.0 * np.pi * k / (6 * ring)
+    vertices = np.concatenate([[[0.0, 0.0]],
+                               np.stack([r * np.cos(a), r * np.sin(a)], axis=-1)])
+    fan = np.stack([np.zeros(6, dtype=int), 1 + np.arange(6),
+                    1 + (np.arange(6) + 1) % 6], axis=-1)
+    per_ring = 6 * (2 * np.arange(1, rings) + 1)
+    j = np.repeat(np.arange(1, rings), per_ring)
+    slot = np.arange(len(j)) - np.repeat(np.cumsum(per_ring) - per_ring, per_ring)
+    sector, q = np.divmod(slot, 2 * j + 1)
+    step, odd = np.divmod(q, 2)
+    inner0, outer0 = ring_start[j], ring_start[j + 1]
+    ni, no = 6 * j, 6 * (j + 1)
+    ii = sector * j + step
+    oo = sector * (j + 1) + step
+    zigzag = np.stack([inner0 + ii % ni,
+                       outer0 + (oo + odd) % no,
+                       np.where(odd == 1, inner0 + (ii + 1) % ni,
+                                outer0 + (oo + 1) % no)], axis=-1)
+    return vertices, np.concatenate([fan, zigzag])
 
 
 def check_nondegenerate(mesh, tol=1e-14):
@@ -378,6 +424,32 @@ def halved_scatter(mesh, local, exponent):
                          np.maximum(cells[:, i], cells[:, j]).ravel())),
         shape=(size, size)).tocsr()
     return upper + upper.T
+
+
+def sorted_scatter(mesh, local, exponent):
+    """``spectral._scatter`` with each pair's ends sorted in place along
+    the pair axis: (2, pairs, cells) int32 ends, then row and column as
+    the two sorted rows; the reference for its min/max ends."""
+    w = np.exp(exponent * np.mean(mesh.u[mesh.cells], axis=1))
+    i, j = np.triu_indices(mesh.cell_dim + 1)
+    local = local * w[:, None]
+    size, off = len(mesh.vertices), i < j
+    diag = np.bincount(mesh.cells.ravel(), local[:, ~off].ravel(), size)
+    ends = mesh.cells.T.astype(np.int32)[[i[off], j[off]]]
+    ends.sort(axis=0)
+    upper = scipy.sparse.coo_matrix((local.T[off].ravel(),
+                                     tuple(ends.reshape(2, -1))),
+                                    shape=(size, size)).tocsr()
+    return upper + upper.T + scipy.sparse.diags(diag, format="csr")
+
+
+def full_product_flux(mesh, a, phi):
+    """``spectral.recover_normal_flux`` from all rows of A phi, of which
+    the boundary rows are read."""
+    ring = spectral._boundary_mesh(mesh)
+    lumped = spectral._mass(ring, spectral._p1_kernel(ring)[0], 0.0) @ np.ones(
+        len(ring.u))
+    return np.asarray(a @ phi)[mesh.boundary_loop] / lumped
 
 
 def _sliced_multigrid(mesh, a):

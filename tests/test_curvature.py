@@ -7,11 +7,13 @@ import scipy.linalg
 from affconn.charts import (WeightParams, euclidean_chart, eval_metric,
                             halton_points, height_weight, sphere3_chart,
                             sphere_chart)
+from affconn.connections import LEVI_CIVITA
 from affconn.curvature import (SCAN_COUNT, curvature_bound_scan,
-                               ricci_tensor, riemann_tensor, static_ricci,
-                               weighted_ricci)
+                               ricci_generic, ricci_tensor, riemann_tensor,
+                               static_ricci, weighted_ricci)
+from affconn.operators import QUAD_GRID, QUAD_ORDER, box_quadrature
 from affconn.scenarios import get_scenario, scenario_names
-from oracles import ricci_frame_sum
+from oracles import ricci_frame_sum, traced_ricci
 
 S2_WEIGHTED = sphere_chart(weight=height_weight(0.3))
 
@@ -47,6 +49,38 @@ class TestRiemannRicci:
         riem = riemann_tensor(sphere_chart(), [1.0, 0.5])
         # R^l_{kij} = -R^l_{kji}
         assert np.allclose(riem, -np.swapaxes(riem, 2, 3), atol=1e-12)
+
+
+def same_bits(got, ref):
+    """Entry for entry the same type and the same bytes."""
+    return all(type(v) is type(w)
+               and np.asarray(v).tobytes() == np.asarray(w).tobytes()
+               for row, ref_row in zip(got, ref) for v, w in zip(row, ref_row))
+
+
+def sample_points(name):
+    """Float points, the scan's Halton columns and, with a region, the
+    Reilly quadrature arrays of a scenario's chart."""
+    scn = get_scenario(name)
+    man = scn.manifold()
+    pts = halton_points(man, SCAN_COUNT)
+    yield from (man.point(x) for x in pts[:5])
+    yield [pts[:, i].copy() for i in range(man.dim)]
+    region = scn.region()
+    if region is not None:
+        yield box_quadrature(region.lower, region.upper, QUAD_GRID,
+                             QUAD_ORDER)[0]
+
+
+# Ric from its trace entries does the full tensor's arithmetic on them.
+@pytest.mark.parametrize("params", [LEVI_CIVITA, WeightParams(0.7, -0.4)],
+                         ids=["levi-civita", "generic"])
+@pytest.mark.parametrize("name", scenario_names())
+def test_ricci_keeps_the_bits_of_the_riemann_trace(name, params):
+    man = get_scenario(name).manifold()
+    for x in sample_points(name):
+        assert same_bits(ricci_generic(man, params, x),
+                         traced_ricci(man, params, x))
 
 
 class TestOracles:

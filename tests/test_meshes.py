@@ -12,7 +12,8 @@ from affconn.meshes import (_ICO_FACES, _ICO_VERTS, build_mesh,
                             icosphere)
 from oracles import (cell_measures, check_closed, check_nondegenerate,
                      circle_prolongation, disk_prolongation,
-                     icosphere_prolongation, peak_bytes)
+                     icosphere_prolongation, peak_bytes,
+                     vectorized_disk_mesh)
 
 
 def icosphere_by_loops(level):
@@ -128,6 +129,21 @@ class TestOpenMeshes:
         assert np.array_equal(mesh.vertices, verts)
         assert np.array_equal(mesh.cells, cells)
         assert np.array_equal(mesh.boundary_loop, boundary)
+
+    # The ring-by-ring cells fill one preallocated array; the all-at-once
+    # builder's arrays are per triangle.
+    @pytest.mark.parametrize("level", range(6))
+    def test_disk_keeps_the_bytes_of_the_vectorized_builder(self, level):
+        mesh = disk_mesh(level)
+        verts, cells = vectorized_disk_mesh(level)
+        assert mesh.vertices.dtype == verts.dtype
+        assert mesh.cells.dtype == cells.dtype
+        assert mesh.vertices.tobytes() == verts.tobytes()
+        assert mesh.cells.tobytes() == cells.tobytes()
+
+    def test_disk_peak_memory(self):
+        # The mesh itself holds 3.6 MB; one ring's index arrays are small.
+        assert peak_bytes(disk_mesh, 5) <= 7e6
 
     def test_disk_area(self):
         assert np.sum(cell_measures(disk_mesh(3))) == pytest.approx(

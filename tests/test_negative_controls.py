@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 from affconn import operators, suite
+from affconn.dual import Dual
+from affconn.scenarios import _REGISTRY
 from affconn.suite import report_json, run_suite
 
 
@@ -141,3 +143,35 @@ def test_non_finite_values_are_written_as_strict_json_strings():
     assert json.loads(text, parse_constant=refuse_constant) == {
         "values": ["NaN", "Infinity", "-Infinity", "NaN"],
         "orders": [1.5, "Infinity"]}
+
+
+def nan_at(hyp, point):
+    """``hyp`` with its embedding NaN, value and derivatives, where the
+    first parameter is ``point`` and unchanged elsewhere."""
+    def embedding(s):
+        t = s[0]
+        while type(t) is Dual:
+            t = t.a
+        factor = math.nan if t == point else 1.0
+        return [factor * c for c in hyp.embedding(s)]
+    return dataclasses.replace(hyp, embedding=embedding)
+
+
+# One NaN point of a hypersurface is an error record of the checks that
+# read it, not an exception that ends the run.
+def test_nan_embedding_point_is_an_error_record(monkeypatch):
+    scn = _REGISTRY["s2-classical"]
+    point = operators._param_grid(scn.hypersurface())[5, 0]
+    monkeypatch.setitem(_REGISTRY, scn.name, dataclasses.replace(
+        scn, hypersurface_factory=lambda man: nan_at(
+            scn.hypersurface_factory(man), point)))
+    report = run_suite({"scenarios": ["s2-classical", "s2-substatic"],
+                        "checks": ["curvature-bound", "d-minimal",
+                                   "choi-wang"]})
+    errors = {(r["scenario"], r["check"]): r["error"]
+              for r in report["records"] if "error" in r}
+    assert len(report["records"]) == 6
+    assert errors.keys() == {("s2-classical", "d-minimal"),
+                             ("s2-classical", "choi-wang")}
+    assert all(e.startswith("DegenerateJacobian") for e in errors.values())
+    assert all(r["passed"] for r in report["records"] if "error" not in r)

@@ -1,5 +1,7 @@
 """Affine operators, extrinsic geometry, and the integral identity."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,9 @@ from affconn.charts import (WeightParams, euclidean_chart, halton_points,
                             height_squared_weight, height_weight,
                             polar_disk_chart, sphere_chart)
 from affconn.errors import DegenerateJacobian
-from affconn.operators import (DomainRegion, Hypersurface, d_minimal_residual,
-                               grad_D, hess_D, lap_D, reilly_residual,
-                               second_fundamental)
+from affconn.operators import (DomainRegion, Hypersurface, _full_rank,
+                               d_minimal_residual, grad_D, hess_D, lap_D,
+                               reilly_residual, second_fundamental)
 from oracles import linear_weight, validate_orientation
 
 P0 = WeightParams(0.0, 0.0)
@@ -123,6 +125,62 @@ class TestExtrinsic:
                                                 height + 0.0 * s[0]])
         with pytest.raises(DegenerateJacobian):
             second_fundamental(bad, P0, point)
+
+
+    # A NaN Gram matrix is refused like a singular one; an SVD of it raises
+    # numpy's LinAlgError, which no GeometryError handler catches.
+    @pytest.mark.parametrize("nan", [math.nan, np.float64(np.nan)])
+    def test_nan_embedding_rejected(self, nan):
+        bad = Hypersurface(ambient=sphere_chart(), lower=(0.0,),
+                           upper=(1.0,), periodic=(False,),
+                           embedding=lambda s: [1.0 + 0.0 * s[0], nan * s[0]])
+        with pytest.raises(DegenerateJacobian, match="not finite"):
+            second_fundamental(bad, P0, [0.5])
+
+
+def rotated_gram(eigenvalues, angle):
+    """R diag(eigenvalues) R^T, R the rotation by ``angle``, with its lower
+    off-diagonal entry set to the upper one."""
+    c, s = math.cos(angle), math.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    (a, b), (_, d) = ((rot * eigenvalues) @ rot.T).tolist()
+    return [[a, b], [b, d]]
+
+
+def random_grams(count):
+    """Gram matrices A^T A of 1 and 2 random columns in R^3, scaled so that
+    their least eigenvalues straddle 1e-10."""
+    rng = np.random.default_rng(7)
+    for _ in range(count):
+        cols = rng.normal(size=(3, rng.integers(1, 3))) * 10 ** rng.uniform(
+            -6.5, -3.5)
+        yield (cols.T @ cols).tolist()
+
+
+INF = math.inf
+GRAMS = (
+    [[], [[1.0]], [[0.0]], [[-2.0]], [[1e-10]], [[1e-10 * (1 + 1e-6)]],
+     [[1e-10 * (1 - 1e-6)]], [[INF]], [[-INF]],
+     [[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]],
+     [[1.0, 1.0], [1.0, 1.0]], [[1.0, 2.0], [2.0, 4.0]],
+     [[1.0, 0.0], [0.0, 1e-10]], [[1.0, 0.0], [0.0, 1e-10 * (1 + 1e-6)]],
+     [[1.0, 0.0], [0.0, 1e-10 * (1 - 1e-6)]],
+     [[INF, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -INF]],
+     [[1.0, INF], [INF, 1.0]], [[INF, -INF], [-INF, INF]]]
+    + [rotated_gram([big, 1e-10 * (1 + rel)], angle)
+       for big in (1.0, 3e-10) for rel in (1e-3, -1e-3)
+       for angle in (0.3, 1.2)]
+    + list(random_grams(200)))
+
+
+def test_closed_form_rank_agrees_with_matrix_rank():
+    # A hand-made case sits on 1e-10 or 1e-6 (diagonal) or 1e-3 (rotated)
+    # of it away; a random one at least 1% away.
+    for gram in GRAMS:
+        n = len(gram)
+        with np.errstate(invalid="ignore"):
+            rank = np.linalg.matrix_rank(np.reshape(gram, (n, n)), tol=1e-10)
+        assert _full_rank(gram) == (rank == n), gram
 
 
 # Coarser than the reference quadrature, which is enough for these

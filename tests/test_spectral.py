@@ -20,10 +20,11 @@ from affconn.spectral import (assemble, eigenvalues, harmonic_extension_2d,
 from affconn.suite import check_choi_wang
 from oracles import (cell_measures, circle_collocation_eigenvalues,
                      closed_form_assemble, dirichlet_lu, dot_kernel,
-                     force_path, halved_scatter, nested_dissection,
+                     force_path, full_product_flux, halved_scatter,
+                     nested_dissection,
                      peak_bytes, plain_assemble, polyline_flux,
                      polyline_pairing, shift_invert_eigenvalues,
-                     sliced_harmonic_extension)
+                     sliced_harmonic_extension, sorted_scatter)
 
 P0 = WeightParams(0.0, 0.0)
 PW = WeightParams(1.0, 0.0)
@@ -225,6 +226,27 @@ class TestP1Kernel:
     def test_kernel_peak_memory_on_the_weighted_hemisphere(self):
         assert peak_bytes(spectral._p1_kernel,
                           weighted_hemisphere(5)[0]) <= 11.5e6
+
+    # An int32 pair's min and max are the two rows of its sort.
+    @pytest.mark.parametrize("mesh_of", [
+        lambda: circle_mesh(6), lambda: icosphere(3),
+        lambda: weighted_hemisphere(5)[0]],
+        ids=["circle-6", "icosphere-3", "weighted-hemisphere-5"])
+    def test_scatter_keeps_the_bits_of_the_sorted_ends(self, mesh_of):
+        mesh = mesh_of()
+        local = spectral._p1_kernel(mesh)[1]
+        new = spectral._scatter(mesh, np.array(local), 1.3)
+        ref = sorted_scatter(mesh, np.array(local), 1.3)
+        for key in ("data", "indices", "indptr"):
+            assert getattr(new, key).tobytes() == getattr(ref, key).tobytes()
+
+    # A CSR row's product sums its stored entries in order, kept by a row
+    # slice.
+    def test_flux_keeps_the_bits_of_the_full_product(self):
+        mesh, psi = weighted_hemisphere(5)
+        phi, a = harmonic_extension_2d(mesh, PW, psi)
+        assert recover_normal_flux(mesh, a, phi).tobytes() == \
+            full_product_flux(mesh, a, phi).tobytes()
 
     # Off the diagonal an entry sums at most two cells, in either order.
     # A diagonal sums its cells in cell order, which scipy's in-row sort of
