@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, dual
-from .errors import MetricNotSPD, PointOutOfDomain
+from .errors import PointOutOfDomain
 
 # Chart singularities (sphere poles, polar origin) are coordinate artifacts;
 # sampling stays this fraction of the axis range away from non-periodic ends.
@@ -83,17 +83,6 @@ class WeightParams:
     def dual(self):
         """Parameters of the dual connection for e^{(alpha-beta)u} g."""
         return WeightParams(-self.beta, -self.alpha)
-
-
-def eval_metric(man, x):
-    """Metric matrix at an admissible point, checked SPD."""
-    x = man.point(x)
-    g = np.array(man.metric(x), dtype=float)
-    if np.max(np.abs(g - g.T)) > 1e-12 * max(1.0, np.max(np.abs(g))):
-        raise MetricNotSPD(f"metric not symmetric at {tuple(x)}")
-    if np.linalg.eigvalsh(g)[0] <= 0.0:
-        raise MetricNotSPD(f"metric not positive definite at {tuple(x)}")
-    return g
 
 
 # ---------------------------------------------------------------------------

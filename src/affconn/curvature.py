@@ -1,10 +1,10 @@
 """Curvature tensors of coordinate connection-coefficient fields.
 
-Riemann and Ricci tensors are assembled from exact dual-number derivatives
-of the coefficient field.  Two specialized tensors from the weighted
-geometry literature (the static Ricci tensor and the 1-weighted Ricci
-curvature) are provided as independent oracles for the weighted affine
-Ricci tensor at the matching parameter values.
+The Ricci tensor is traced from Riemann entries built on exact dual-number
+derivatives of the coefficient field.  Two specialized tensors from the
+weighted geometry literature (the static Ricci tensor and the 1-weighted
+Ricci curvature) are provided as independent oracles for the weighted
+affine Ricci tensor at the matching parameter values.
 """
 
 from dataclasses import dataclass
@@ -34,13 +34,6 @@ def _riemann_entries(man, params, x):
     return entry
 
 
-def riemann_generic(man, params, x):
-    """R[l][k][i][j] coefficients of R(e_i, e_j) e_k = R^l_{kij} e_l."""
-    entry, n = _riemann_entries(man, params, x), man.dim
-    return [[[[entry(l, k, i, j) for j in range(n)] for i in range(n)]
-             for k in range(n)] for l in range(n)]
-
-
 def ricci_generic(man, params, x):
     """Ric[p][q] = sum_a R^a_{qap}, the trace of Z -> R(Z, e_p) e_q."""
     entry, n = _riemann_entries(man, params, x), man.dim
@@ -52,11 +45,6 @@ def ricci_generic(man, params, x):
                 acc = acc + entry(a, q, a, p)
             ric[p][q] = acc
     return ric
-
-
-def riemann_tensor(man, x, params=LEVI_CIVITA):
-    """Riemann tensor R[l, k, i, j] = R^l_{kij} at ``x``."""
-    return np.array(riemann_generic(man, params, man.point(x)), dtype=float)
 
 
 def ricci_tensor(man, x, params=LEVI_CIVITA):

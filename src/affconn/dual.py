@@ -89,18 +89,6 @@ class Dual:
     def __neg__(self):
         return Dual(-self.a, -self.b, self.lvl)
 
-    def __pos__(self):
-        return self
-
-    def __pow__(self, p):
-        # Small integer powers via repeated multiplication (exact at zeros).
-        if isinstance(p, int) and 0 <= p <= 4:
-            out = 1.0
-            for _ in range(p):
-                out = out * self
-            return out
-        return Dual(self.a ** p, p * self.a ** (p - 1.0) * self.b, self.lvl)
-
     def __repr__(self):
         return f"Dual({self.a!r}, {self.b!r}, lvl={self.lvl})"
 

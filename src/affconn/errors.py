@@ -9,10 +9,6 @@ class PointOutOfDomain(GeometryError):
     """Point lies outside the admissible part of a chart's coordinate box."""
 
 
-class MetricNotSPD(GeometryError):
-    """Metric matrix is not symmetric positive definite at the given point."""
-
-
 class OrderUnsupported(GeometryError):
     """Requested derivative order exceeds the supported depth (3)."""
 

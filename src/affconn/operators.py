@@ -25,15 +25,6 @@ from .dual import exp, floats, jacobian, sqrt
 from .errors import DegenerateJacobian
 
 
-def grad_D(man, params, phi, x):
-    """Affine gradient V^{beta-alpha} g^{ij} d_j phi (contravariant)."""
-    x = man.point(x)
-    gi = algebra.inv(man.metric(x))
-    dphi = jacobian(phi, x)
-    scale = exp((params.beta - params.alpha) * man.weight(x))
-    return np.array([scale * c for c in algebra.matvec(gi, dphi)])
-
-
 def hess_D_generic(man, params, phi, x):
     """Affine Hessian as a nested list; evaluable on dual/array points."""
     n = man.dim
@@ -54,12 +45,6 @@ def hess_D_generic(man, params, phi, x):
     return out
 
 
-def hess_D(man, params, phi, x):
-    """Affine Hessian H[i, j] at ``x``, symmetric."""
-    return np.array(hess_D_generic(man, params, phi, man.point(x)),
-                    dtype=float)
-
-
 def lap_D_generic(man, params, phi, x):
     """Affine Laplacian as a generic scalar; evaluable on dual/array points."""
     n = man.dim
@@ -75,10 +60,6 @@ def lap_D_generic(man, params, phi, x):
     drift = algebra.quadratic_form(gi, du, dphi)
     scale = exp((params.beta - params.alpha) * man.weight(list(x)))
     return scale * (lap + params.energy_exponent(n) * drift)
-
-
-def lap_D(man, params, phi, x):
-    return lap_D_generic(man, params, phi, man.point(x))
 
 
 # ---------------------------------------------------------------------------

@@ -61,21 +61,15 @@ class Scenario:
         return self.manifold_factory()
 
     def hypersurface(self):
-        if self.hypersurface_factory is None:
-            return None
         return self.hypersurface_factory(self.manifold())
 
     def mesh(self, level=None):
         """Spectral mesh at the scenario's level, or at ``level``; the
         hypersurfaces lie where the ambient weight vanishes, so u = 0."""
-        if self.mesh_spec is None:
-            return None
         kind, default = self.mesh_spec
         return build_mesh(kind, default if level is None else level)
 
     def region(self):
-        if self.region_factory is None:
-            return None
         return self.region_factory(self.manifold())
 
 

@@ -14,8 +14,7 @@ import scipy.sparse.linalg
 
 from affconn import spectral
 from affconn.algebra import det, dot, inv
-from affconn.charts import eval_metric
-from affconn.curvature import riemann_generic, riemann_tensor
+from affconn.curvature import _riemann_entries
 from affconn.errors import DegenerateCell
 from affconn.meshes import icosphere
 from affconn.operators import _normal_generic
@@ -93,9 +92,14 @@ def radial_weight(a):
     return u
 
 
+def metric_at(man, x):
+    """The metric matrix at an admissible point, as a float64 array."""
+    return np.array(man.metric(man.point(x)), dtype=float)
+
+
 def orthonormal_frame(man, x):
     """Gram-Schmidt of the coordinate basis in axis order, frame as columns."""
-    g = eval_metric(man, x)
+    g = metric_at(man, x)
     n = man.dim
     frame = np.zeros((n, n))
     for i in range(n):
@@ -115,16 +119,29 @@ def weighted_scenarios():
 # --- curvature -------------------------------------------------------------
 
 
+def riemann_generic(man, params, x):
+    """R[l][k][i][j] coefficients of R(e_i, e_j) e_k = R^l_{kij} e_l, every
+    entry of the engine's ``curvature._riemann_entries``."""
+    entry, n = _riemann_entries(man, params, x), man.dim
+    return [[[[entry(l, k, i, j) for j in range(n)] for i in range(n)]
+             for k in range(n)] for l in range(n)]
+
+
+def riemann_at(man, x, params):
+    """The Riemann tensor R[l, k, i, j] at an admissible point, as float64."""
+    return np.array(riemann_generic(man, params, man.point(x)), dtype=float)
+
+
 def ricci_frame_sum(man, x, params):
     """Ricci via the orthonormal-frame sum; cross-checks the trace form."""
-    riem = riemann_tensor(man, x, params)
+    riem = riemann_at(man, x, params)
     frame = orthonormal_frame(man, x)
-    g = eval_metric(man, x)
+    g = metric_at(man, x)
     return np.einsum("ai,bi,lb,lqap->pq", frame, frame, g, riem)
 
 
 def traced_ricci(man, params, x):
-    """Ric[p][q] = sum_a R^a_{qap} read off the full ``riemann_generic``
+    """Ric[p][q] = sum_a R^a_{qap} read off the full :func:`riemann_generic`
     tensor, the reference for ``ricci_generic``'s trace entries."""
     n = man.dim
     riem = riemann_generic(man, params, x)

@@ -32,7 +32,7 @@ def d2f_dx0dx1(x):
 def f_matrix(x):
     """Matrix-valued field mixing polynomial and trig entries."""
     return [[x[0] * x[0] * x[1] + 3.0 * x[2], dual.sin(x[0]) * dual.cos(x[1])],
-            [x[1] ** 3 - x[0] * x[2], dual.cos(x[2]) * x[0] + dual.sin(x[1] * x[2])]]
+            [x[1] * x[1] * x[1] - x[0] * x[2], dual.cos(x[2]) * x[0] + dual.sin(x[1] * x[2])]]
 
 
 def entry(f, i, j):
@@ -64,6 +64,27 @@ class TestArithmetic:
         inner = epsilon_part(out, l1)      # d/dx1 = x0 (still dual in l0)
         assert inner.a == pytest.approx(0.3)
         assert epsilon_part(inner, l0) == pytest.approx(1.0)
+
+    def test_division_across_levels(self):
+        # Either operand may carry the higher level, and a plain divisor
+        # divides both components: d2/dx0 dx1 of x0 / x1 and of x1 / x0.
+        z0, l0 = seed_axis([0.3, 0.5], 0)
+        z1, l1 = seed_axis(z0, 1)
+        for quotient, expected in ((z1[0] / z1[1], -1.0 / 0.5 ** 2),
+                                   (z1[1] / z1[0], -1.0 / 0.3 ** 2)):
+            assert epsilon_part(epsilon_part(quotient, l1),
+                                l0) == pytest.approx(expected)
+
+    def test_lower_level_part_of_a_higher_level_value(self):
+        # Taking the outer (lower) level first recurses into both
+        # components of the inner (higher) level: d/dx0 (x0 x1) = x1, still
+        # dual in x1's level, whose part is the mixed partial.
+        z0, l0 = seed_axis([0.3, 0.5], 0)
+        z1, l1 = seed_axis(z0, 1)
+        outer = epsilon_part(z1[0] * z1[1], l0)
+        assert type(outer) is Dual and outer.lvl == l1
+        assert (outer.a, outer.b) == (0.5, 1.0)
+        assert epsilon_part(outer, l1) == 1.0
 
     @given(st.floats(-2, 2), st.floats(-2, 2))
     @settings(max_examples=50, deadline=None)

@@ -16,16 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affconn import dual, operators
-from affconn.charts import (WeightParams, eval_metric, height_weight,
-                            sphere3_chart, sphere_chart)
+from affconn.charts import (WeightParams, height_weight, sphere3_chart,
+                            sphere_chart)
 from affconn.connections import (amari_chentsov, connection_coeffs,
                                  duality_residual, equiaffine_residual)
-from affconn.curvature import (ricci_tensor, riemann_tensor, static_ricci,
-                               weighted_ricci)
+from affconn.curvature import ricci_tensor, static_ricci, weighted_ricci
 from affconn.dual import Dual
-from affconn.operators import grad_D, hess_D, lap_D, second_fundamental
+from affconn.operators import (hess_D_generic, lap_D_generic,
+                               second_fundamental)
 from affconn.scenarios import get_scenario
 from affconn.suite import check_d_minimal, check_duality
+from oracles import riemann_generic
 from test_connections import linear_fields
 
 S2 = sphere_chart(weight=height_weight(0.3))
@@ -37,10 +38,12 @@ def phi(z):
     return dual.cos(z[0]) * z[-1] + z[0] * z[0]
 
 
-# name -> (manifold, evaluation of a point)
+# name -> (manifold, evaluation of a point).  The nested-list forms take
+# their point through ``man.point`` as the report path does.
 POINT_FUNCTIONS = {
     "connection_coeffs": (S2, lambda x: connection_coeffs(S2, GENERIC, x)),
-    "riemann_tensor": (S3, lambda x: riemann_tensor(S3, x, GENERIC)),
+    "riemann_tensor": (S3, lambda x: np.array(
+        riemann_generic(S3, GENERIC, S3.point(x)), dtype=float)),
     "ricci_tensor": (S2, lambda x: ricci_tensor(S2, x, GENERIC)),
     "static_ricci": (S3, lambda x: static_ricci(S3, x)),
     "weighted_ricci": (S2, lambda x: weighted_ricci(
@@ -50,10 +53,11 @@ POINT_FUNCTIONS = {
         S2, GENERIC, x, *linear_fields(2))),
     "equiaffine_residual": (S3, lambda x: equiaffine_residual(
         S3, GENERIC, x, linear_fields(3)[0])),
-    "eval_metric": (S3, lambda x: eval_metric(S3, x)),
-    "grad_D": (S2, lambda x: grad_D(S2, GENERIC, phi, x)),
-    "hess_D": (S3, lambda x: hess_D(S3, GENERIC, phi, x)),
-    "lap_D": (S2, lambda x: lap_D(S2, GENERIC, phi, x)),
+    "eval_metric": (S3, lambda x: np.array(S3.metric(S3.point(x)),
+                                           dtype=float)),
+    "hess_D": (S3, lambda x: np.array(
+        hess_D_generic(S3, GENERIC, phi, S3.point(x)), dtype=float)),
+    "lap_D": (S2, lambda x: lap_D_generic(S2, GENERIC, phi, S2.point(x))),
 }
 
 

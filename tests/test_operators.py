@@ -11,8 +11,9 @@ from affconn.charts import (WeightParams, euclidean_chart, halton_points,
                             polar_disk_chart, sphere_chart)
 from affconn.errors import DegenerateJacobian
 from affconn.operators import (DomainRegion, Hypersurface, _full_rank,
-                               d_minimal_residual, grad_D, hess_D, lap_D,
-                               reilly_residual, second_fundamental)
+                               d_minimal_residual, hess_D_generic,
+                               lap_D_generic, reilly_residual,
+                               second_fundamental)
 from oracles import linear_weight, validate_orientation
 
 P0 = WeightParams(0.0, 0.0)
@@ -40,21 +41,28 @@ class TestScalarOperators:
         def phi(z):
             return z[0] * z[0]
 
-        assert lap_D(man, params, phi, [0.0, 0.0]) == pytest.approx(2.0)
+        assert lap_D_generic(man, params, phi,
+                             man.point([0.0, 0.0])) == pytest.approx(2.0)
         x = [0.3, 0.1]
         expected = np.exp(-0.3) * (2.0 + 2.0 * 2.0 * 0.3)
-        assert lap_D(man, params, phi, x) == pytest.approx(expected)
+        assert lap_D_generic(man, params, phi,
+                             man.point(x)) == pytest.approx(expected)
 
-    def test_gradient_scaling(self):
+    def test_flat_hessian_of_a_linear_function(self):
+        # Hess phi = 0 and g = I, so Hess^D phi = e^{(beta - alpha) u}
+        # (beta (du dphi + dphi du) + alpha <du, dphi> I).
         man = euclidean_chart(2, weight=linear_weight(2.0))
         params = WeightParams(0.5, -0.5)
 
         def phi(z):
             return z[0] + 3.0 * z[1]
 
-        g = grad_D(man, params, phi, [0.1, 0.0])
-        scale = np.exp((params.beta - params.alpha) * 0.2)
-        assert np.allclose(g, scale * np.array([1.0, 3.0]), atol=1e-12)
+        h = hess_D_generic(man, params, phi, man.point([0.1, 0.0]))
+        du, dphi = np.array([2.0, 0.0]), np.array([1.0, 3.0])
+        expected = np.exp((params.beta - params.alpha) * 0.2) * (
+            params.beta * (np.outer(du, dphi) + np.outer(dphi, du))
+            + params.alpha * (du @ dphi) * np.eye(2))
+        assert np.allclose(h, expected, atol=1e-12)
 
     def test_trace_of_hessian_is_laplacian(self):
         man = sphere_chart(weight=height_weight(0.3))
@@ -64,11 +72,11 @@ class TestScalarOperators:
             return dual.sin(z[0]) * dual.cos(z[1])
 
         for x in halton_points(man, 12):
-            h = hess_D(man, params, phi, x)
-            gi = np.linalg.inv(np.array(
-                [[float(e) for e in row] for row in man.metric(list(x))]))
+            x = man.point(x)
+            h = np.array(hess_D_generic(man, params, phi, x))
+            gi = np.linalg.inv(np.array(man.metric(x)))
             assert np.trace(gi @ h) == pytest.approx(
-                lap_D(man, params, phi, x), abs=1e-10)
+                lap_D_generic(man, params, phi, x), abs=1e-10)
 
     def test_unweighted_reduces_to_laplace_beltrami(self):
         man = sphere_chart()
@@ -77,7 +85,7 @@ class TestScalarOperators:
             return dual.cos(z[0])  # first spherical harmonic, eigenvalue 2
 
         for x in halton_points(man, 6):
-            assert lap_D(man, P0, phi, x) == pytest.approx(
+            assert lap_D_generic(man, P0, phi, man.point(x)) == pytest.approx(
                 -2.0 * np.cos(x[0]), abs=1e-10)
 
 

@@ -218,6 +218,17 @@ class TestConvergence:
         with pytest.raises(CheckNotRefinable):
             convergence_rows("s2-classical", "torsion", [1, 2])
 
+    @pytest.mark.parametrize("name, check, field", [
+        ("s2-hemisphere-weighted", "eigenvalue", "mesh_spec"),
+        ("s2-substatic", "reilly", "region_factory"),
+    ])
+    def test_ladder_needs_the_field_its_check_reads(self, name, check,
+                                                    field):
+        # The ladder's gate is the only one in front of ``scn.mesh`` and
+        # ``scn.region``, which do not test their field for None.
+        with pytest.raises(CheckNotRefinable, match=f"has no {field}"):
+            convergence_rows(name, check, [1, 2])
+
     def test_csv_is_rfc4180(self):
         buf = io.StringIO()
         emit_convergence("s2-classical", "eigenvalue", [3, 4], buf)
