@@ -8,7 +8,7 @@ from .connections import (LEVI_CIVITA, amari_chentsov,
                           duality_residual, equiaffine_residual)
 from .curvature import (CurvatureReport, curvature_bound_scan, ricci_tensor,
                         static_ricci, weighted_ricci)
-from .dual import Dual, derivative
+from .dual import Dual
 
 __version__ = "0.1.0"
 
@@ -23,7 +23,7 @@ from .suite import emit_convergence, report_json, run_suite
 __all__ = [
     "ChartedManifold", "WeightParams", "CurvatureReport", "Dual",
     "euclidean_chart", "sphere_chart", "sphere3_chart", "polar_disk_chart",
-    "halton_points", "derivative",
+    "halton_points",
     "LEVI_CIVITA", "connection_coeffs", "duality_residual",
     "amari_chentsov", "amari_chentsov_closed_form", "equiaffine_residual",
     "ricci_tensor", "static_ricci", "weighted_ricci",

@@ -6,6 +6,7 @@ written against :mod:`affconn.dual`'s generic math, so they evaluate on
 floats, numpy arrays, and nested dual numbers alike.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,13 +51,19 @@ class ChartedManifold:
 
     def point(self, x):
         """An admissible point as a new list of Python floats; every public
-        point evaluation takes its point from here."""
+        point evaluation takes its point from here.  It needs one finite
+        coordinate per axis, periodic axes included."""
+        xs = dual.floats(x)
+        if len(xs) != self.dim or not all(map(math.isfinite, xs)):
+            raise PointOutOfDomain(
+                f"point {tuple(x)} is not one finite coordinate per axis "
+                f"of {self.name or 'chart'}")
         for i, (lo, hi) in enumerate(self.admissible_box()):
-            if not self.periodic[i] and not (lo <= x[i] <= hi):
+            if not self.periodic[i] and not (lo <= xs[i] <= hi):
                 raise PointOutOfDomain(
                     f"point {tuple(x)} outside admissible box of "
                     f"{self.name or 'chart'}")
-        return dual.floats(x)
+        return xs
 
 
 @dataclass(frozen=True)

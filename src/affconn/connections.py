@@ -103,10 +103,7 @@ def duality_residual(man, params, x, X, Y, Z, perturb=0.0):
         g = man.metric(z)
         return exp(e * man.weight(z)) * algebra.quadratic_form(g, Y(z), Z(z))
 
-    lhs = 0.0
-    for xi, d in zip(X(x), jacobian(pairing, x)):
-        lhs = lhs + xi * d
-
+    lhs = algebra.dot(X(x), jacobian(pairing, x))
     gamma_w = affine_gamma_generic(man, params, x)
     gamma_d = affine_gamma_generic(man, params.dual(), x)
     if perturb:
@@ -179,10 +176,7 @@ def equiaffine_residual(man, params, x, X, tau_shift=0.0):
         return exp(tau * man.weight(z)) * sqrt(algebra.det(man.metric(z)))
 
     xv = X(x)
-    deriv = 0.0
-    for xi, d in zip(xv, jacobian(density, x)):
-        deriv = deriv + xi * d
-
+    deriv = algebra.dot(xv, jacobian(density, x))
     gamma = affine_gamma_generic(man, params, x)
     trace = 0.0
     for j in range(n):

@@ -14,7 +14,7 @@ import numpy as np
 from . import algebra
 from .charts import halton_points
 from .connections import LEVI_CIVITA, affine_gamma_generic, christoffel_generic
-from .dual import derivative, exp, jacobian
+from .dual import exp, jacobian, partial
 
 
 def _riemann_entries(man, params, x):
@@ -59,7 +59,7 @@ def scalar_hessian_lc(man, f, x):
     d2f = algebra.zeros(n, n)
     for i in range(n):
         for j in range(i, n):
-            d2f[i][j] = d2f[j][i] = derivative(f, x, (i, j))
+            d2f[i][j] = d2f[j][i] = partial(lambda z: partial(f, z, j), x, i)
     gamma = christoffel_generic(man, x)
     hess = algebra.zeros(n, n)
     for i in range(n):

@@ -2,12 +2,13 @@
 
 A :class:`Dual` carries a value, a derivative seed, and a level tag.  Each
 lift allocates a fresh level, so simultaneous lifts of different (or the
-same) coordinates never confuse their infinitesimals; mixed and repeated
-partials up to third order are exact.  Components may be floats, numpy
-arrays (for vectorized evaluation over many points at once), or further
-``Dual`` instances.  All chart, weight, and field functions in this
-library are written against the generic math functions below (``sin``,
-``exp``, ...) so they evaluate transparently on lifted coordinates.
+same) coordinates never confuse their infinitesimals; :func:`partial` is
+the one lift, and nested ones give exact partials of any order.
+Components may be floats, numpy arrays (for vectorized evaluation over
+many points at once), or further ``Dual`` instances.  All chart, weight,
+and field functions in this library are written against the generic math
+functions below (``sin``, ``exp``, ...) so they evaluate transparently on
+lifted coordinates.
 
 Point evaluations run on Python floats (see :func:`floats`): float
 arithmetic and the ``math`` module cost less per operation than numpy
@@ -20,10 +21,6 @@ import itertools
 import math
 
 import numpy as np
-
-from .errors import OrderUnsupported
-
-MAX_ORDER = 3
 
 _levels = itertools.count(1)
 
@@ -173,20 +170,3 @@ def sqrt(x):
     if type(x) is float and x >= 0.0:
         return math.sqrt(x)
     return np.sqrt(x)
-
-
-def derivative(field, x, multi_index):
-    """Partial derivative of ``field`` at ``x`` for the given multi-index.
-
-    ``multi_index`` lists coordinate axes, one per differentiation, e.g.
-    ``(0, 0)`` for the second derivative along axis 0; the dual-number
-    lifts are nested, ``multi_index[0]`` outermost, so the result is exact.
-    """
-    multi_index = tuple(multi_index)
-    if len(multi_index) > MAX_ORDER:
-        raise OrderUnsupported(
-            f"derivative order {len(multi_index)} exceeds {MAX_ORDER}")
-    if not multi_index:
-        return field(list(x))
-    return partial(lambda z: derivative(field, z, multi_index[1:]), x,
-                   multi_index[0])

@@ -6,11 +6,7 @@ class GeometryError(Exception):
 
 
 class PointOutOfDomain(GeometryError):
-    """Point lies outside the admissible part of a chart's coordinate box."""
-
-
-class OrderUnsupported(GeometryError):
-    """Requested derivative order exceeds the supported depth (3)."""
+    """Point of the wrong length, not finite, or outside a chart's box."""
 
 
 class DegenerateJacobian(GeometryError):

@@ -22,7 +22,7 @@ from . import algebra
 from .connections import christoffel_generic
 from .curvature import ricci_generic, scalar_hessian_lc
 from .dual import exp, floats, jacobian, sqrt
-from .errors import DegenerateJacobian
+from .errors import DegenerateJacobian, PointOutOfDomain
 
 
 def hess_D_generic(man, params, phi, x):
@@ -171,6 +171,9 @@ def _full_rank(gs):
 
 def second_fundamental(hyp, params, s):
     """Extrinsic data of the hypersurface at parameter point ``s``."""
+    if len(s) != hyp.pdim:
+        raise PointOutOfDomain(f"parameter point {tuple(s)} has {len(s)} "
+                               f"coordinates, not {hyp.pdim}")
     # A rank-deficient Jacobian divides by a zero normal: Python floats
     # raise, numpy scalars give inf/nan that the rank check below catches.
     try:
@@ -248,6 +251,8 @@ def _gauss_axis(lo, hi, cells, order):
 
 def box_quadrature(lower, upper, grid, order):
     """Tensor-product nodes (list of coord arrays) and combined weights."""
+    if grid < 1:
+        raise ValueError(f"grid must be >= 1, not {grid}")
     axes, wts = [], []
     for lo, hi in zip(lower, upper):
         nodes, weights = _gauss_axis(lo, hi, grid, order)

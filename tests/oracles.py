@@ -53,7 +53,8 @@ def cofactor_inv(m):
 
 def fd_derivative(field, x, multi_index, step=1e-3):
     """Partial derivative by nested 4th-order central differences with step
-    ``step``, the independent cross-check of ``dual.derivative``."""
+    ``step``, the independent cross-check of nested ``dual.partial``
+    lifts."""
     f = field
     for axis in reversed(tuple(multi_index)):
         f = _fd_lift(f, axis, step)

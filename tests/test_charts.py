@@ -42,6 +42,14 @@ class TestAdmissibility:
         man = sphere_chart()
         assert man.point([1.0, 100.0]) == [1.0, 100.0]
 
+    # A point needs one finite coordinate per axis, the periodic one too.
+    @pytest.mark.parametrize("x", [[1.0, 0.5, 7.0], [1.0], [1.0, np.nan],
+                                   [1.0, np.inf]],
+                             ids=["extra", "missing", "nan", "inf"])
+    def test_malformed_point_is_refused(self, x):
+        with pytest.raises(PointOutOfDomain, match="not one finite coordinate per axis"):
+            connection_coeffs(sphere_chart(), WeightParams(0.4, -0.2), x)
+
     def test_halton_points_inside_box_and_deterministic(self):
         man = sphere_chart()
         pts = halton_points(man, 40)

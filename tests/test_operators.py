@@ -9,11 +9,12 @@ from affconn import dual
 from affconn.charts import (WeightParams, euclidean_chart, halton_points,
                             height_squared_weight, height_weight,
                             polar_disk_chart, sphere_chart)
-from affconn.errors import DegenerateJacobian
+from affconn.errors import DegenerateJacobian, PointOutOfDomain
 from affconn.operators import (DomainRegion, Hypersurface, _full_rank,
                                d_minimal_residual, hess_D_generic,
-                               lap_D_generic, reilly_residual,
-                               second_fundamental)
+                               box_quadrature, lap_D_generic,
+                               reilly_residual, second_fundamental)
+from affconn.scenarios import get_scenario
 from oracles import linear_weight, validate_orientation
 
 P0 = WeightParams(0.0, 0.0)
@@ -145,6 +146,15 @@ class TestExtrinsic:
         with pytest.raises(DegenerateJacobian, match="not finite"):
             second_fundamental(bad, P0, [0.5])
 
+    # A parameter point needs exactly hyp.pdim coordinates.
+    @pytest.mark.parametrize("name,s", [("s2-classical", [0.4, 9.0]),
+                                        ("s2-classical", [0.4, 0.5, 0.6]),
+                                        ("s3-classical", [0.4])])
+    def test_parameter_point_of_wrong_length_rejected(self, name, s):
+        scenario = get_scenario(name)
+        with pytest.raises(PointOutOfDomain, match="coordinates, not [12]"):
+            second_fundamental(scenario.hypersurface(), scenario.params, s)
+
 
 def rotated_gram(eigenvalues, angle):
     """R diag(eigenvalues) R^T, R the rotation by ``angle``, with its lower
@@ -244,3 +254,12 @@ class TestIntegralIdentity:
                                      order=1).residual
                      for grid in (8, 16, 32)]
         assert min(np.log2(np.divide(residuals[:-1], residuals[1:]))) >= 2.0
+
+    # On no nodes both sides are 0.0, so the identity would "hold".
+    @pytest.mark.parametrize("grid", [0, -1])
+    def test_empty_grid_is_refused(self, grid):
+        with pytest.raises(ValueError, match="grid must be >= 1"):
+            box_quadrature((0.0,), (1.0,), grid, 2)
+        with pytest.raises(ValueError, match="grid must be >= 1"):
+            reilly_residual(disk_region(), P0, lambda z: z[0] * z[0],
+                            grid=grid)
