@@ -132,19 +132,19 @@ def zero_weight(x):
     return 0.0
 
 
-def euclidean_chart(dim=2, weight=zero_weight):
-    """Flat box chart on [-1, 1]^dim with identity metric."""
+def euclidean_chart():
+    """Flat unweighted box chart on [-1, 1]^2 with identity metric."""
     def metric(x):
-        return algebra.identity(dim)
+        return algebra.identity(2)
     return ChartedManifold(
-        dim=dim,
-        lower=(-1.0,) * dim,
-        upper=(1.0,) * dim,
-        periodic=(False,) * dim,
+        dim=2,
+        lower=(-1.0, -1.0),
+        upper=(1.0, 1.0),
+        periodic=(False, False),
         metric=metric,
-        weight=weight,
-        margin=(0.02,) * dim,
-        name=f"euclidean-{dim}d",
+        weight=zero_weight,
+        margin=(0.02, 0.02),
+        name="euclidean-2d",
     )
 
 
@@ -167,8 +167,8 @@ def sphere_chart(weight=zero_weight, radius=1.0):
     )
 
 
-def sphere3_chart(weight=zero_weight, radius=1.0):
-    """Round 3-sphere in hyperspherical coordinates (psi, theta, phi)."""
+def sphere3_chart(radius=1.0):
+    """Unweighted round 3-sphere, hyperspherical (psi, theta, phi)."""
     r2 = radius * radius
 
     def metric(x):
@@ -184,7 +184,7 @@ def sphere3_chart(weight=zero_weight, radius=1.0):
         upper=(np.pi, np.pi, 2.0 * np.pi),
         periodic=(False, False, True),
         metric=metric,
-        weight=weight,
+        weight=zero_weight,
         name="sphere-3d",
     )
 

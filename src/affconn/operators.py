@@ -170,16 +170,21 @@ def _full_rank(gs):
 
 
 def second_fundamental(hyp, params, s):
-    """Extrinsic data of the hypersurface at parameter point ``s``."""
+    """Extrinsic data of the hypersurface at parameter point ``s``, which
+    lies within ``lower`` and ``upper`` on every non-periodic axis."""
     if len(s) != hyp.pdim:
         raise PointOutOfDomain(f"parameter point {tuple(s)} has {len(s)} "
                                f"coordinates, not {hyp.pdim}")
+    s = floats(s)
+    for c, lo, hi, periodic in zip(s, hyp.lower, hyp.upper, hyp.periodic):
+        if not (periodic or lo <= c <= hi):
+            raise PointOutOfDomain(f"parameter point {tuple(s)} outside "
+                                   f"{hyp.lower} .. {hyp.upper}")
     # A rank-deficient Jacobian divides by a zero normal: Python floats
     # raise, numpy scalars give inf/nan that the rank check below catches.
     try:
         with np.errstate(divide="ignore", invalid="ignore"):
-            gs, ii, h, ii_aff, h_aff, u_nu = _extrinsic_generic(hyp, params,
-                                                               floats(s))
+            gs, ii, h, ii_aff, h_aff, u_nu = _extrinsic_generic(hyp, params, s)
         full_rank = _full_rank(gs)
     except ZeroDivisionError:
         full_rank = False

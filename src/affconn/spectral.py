@@ -126,25 +126,22 @@ def assemble(mesh, params):
     return SpectralProblem(stiffness=a, mass=b, mesh=mesh)
 
 
-def eigenvalues(prob, count=6):
-    """Smallest ``count`` eigenvalues of the generalized pair (A, B).
+def eigenvalues(prob):
+    """lambda_0 and lambda_1, the two smallest eigenvalues of (A, B).
 
-    Dense below ``DENSE_CUTOFF`` vertices, or below five times the block of
-    ``count + 2`` columns; block LOBPCG preconditioned with a multigrid
-    V-cycle of A + sigma B from there (:func:`_lobpcg`).
+    Dense below ``DENSE_CUTOFF`` vertices; from there block LOBPCG on four
+    columns, preconditioned with a multigrid V-cycle of A + sigma B
+    (:func:`_lobpcg`).
     """
     a, b = prob.stiffness, prob.mass
     n = prob.size
-    block = count + 2
-    if n < max(DENSE_CUTOFF, 5 * block):
-        # B = L L^T, then the whole spectrum of L^-1 A L^-T and the slice: a
-        # subset stops at about eps * ||A||, so its lowest values would
-        # depend on ``count``.
+    if n < DENSE_CUTOFF:
+        # B = L L^T, then the whole spectrum of L^-1 A L^-T and its head.
         try:
             l_inv = np.linalg.inv(np.linalg.cholesky(b.toarray()))
         except np.linalg.LinAlgError as err:
             raise SingularSystem(f"dense eigensolve: {err}") from err
-        return np.linalg.eigvalsh(l_inv @ a.toarray() @ l_inv.T)[:count]
+        return np.linalg.eigvalsh(l_inv @ a.toarray() @ l_inv.T)[:2]
     # tr A / tr B grows like n^(2/d); dividing that out puts sigma at the
     # scale of the lowest eigenvalues, and A + sigma B is SPD.
     sigma = (a.diagonal().sum() / b.diagonal().sum()) / n ** (
@@ -153,9 +150,9 @@ def eigenvalues(prob, count=6):
     # The constants, the smooth coordinate functions, then fixed
     # oscillating columns: a deterministic start block.
     coords = [c for c in prob.mesh.vertices.T if np.ptp(c) > 0]
-    fill = np.sin(np.outer(np.arange(1.0, n + 1), np.arange(1.0, block + 1)))
-    start = np.column_stack([np.ones(n), *coords, fill])[:, :block]
-    return _lobpcg(a, b, start, precond, count)
+    fill = np.sin(np.outer(np.arange(1.0, n + 1), np.arange(1.0, 5.0)))
+    start = np.column_stack([np.ones(n), *coords, fill])[:, :4]
+    return _lobpcg(a, b, start, precond)
 
 
 def _gram(u, v):
@@ -181,8 +178,8 @@ def _b_orthonormal(v, b, x=None, bx=None):
                      / np.sqrt(theta[keep]))
 
 
-def _lobpcg(a, b, x, precond, count):
-    """The ``count`` smallest eigenvalues of (A, B) by block LOBPCG
+def _lobpcg(a, b, x, precond):
+    """The two smallest eigenvalues of (A, B) by block LOBPCG
     (Knyazev, SIAM J. Sci. Comput. 23, 2001) from the start block ``x``.
 
     Each step is a Rayleigh-Ritz on X and, B-orthonormal to it, the
@@ -206,9 +203,9 @@ def _lobpcg(a, b, x, precond, count):
         r = ax - bx * theta
         res = np.sqrt(np.einsum("ik,ik,i->k", r, r, 1.0 / lumped))
         active = res > LOBPCG_RTOL * np.maximum(abs(theta), abs(theta[1]))
-        if not active[:count].any():
-            return np.sort(np.einsum("ik,ik->k", x, ax)[:count]
-                           / np.einsum("ik,ik->k", x, bx)[:count])
+        if not active[:2].any():
+            return np.sort(np.einsum("ik,ik->k", x, ax)[:2]
+                           / np.einsum("ik,ik->k", x, bx)[:2])
         if step == LOBPCG_MAX_ITER or not np.all(np.isfinite(res)):
             raise SolverNoConvergence(
                 f"LOBPCG residual {np.max(res)} at step {step}")
@@ -220,17 +217,16 @@ def _lobpcg(a, b, x, precond, count):
 
 
 def smallest_nonzero_eigenvalue(prob):
-    """First nonzero eigenvalue, read from the two lowest eigenpairs.
+    """First nonzero eigenvalue, lambda_1 of :func:`eigenvalues`.
 
-    The lowest is the constant mode; it must vanish against
+    lambda_0 is the constant mode; it must vanish against
     max(|lambda_1|, 1), or the solve is refused.
     """
-    vals = eigenvalues(prob, count=min(2, prob.size))
-    scale = max(abs(vals[-1]), 1.0)
-    if abs(vals[0]) > 1e-6 * scale:
+    lam0, lam1 = eigenvalues(prob)
+    if abs(lam0) > 1e-6 * max(abs(lam1), 1.0):
         raise SolverNoConvergence(
-            f"constant kernel mode missing: smallest eigenvalue {vals[0]}")
-    return float(vals[1])
+            f"constant kernel mode missing: smallest eigenvalue {lam0}")
+    return float(lam1)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +380,15 @@ def harmonic_extension_2d(mesh, params, boundary_values):
     if len(interior):
         a_ii = _Interior(a, interior)
         # A phi, with phi zero inside, is A[interior, boundary] psi there.
-        phi[interior] = _pcg(a_ii, -(a_ii.rows @ phi), _multigrid(mesh, a_ii))
+        try:
+            phi[interior] = _pcg(a_ii, -(a_ii.rows @ phi),
+                                 _multigrid(mesh, a_ii))
+        except SolverNoConvergence as err:
+            if mesh.level is not None:
+                raise
+            raise SolverNoConvergence(
+                f"{err}: the mesh has no generator level, so its multigrid "
+                f"is a single damped-Jacobi level") from err
     return phi, a
 
 

@@ -1,5 +1,7 @@
 """Connection coefficients, duality, the cubic tensor, and equiaffinity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -45,7 +47,7 @@ class TestChristoffel:
 
     def test_flat_substitution_example(self):
         # u = x1, alpha = 1, beta = 0 at the origin of the plane.
-        man = euclidean_chart(2, weight=linear_weight(1.0))
+        man = dataclasses.replace(euclidean_chart(), weight=linear_weight(1.0))
         gamma = connection_coeffs(man, WeightParams(1.0, 0.0),
                                   [0.0, 0.0])
         assert gamma[0][0][0] == pytest.approx(2.0)

@@ -19,7 +19,7 @@ S2_WEIGHTED = sphere_chart(weight=height_weight(0.3))
 
 class TestRiemannRicci:
     def test_flat_space_vanishes(self):
-        man = euclidean_chart(2)
+        man = euclidean_chart()
         riem = riemann_at(man, [0.2, -0.1], LEVI_CIVITA)
         assert np.max(np.abs(riem)) <= 1e-12
 
@@ -121,7 +121,7 @@ class TestBoundScan:
         assert rep.k_best == pytest.approx(2.0, abs=1e-9)
 
     def test_flat_space_zero(self):
-        rep = curvature_bound_scan(euclidean_chart(2), WeightParams(0.0, 0.0))
+        rep = curvature_bound_scan(euclidean_chart(), WeightParams(0.0, 0.0))
         assert rep.k_best == pytest.approx(0.0, abs=1e-12)
 
     def test_weighted_quadratic_golden_value(self):

@@ -10,9 +10,14 @@ inside the defining module, a name brought in by ``from .module import
 name`` (or ``from affconn[.module] import name``), or an attribute
 ``module.name`` of an engine module brought in by ``from . import
 module``.  So ``np.log`` is not a caller of an engine ``log``.
+
+Every ``affconn`` name the benchmark under ``perfbench/`` wraps or reads
+resolves too, checked without importing the benchmark.
 """
 
 import ast
+import functools
+import importlib
 import os
 import pathlib
 import subprocess
@@ -22,6 +27,7 @@ import affconn
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "affconn"
+PERFBENCH = ROOT / "perfbench"
 CALLERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -286,3 +292,60 @@ def test_engine_surface():
     assert not imported & {"curvature", "operators"}
     assert {scope.split(":")[0]
             for scope in _scopes_reading("D_MINIMAL_TOL")} == {"suite.py"}
+
+
+def _perfbench_reads():
+    """``affconn.<module>.<name>`` chains the benchmark's files read, as
+    attribute paths or imports, and its layer trace's TARGETS and
+    CHECK_IDS, all read by ``ast`` without importing the benchmark."""
+    chains, targets, check_ids = set(), [], []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                chains |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                chains |= {f"{node.module}.{alias.name}"
+                           for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                chains.add(_dotted(node))
+            elif (isinstance(node, ast.Assign) and path.stem == "layertrace"
+                  and isinstance(node.targets[0], ast.Name)):
+                if node.targets[0].id == "TARGETS":
+                    targets = [tuple(ast.literal_eval(e) for e in t.elts[:2])
+                               for t in node.value.elts]
+                elif node.targets[0].id == "CHECK_IDS":
+                    check_ids = ast.literal_eval(node.value)
+    chains = {c for c in chains if c.startswith("affconn.")}
+    chains |= {f"affconn.{module}.{qualname}" for module, qualname in targets}
+    return chains, check_ids
+
+
+def _resolves(chain):
+    """True when each attribute of ``affconn.a.b...`` exists, every engine
+    module imported first."""
+    for module in SUBMODULES:
+        importlib.import_module(f"affconn.{module}")
+    try:
+        functools.reduce(getattr, chain.split(".")[1:], affconn)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    # perfbench/run.py --trace 1 wraps or reads each of these; a rename
+    # would break it without failing any engine test.
+    chains, check_ids = _perfbench_reads()
+    assert {"affconn.spectral.eigenvalues", "affconn.spectral.DENSE_CUTOFF",
+            "affconn.suite.CHECKS", "affconn.suite.convergence_rows",
+            "affconn.meshes.SurfaceMesh.with_weight",
+            "affconn.dual.Dual.__init__"} <= chains
+    missing = sorted(c for c in chains if not _resolves(c))
+    assert not missing, f"names the benchmark reads that do not resolve: " \
+                        f"{missing}"
+    assert set(check_ids) == set(affconn.suite.CHECKS)
+
+
+def test_an_unknown_chain_does_not_resolve():
+    assert not _resolves("affconn.spectral.no_such_name")
+    assert _resolves("affconn.spectral.SpectralProblem.size")

@@ -8,6 +8,7 @@ conversion swapped for one that yields ``np.float64`` components, which
 sends every elementary function and every operation through numpy.
 """
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -30,7 +31,7 @@ from oracles import riemann_generic
 from test_connections import linear_fields
 
 S2 = sphere_chart(weight=height_weight(0.3))
-S3 = sphere3_chart(weight=height_weight(0.2))
+S3 = dataclasses.replace(sphere3_chart(), weight=height_weight(0.2))
 GENERIC = WeightParams(0.4, -0.2)
 
 

@@ -1,5 +1,6 @@
 """Affine operators, extrinsic geometry, and the integral identity."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -36,7 +37,7 @@ def latitude(man, theta0):
 class TestScalarOperators:
     def test_flat_laplacian_example(self):
         # phi = x0^2, u = x0, (alpha, beta) = (1, 0): n alpha + 2 beta = 2.
-        man = euclidean_chart(2, weight=linear_weight(1.0))
+        man = dataclasses.replace(euclidean_chart(), weight=linear_weight(1.0))
         params = WeightParams(1.0, 0.0)
 
         def phi(z):
@@ -52,7 +53,7 @@ class TestScalarOperators:
     def test_flat_hessian_of_a_linear_function(self):
         # Hess phi = 0 and g = I, so Hess^D phi = e^{(beta - alpha) u}
         # (beta (du dphi + dphi du) + alpha <du, dphi> I).
-        man = euclidean_chart(2, weight=linear_weight(2.0))
+        man = dataclasses.replace(euclidean_chart(), weight=linear_weight(2.0))
         params = WeightParams(0.5, -0.5)
 
         def phi(z):
@@ -155,6 +156,28 @@ class TestExtrinsic:
         with pytest.raises(PointOutOfDomain, match="coordinates, not [12]"):
             second_fundamental(scenario.hypersurface(), scenario.params, s)
 
+    # A non-periodic parameter axis ends at the hypersurface's own bounds.
+    @pytest.mark.parametrize("s", [[100.0, 0.4], [-5.0, 0.4], [math.nan, 0.4]])
+    def test_parameter_point_outside_the_bounds_rejected(self, s):
+        scenario = get_scenario("s3-classical")
+        with pytest.raises(PointOutOfDomain, match="outside"):
+            second_fundamental(scenario.hypersurface(), scenario.params, s)
+
+    def test_the_parameter_bounds_are_closed(self):
+        arc = Hypersurface(ambient=sphere_chart(), lower=(0.0,),
+                           upper=(1.0,), periodic=(False,),
+                           embedding=lambda s: [1.0 + 0.0 * s[0], s[0]])
+        for s in (0.0, 1.0):
+            data = second_fundamental(arc, P0, [s])
+            assert data.mean_curvature == pytest.approx(1.0 / np.tan(1.0))
+        with pytest.raises(PointOutOfDomain, match="outside"):
+            second_fundamental(arc, P0, [math.nextafter(1.0, 2.0)])
+
+    def test_a_periodic_parameter_axis_has_no_bounds(self):
+        scenario = get_scenario("s3-classical")
+        data = second_fundamental(scenario.hypersurface(), scenario.params,
+                                  [0.4, 100.4])
+        assert abs(data.mean_curvature_affine) <= 1e-12
 
 def rotated_gram(eigenvalues, angle):
     """R diag(eigenvalues) R^T, R the rotation by ``angle``, with its lower
