@@ -13,8 +13,8 @@ from .dual import Dual
 __version__ = "0.1.0"
 
 from .meshes import SurfaceMesh, build_mesh, disk_mesh, hemisphere_mesh
-from .operators import (DomainRegion, Hypersurface, d_minimal_residual,
-                        reilly_residual, second_fundamental)
+from .operators import (DomainRegion, Hypersurface, affine_mean_curvature,
+                        d_minimal_residual, reilly_residual)
 from .scenarios import Scenario, get_scenario, scenario_names
 from .spectral import (SpectralProblem, assemble, harmonic_extension_2d,
                        smallest_nonzero_eigenvalue)
@@ -29,8 +29,8 @@ __all__ = [
     "ricci_tensor", "static_ricci", "weighted_ricci",
     "curvature_bound_scan",
     "SurfaceMesh", "build_mesh", "disk_mesh", "hemisphere_mesh",
-    "DomainRegion", "Hypersurface", "d_minimal_residual",
-    "reilly_residual", "second_fundamental",
+    "DomainRegion", "Hypersurface", "affine_mean_curvature",
+    "d_minimal_residual", "reilly_residual",
     "Scenario", "get_scenario", "scenario_names",
     "SpectralProblem", "assemble", "harmonic_extension_2d",
     "smallest_nonzero_eigenvalue",

@@ -24,6 +24,15 @@ def quadratic_form(m, u, v):
     return dot(u, matvec(m, v))
 
 
+def contract(a, b):
+    """sum_ij a[i][j] b[i][j], from 0.0 in row order."""
+    out = 0.0
+    for row_a, row_b in zip(a, b):
+        for x, y in zip(row_a, row_b):
+            out = out + x * y
+    return out
+
+
 def det(m):
     n = len(m)
     if n == 1:

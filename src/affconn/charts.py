@@ -14,9 +14,21 @@ import numpy as np
 from . import algebra, dual
 from .errors import PointOutOfDomain
 
-# Chart singularities (sphere poles, polar origin) are coordinate artifacts;
-# sampling stays this fraction of the axis range away from non-periodic ends.
-DEFAULT_MARGIN = 0.05
+
+def checked_point(x, box, periodic, what):
+    """``x`` as a new list of Python floats; every point evaluation, of a
+    chart or of a hypersurface's parameters, takes its point from here.  It
+    needs one finite coordinate per axis, periodic axes included, inside
+    the (lo, hi) pairs of ``box`` on every non-periodic axis."""
+    xs = dual.floats(x)
+    if len(xs) != len(box) or not all(map(math.isfinite, xs)):
+        raise PointOutOfDomain(f"point {tuple(x)} is not one finite "
+                               f"coordinate per axis of {what}")
+    for c, (lo, hi), wraps in zip(xs, box, periodic):
+        if not (wraps or lo <= c <= hi):
+            raise PointOutOfDomain(f"point {tuple(x)} outside {what} "
+                                   f"{tuple(box)}")
+    return xs
 
 
 @dataclass(frozen=True)
@@ -29,14 +41,14 @@ class ChartedManifold:
     periodic: tuple
     metric: object        # callable: point -> n x n nested list
     weight: object        # callable: point -> scalar (the weight u)
-    margin: tuple = None  # per-axis sampling margin fraction
+    # Fraction of each non-periodic axis kept free of samples at both ends,
+    # away from chart singularities (sphere poles, polar origin).
+    margin: float = 0.05
     name: str = ""
 
     def __post_init__(self):
         if not 1 <= self.dim <= 3:
             raise ValueError(f"dimension must be 1, 2 or 3, not {self.dim}")
-        if self.margin is None:
-            object.__setattr__(self, "margin", (DEFAULT_MARGIN,) * self.dim)
 
     def admissible_box(self):
         """Per-axis (lo, hi) bounds with margins applied on non-periodic axes."""
@@ -44,26 +56,15 @@ class ChartedManifold:
         for i in range(self.dim):
             lo, hi = self.lower[i], self.upper[i]
             if not self.periodic[i]:
-                pad = self.margin[i] * (hi - lo)
+                pad = self.margin * (hi - lo)
                 lo, hi = lo + pad, hi - pad
             bounds.append((lo, hi))
         return bounds
 
     def point(self, x):
-        """An admissible point as a new list of Python floats; every public
-        point evaluation takes its point from here.  It needs one finite
-        coordinate per axis, periodic axes included."""
-        xs = dual.floats(x)
-        if len(xs) != self.dim or not all(map(math.isfinite, xs)):
-            raise PointOutOfDomain(
-                f"point {tuple(x)} is not one finite coordinate per axis "
-                f"of {self.name or 'chart'}")
-        for i, (lo, hi) in enumerate(self.admissible_box()):
-            if not self.periodic[i] and not (lo <= xs[i] <= hi):
-                raise PointOutOfDomain(
-                    f"point {tuple(x)} outside admissible box of "
-                    f"{self.name or 'chart'}")
-        return xs
+        """An admissible point, by :func:`checked_point`."""
+        return checked_point(x, self.admissible_box(), self.periodic,
+                             f"the admissible box of {self.name or 'chart'}")
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ def euclidean_chart():
         periodic=(False, False),
         metric=metric,
         weight=zero_weight,
-        margin=(0.02, 0.02),
+        margin=0.02,
         name="euclidean-2d",
     )
 

@@ -84,10 +84,7 @@ def static_ricci(man, x):
     g = man.metric(x)
     gi = algebra.inv(g)
     v = vfun(x)
-    lap_v = 0.0
-    for i in range(n):
-        for j in range(n):
-            lap_v = lap_v + gi[i][j] * hess_v[i][j]
+    lap_v = algebra.contract(gi, hess_v)
     out = algebra.zeros(n, n)
     for i in range(n):
         for j in range(n):
@@ -114,8 +111,6 @@ def weighted_ricci(man, f_field, x):
 class CurvatureReport:
     """Sampled lower bound for the weighted affine Ricci tensor."""
 
-    points: np.ndarray          # (count, n) sample points
-    ricci_values: np.ndarray    # (count, n, n) weighted affine Ricci
     asymmetry: float            # max |Ric_ij - Ric_ji| over the sample
     k_best: float               # inf of smallest generalized eigenvalue
     min_point: tuple            # sample point attaining k_best
@@ -148,6 +143,5 @@ def curvature_bound_scan(man, params):
     half = np.linalg.solve(chol, sym)                             # L^-1 S
     lam = np.linalg.eigvalsh(np.linalg.solve(chol, np.swapaxes(half, 1, 2)))
     k = int(np.argmin(lam[:, 0]))
-    return CurvatureReport(points=pts, ricci_values=ric, asymmetry=asym,
-                           k_best=float(lam[k, 0]),
+    return CurvatureReport(asymmetry=asym, k_best=float(lam[k, 0]),
                            min_point=tuple(float(c) for c in pts[k]))

@@ -87,6 +87,7 @@ def build_mesh(kind, level):
 
 def circle_mesh(level):
     """Uniform closed polygon with 2^(level+4) segments."""
+    # Refused here: below -4 the count 2 ** (level + 4) is a float.
     if level < 0:
         raise ValueError("level must be >= 0")
     count = 2 ** (level + 4)
@@ -110,8 +111,6 @@ def _normalize(m):
 
 def icosphere(level):
     """Icosahedron subdivided ``level`` times, vertices projected to the sphere."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
     verts = _normalize(_ICO_VERTS)
     faces = _ICO_FACES.copy()
     for _ in range(level):
@@ -138,6 +137,7 @@ def disk_mesh(level):
 
     Returns a mesh whose ``boundary_loop`` lists the outer ring in order.
     """
+    # Refused here: below 0 the ring count 2 ** level * 4 is a float.
     if level < 0:
         raise ValueError("level must be >= 0")
     rings = 2 ** level * 4

@@ -19,47 +19,41 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
+from .charts import checked_point
 from .connections import christoffel_generic
 from .curvature import ricci_generic, scalar_hessian_lc
-from .dual import exp, floats, jacobian, sqrt
-from .errors import DegenerateJacobian, PointOutOfDomain
+from .dual import exp, jacobian, sqrt
+from .errors import DegenerateJacobian
+
+
+def _jet(man, params, phi, x):
+    """g, g^-1, the Levi-Civita Hessian of phi, du, dphi, g(grad u, grad phi)
+    and V^{beta-alpha} at ``x``."""
+    x = list(x)
+    g = man.metric(x)
+    gi = algebra.inv(g)
+    hess = scalar_hessian_lc(man, phi, x)
+    du = jacobian(man.weight, x)
+    dphi = jacobian(phi, x)
+    cross = algebra.quadratic_form(gi, du, dphi)
+    return g, gi, hess, du, dphi, cross, exp(
+        (params.beta - params.alpha) * man.weight(x))
 
 
 def hess_D_generic(man, params, phi, x):
     """Affine Hessian as a nested list; evaluable on dual/array points."""
-    n = man.dim
-    g = man.metric(list(x))
-    gi = algebra.inv(g)
-    hess = scalar_hessian_lc(man, phi, list(x))
-    du = jacobian(man.weight, list(x))
-    dphi = jacobian(phi, list(x))
-    cross = algebra.quadratic_form(gi, du, dphi)
-    scale = exp((params.beta - params.alpha) * man.weight(list(x)))
+    g, _, hess, du, dphi, cross, scale = _jet(man, params, phi, x)
     a, b = params.alpha, params.beta
-    out = algebra.zeros(n, n)
-    for i in range(n):
-        for j in range(n):
-            out[i][j] = scale * (hess[i][j]
-                                 + b * (du[i] * dphi[j] + dphi[i] * du[j])
-                                 + a * cross * g[i][j])
-    return out
+    return [[scale * (hess[i][j] + b * (du[i] * dphi[j] + dphi[i] * du[j])
+                      + a * cross * g[i][j])
+             for j in range(man.dim)] for i in range(man.dim)]
 
 
 def lap_D_generic(man, params, phi, x):
     """Affine Laplacian as a generic scalar; evaluable on dual/array points."""
-    n = man.dim
-    g = man.metric(list(x))
-    gi = algebra.inv(g)
-    hess = scalar_hessian_lc(man, phi, list(x))
-    du = jacobian(man.weight, list(x))
-    dphi = jacobian(phi, list(x))
-    lap = 0.0
-    for i in range(n):
-        for j in range(n):
-            lap = lap + gi[i][j] * hess[i][j]
-    drift = algebra.quadratic_form(gi, du, dphi)
-    scale = exp((params.beta - params.alpha) * man.weight(list(x)))
-    return scale * (lap + params.energy_exponent(n) * drift)
+    _, gi, hess, _, _, drift, scale = _jet(man, params, phi, x)
+    return scale * (algebra.contract(gi, hess)
+                    + params.energy_exponent(man.dim) * drift)
 
 
 # ---------------------------------------------------------------------------
@@ -106,20 +100,9 @@ def _normal_generic(hyp, s):
     return [hyp.orientation * c / norm for c in nu]
 
 
-@dataclass(frozen=True)
-class ExtrinsicData:
-    """Second fundamental form and mean curvature, plain and affine."""
-
-    induced_metric: np.ndarray
-    second_fundamental: np.ndarray   # II(X_a, X_b) = g(nabla_{X_a} nu, X_b)
-    mean_curvature: float
-    second_fundamental_affine: np.ndarray
-    mean_curvature_affine: float
-    normal_weight_derivative: float  # du(nu)
-
-
 def _extrinsic_generic(hyp, params, s):
-    """Induced metric, II, H, affine II^D and H^D, and du(nu) at ``s``."""
+    """Induced metric, affine II^D and H^D at ``s``, where
+    II(X_a, X_b) = g(nabla_{X_a} nu, X_b)."""
     n = hyp.ambient.dim
     m = hyp.pdim
     man = hyp.ambient
@@ -144,18 +127,13 @@ def _extrinsic_generic(hyp, params, s):
             cov.append(acc)
         for b in range(m):
             two_ff[a][b] = algebra.dot(algebra.matvec(g, cov), tangents[b])
-    gs_inv = algebra.inv(gs)
-    h = 0.0
-    for a in range(m):
-        for b in range(m):
-            h = h + gs_inv[a][b] * two_ff[a][b]
+    h = algebra.contract(algebra.inv(gs), two_ff)
     du = jacobian(man.weight, x)
     u_nu = algebra.dot(du, nu)
     # II^D = II - beta du(nu) g_s and H^D = H + (n-1) alpha du(nu).
     ii_aff = [[two_ff[a][b] - params.beta * u_nu * gs[a][b]
                for b in range(m)] for a in range(m)]
-    h_aff = h + (n - 1) * params.alpha * u_nu
-    return gs, two_ff, h, ii_aff, h_aff, u_nu
+    return gs, ii_aff, h + (n - 1) * params.alpha * u_nu
 
 
 def _full_rank(gs):
@@ -169,34 +147,23 @@ def _full_rank(gs):
     return abs(a * c - b * b) > 1e-10 * largest
 
 
-def second_fundamental(hyp, params, s):
-    """Extrinsic data of the hypersurface at parameter point ``s``, which
-    lies within ``lower`` and ``upper`` on every non-periodic axis."""
-    if len(s) != hyp.pdim:
-        raise PointOutOfDomain(f"parameter point {tuple(s)} has {len(s)} "
-                               f"coordinates, not {hyp.pdim}")
-    s = floats(s)
-    for c, lo, hi, periodic in zip(s, hyp.lower, hyp.upper, hyp.periodic):
-        if not (periodic or lo <= c <= hi):
-            raise PointOutOfDomain(f"parameter point {tuple(s)} outside "
-                                   f"{hyp.lower} .. {hyp.upper}")
+def affine_mean_curvature(hyp, params, s):
+    """H^D of the hypersurface at a parameter point ``s`` that
+    :func:`~affconn.charts.checked_point` accepts in its parameter box."""
+    s = checked_point(s, list(zip(hyp.lower, hyp.upper)), hyp.periodic,
+                      "the hypersurface's parameter box")
     # A rank-deficient Jacobian divides by a zero normal: Python floats
     # raise, numpy scalars give inf/nan that the rank check below catches.
     try:
         with np.errstate(divide="ignore", invalid="ignore"):
-            gs, ii, h, ii_aff, h_aff, u_nu = _extrinsic_generic(hyp, params, s)
+            gs, _, h_aff = _extrinsic_generic(hyp, params, s)
         full_rank = _full_rank(gs)
     except ZeroDivisionError:
         full_rank = False
     if not full_rank:
         raise DegenerateJacobian(f"embedding Jacobian rank deficient or not "
                                  f"finite at {tuple(s)}")
-    return ExtrinsicData(induced_metric=np.array(gs),
-                         second_fundamental=np.array(ii),
-                         mean_curvature=float(h),
-                         second_fundamental_affine=np.array(ii_aff),
-                         mean_curvature_affine=float(h_aff),
-                         normal_weight_derivative=float(u_nu))
+    return float(h_aff)
 
 
 # Parameter grid points per axis for the D-minimality residual.
@@ -219,8 +186,7 @@ def _param_grid(hyp):
 def d_minimal_residual(hyp, params):
     """max |H^D| over a parameter grid; ~0 certifies D-minimality.  A NaN
     at any grid point is the result."""
-    return float(np.max([abs(second_fundamental(hyp, params, s)
-                             .mean_curvature_affine)
+    return float(np.max([abs(affine_mean_curvature(hyp, params, s))
                          for s in _param_grid(hyp)]))
 
 
@@ -298,10 +264,7 @@ def _bulk_integrand(region, params, phi, coords):
     # g-Frobenius norm squared of the affine Hessian.
     hess_up = [[sum(gi[i][a] * hess[a][b] * gi[b][j] for a in range(n) for b in range(n))
                 for j in range(n)] for i in range(n)]
-    hess_sq = 0.0
-    for i in range(n):
-        for j in range(n):
-            hess_sq = hess_sq + hess[i][j] * hess_up[i][j]
+    hess_sq = algebra.contract(hess, hess_up)
 
     vtau = exp(params.tau(n) * u)
     dens = sqrt(algebra.det(g))
@@ -339,7 +302,7 @@ def _boundary_integrand(region, params, phi, svals):
     vtau = exp(tau * u)
     scale = exp((params.beta - params.alpha) * u)  # V^{beta-alpha}
 
-    data_gs, _, _, ii_aff, h_aff, _ = _extrinsic_generic(hyp, params, s)
+    data_gs, ii_aff, h_aff = _extrinsic_generic(hyp, params, s)
     gs_inv = algebra.inv(data_gs)
 
     # Tangential derivatives of boundary scalars, in parameter components.

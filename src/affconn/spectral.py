@@ -131,17 +131,20 @@ def eigenvalues(prob):
 
     Dense below ``DENSE_CUTOFF`` vertices; from there block LOBPCG on four
     columns, preconditioned with a multigrid V-cycle of A + sigma B
-    (:func:`_lobpcg`).
+    (:func:`_lobpcg`).  Both return the Rayleigh quotients of their two
+    lowest eigenvectors.
     """
     a, b = prob.stiffness, prob.mass
     n = prob.size
     if n < DENSE_CUTOFF:
-        # B = L L^T, then the whole spectrum of L^-1 A L^-T and its head.
+        # B = L L^T; the eigenvectors of L^-1 A L^-T, mapped back by L^-T.
         try:
             l_inv = np.linalg.inv(np.linalg.cholesky(b.toarray()))
         except np.linalg.LinAlgError as err:
             raise SingularSystem(f"dense eigensolve: {err}") from err
-        return np.linalg.eigvalsh(l_inv @ a.toarray() @ l_inv.T)[:2]
+        x = l_inv.T @ np.linalg.eigh(l_inv @ a.toarray() @ l_inv.T)[1][:, :2]
+        return (np.einsum("ik,ik->k", x, a @ x)
+                / np.einsum("ik,ik->k", x, b @ x))
     # tr A / tr B grows like n^(2/d); dividing that out puts sigma at the
     # scale of the lowest eigenvalues, and A + sigma B is SPD.
     sigma = (a.diagonal().sum() / b.diagonal().sum()) / n ** (

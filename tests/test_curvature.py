@@ -1,5 +1,7 @@
 """Curvature tensors, independent oracles, and the bound scan."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,9 +9,9 @@ import scipy.linalg
 from affconn.charts import (WeightParams, euclidean_chart, halton_points,
                             height_weight, sphere3_chart, sphere_chart)
 from affconn.connections import LEVI_CIVITA
-from affconn.curvature import (SCAN_COUNT, curvature_bound_scan,
-                               ricci_generic, ricci_tensor, static_ricci,
-                               weighted_ricci)
+from affconn.curvature import (SCAN_COUNT, CurvatureReport,
+                               curvature_bound_scan, ricci_generic,
+                               ricci_tensor, static_ricci, weighted_ricci)
 from affconn.operators import QUAD_GRID, QUAD_ORDER, box_quadrature
 from affconn.scenarios import get_scenario, scenario_names
 from oracles import metric_at, ricci_frame_sum, riemann_at, traced_ricci
@@ -134,23 +136,33 @@ class TestBoundScan:
 
     # The scan whitens all samples in one batched call; per-sample scipy
     # eigh of the pair (S, e^{(a-b)u} g) is the reference, to a few ulps.
+    # The samples are ricci_generic on the scan's own Halton columns, which
+    # is the scan's arithmetic.
     @pytest.mark.parametrize("name", scenario_names())
     def test_batched_scan_matches_per_sample_eigh(self, name):
         scn = get_scenario(name)
         man = scn.manifold()
         rep = curvature_bound_scan(man, scn.params)
-        sym = 0.5 * (rep.ricci_values + rep.ricci_values.transpose(0, 2, 1))
+        n, pts = man.dim, halton_points(man, SCAN_COUNT)
+        nested = ricci_generic(man, scn.params,
+                               [pts[:, i].copy() for i in range(n)])
+        # A flat chart's entries are scalars, broadcast to every sample.
+        ric = np.stack([np.broadcast_to(e, SCAN_COUNT) for row in nested
+                        for e in row], axis=-1).reshape(SCAN_COUNT, n, n)
+        sym = 0.5 * (ric + ric.transpose(0, 2, 1))
         lam = []
-        for x, s in zip(rep.points, sym):
+        for x, s in zip(pts, sym):
             conf = np.exp(scn.params.conformal_exponent * man.weight(list(x)))
             lam.append(scipy.linalg.eigh(s, conf * metric_at(man, x),
                                          eigvals_only=True)[0])
         k = int(np.argmin(lam))
         assert abs(rep.k_best - lam[k]) <= 1e-15 * max(abs(lam[k]), 1.0)
-        assert rep.min_point == tuple(rep.points[k])
+        assert rep.min_point == tuple(pts[k])
 
-    def test_report_shape_and_min_point(self):
+    def test_report_fields_and_min_point(self):
         rep = curvature_bound_scan(S2_WEIGHTED, WeightParams(0.4, -0.2))
-        assert rep.points.shape == (SCAN_COUNT, 2)
-        assert rep.ricci_values.shape == (SCAN_COUNT, 2, 2)
+        assert [f.name for f in dataclasses.fields(CurvatureReport)] == [
+            "asymmetry", "k_best", "min_point"]
         assert len(rep.min_point) == 2
+        assert rep.min_point in map(tuple, halton_points(S2_WEIGHTED,
+                                                         SCAN_COUNT))

@@ -4,6 +4,8 @@ Every module-level function or class in ``src/affconn``, and every name
 in ``affconn.__all__``, is read from outside its own definition by the
 package, the CLI or a demo; a public name may instead be on a short,
 commented allow-list.  Code that only tests call belongs in ``tests/``.
+Every field of a dataclass in the package is read as an attribute there,
+matched by name.
 
 A reference counts only when it resolves to the definition: a bare name
 inside the defining module, a name brought in by ``from .module import
@@ -190,11 +192,37 @@ def _scopes_reading(name):
     return out
 
 
+def _dataclass_fields():
+    """``Class.field`` and the field name of every field of a dataclass in
+    the package."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d)
+                    for d in stmt.decorator_list):
+                out += [(f"{stmt.name}.{sub.target.id}", sub.target.id)
+                        for sub in stmt.body if isinstance(sub, ast.AnnAssign)]
+    return out
+
+
+def test_every_dataclass_field_is_read():
+    # A returned record carries what its callers read: a field that only
+    # tests read is work done for nothing at every call.
+    read = {sub.attr for path in CALLERS
+            for sub in ast.walk(ast.parse(path.read_text()))
+            if isinstance(sub, ast.Attribute)
+            and isinstance(sub.ctx, ast.Load)}
+    fields = _dataclass_fields()
+    assert {"CurvatureReport.k_best", "SurfaceMesh.level"} <= dict(fields).keys()
+    unread = [name for name, field in fields if field not in read]
+    assert not unread, f"dataclass fields no caller reads: {unread}"
+
+
 def test_points_enter_through_one_conversion():
-    # A chart point enters through ChartedManifold.point; a hypersurface
-    # parameter point has no chart box and is converted where it is read.
-    assert _scopes_reading("floats") <= {"charts.py:ChartedManifold.point",
-                                         "operators.py:second_fundamental"}
+    # A chart point and a hypersurface parameter point are converted and
+    # checked in one place.
+    assert _scopes_reading("floats") == {"charts.py:checked_point"}
 
 
 def _dotted(node):

@@ -1,8 +1,9 @@
 """Point evaluations run on Python floats and give numpy's bits.
 
 The public point functions take their point through
-``ChartedManifold.point``, which converts it with ``dual.floats``; a
-hypersurface parameter point is converted in ``second_fundamental``.  The
+``ChartedManifold.point``, and a hypersurface parameter point through
+``affine_mean_curvature``; both convert it with ``dual.floats`` in
+``charts.checked_point``.  The
 reference here is the numpy-scalar path: the same functions with that
 conversion swapped for one that yields ``np.float64`` components, which
 sends every elementary function and every operation through numpy.
@@ -16,15 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affconn import dual, operators
+from affconn import dual
 from affconn.charts import (WeightParams, height_weight, sphere3_chart,
                             sphere_chart)
 from affconn.connections import (amari_chentsov, connection_coeffs,
                                  duality_residual, equiaffine_residual)
 from affconn.curvature import ricci_tensor, static_ricci, weighted_ricci
 from affconn.dual import Dual
-from affconn.operators import (hess_D_generic, lap_D_generic,
-                               second_fundamental)
+from affconn.operators import (affine_mean_curvature, hess_D_generic,
+                               lap_D_generic)
 from affconn.scenarios import get_scenario
 from affconn.suite import check_d_minimal, check_duality
 from oracles import riemann_generic
@@ -67,14 +68,11 @@ def numpy_scalars(x):
 
 
 def numpy_scalar_path(evaluate, x):
-    with mock.patch.object(dual, "floats", numpy_scalars), \
-            mock.patch.object(operators, "floats", numpy_scalars):
+    with mock.patch.object(dual, "floats", numpy_scalars):
         return evaluate(x)
 
 
 def bits(out):
-    if isinstance(out, operators.ExtrinsicData):
-        return [bits(getattr(out, f)) for f in out.__dataclass_fields__]
     return np.asarray(out, dtype=float).tobytes()
 
 
@@ -104,14 +102,15 @@ def test_numpy_row_float_list_and_numpy_scalars_agree(name, t):
 @pytest.mark.parametrize("scenario", ["s2-weighted-quadratic", "s3-classical"])
 @given(t=st.lists(st.floats(0.05, 0.95), min_size=2, max_size=2))
 @settings(max_examples=25, deadline=None)
-def test_second_fundamental_on_floats(scenario, t):
+def test_affine_mean_curvature_on_floats(scenario, t):
     scn = get_scenario(scenario)
     hyp = scn.hypersurface()
     s = [lo + c * (hi - lo) for c, lo, hi in zip(t, hyp.lower, hyp.upper)]
 
     def evaluate(p):
-        return second_fundamental(hyp, scn.params, p)
+        return affine_mean_curvature(hyp, scn.params, p)
 
+    assert type(evaluate(np.array(s))) is float
     got = bits(evaluate(np.array(s)))
     assert bits(evaluate(s)) == got
     assert bits(numpy_scalar_path(evaluate, np.array(s))) == got

@@ -41,10 +41,6 @@ def grown_residual(out):
     return dataclasses.replace(out, residual=100.0 * out.residual)
 
 
-def nan_mean_curvature(out):
-    return dataclasses.replace(out, mean_curvature_affine=math.nan)
-
-
 def poison(monkeypatch, owner, name, call, spoil):
     """Make ``owner.name`` return ``spoil(result)`` on call number ``call``
     (counted from 1) and its own result on every other call."""
@@ -88,15 +84,15 @@ CASES = [
      "static_gap"),
     ("s2-generic", "curvature-oracles", suite, "weighted_ricci", 5, nan_array,
      "one_weighted_gap"),
-    ("s3-classical", "d-minimal", operators, "second_fundamental", 100,
-     nan_mean_curvature, "max_affine_mean_curvature"),
+    ("s3-classical", "d-minimal", operators, "affine_mean_curvature", 100,
+     nan_float, "max_affine_mean_curvature"),
     ("disk-flat", "reilly", suite, "reilly_residual", 2, nan_residual,
      "residual_radial-square"),
     ("s2-hemisphere-weighted", "reilly", suite, "_ladder", 1,
      nan_second_order, "refinement_orders"),
     # A NaN D-minimality residual fails the premise probe of the bound.
-    ("s2-classical", "choi-wang", operators, "second_fundamental", 5,
-     nan_mean_curvature, "d_minimal_residual"),
+    ("s2-classical", "choi-wang", operators, "affine_mean_curvature", 5,
+     nan_float, "d_minimal_residual"),
 ]
 
 

@@ -11,10 +11,11 @@ from affconn.charts import (WeightParams, euclidean_chart, halton_points,
                             height_squared_weight, height_weight,
                             polar_disk_chart, sphere_chart)
 from affconn.errors import DegenerateJacobian, PointOutOfDomain
-from affconn.operators import (DomainRegion, Hypersurface, _full_rank,
-                               d_minimal_residual, hess_D_generic,
-                               box_quadrature, lap_D_generic,
-                               reilly_residual, second_fundamental)
+from affconn.operators import (DomainRegion, Hypersurface,
+                               _extrinsic_generic, _full_rank,
+                               affine_mean_curvature, d_minimal_residual,
+                               hess_D_generic, box_quadrature, lap_D_generic,
+                               reilly_residual)
 from affconn.scenarios import get_scenario
 from oracles import linear_weight, validate_orientation
 
@@ -91,24 +92,29 @@ class TestScalarOperators:
                 -2.0 * np.cos(x[0]), abs=1e-10)
 
 
+# At (alpha, beta) = (0, 0), H^D is the plain mean curvature H and II^D the
+# plain second fundamental form II.
 class TestExtrinsic:
     def test_equator_is_geodesic(self):
-        data = second_fundamental(equator(sphere_chart()), P0, [0.4])
-        assert data.mean_curvature == pytest.approx(0.0, abs=1e-12)
-        assert np.max(np.abs(data.second_fundamental)) <= 1e-12
+        hyp = equator(sphere_chart())
+        assert affine_mean_curvature(hyp, P0, [0.4]) == pytest.approx(
+            0.0, abs=1e-12)
+        _, two_ff, _ = _extrinsic_generic(hyp, P0, [0.4])
+        assert np.max(np.abs(two_ff)) <= 1e-12
 
     def test_latitude_mean_curvature(self):
         theta0 = np.pi / 3
-        data = second_fundamental(latitude(sphere_chart(), theta0), P0, [0.4])
-        assert data.mean_curvature == pytest.approx(1.0 / np.tan(theta0))
+        h = affine_mean_curvature(latitude(sphere_chart(), theta0), P0, [0.4])
+        assert h == pytest.approx(1.0 / np.tan(theta0))
 
     def test_affine_mean_curvature_shift(self):
-        man = sphere_chart(weight=height_weight(0.3))
-        params = WeightParams(1.0, 0.0)
-        data = second_fundamental(equator(man), params, [0.4])
-        # u = 0.3 cos(theta): du(nu) = -0.3 sin(theta) at the equator.
-        assert data.normal_weight_derivative == pytest.approx(-0.3)
-        assert data.mean_curvature_affine == pytest.approx(-0.3)
+        hyp = equator(sphere_chart(weight=height_weight(0.3)))
+        h = affine_mean_curvature(hyp, P0, [0.4])
+        h_aff = affine_mean_curvature(hyp, WeightParams(1.0, 0.0), [0.4])
+        # u = 0.3 cos(theta): du(nu) = -0.3 sin(theta) at the equator, and
+        # H^D = H + (n - 1) alpha du(nu) with n - 1 = 1.
+        assert h_aff - h == pytest.approx(-0.3)
+        assert h_aff == pytest.approx(-0.3)
 
     def test_even_weight_keeps_equator_minimal(self):
         man = sphere_chart(weight=height_squared_weight(0.1))
@@ -120,7 +126,7 @@ class TestExtrinsic:
                            upper=(1.0,), periodic=(False,),
                            embedding=lambda s: [1.0 + 0.0 * s[0], 2.0 + 0.0 * s[0]])
         with pytest.raises(DegenerateJacobian):
-            second_fundamental(bad, P0, [0.5])
+            affine_mean_curvature(bad, P0, [0.5])
 
     # The point is evaluated on Python floats, whose division by the zero
     # normal raises; an embedding that returns numpy scalars gives inf/nan
@@ -134,7 +140,7 @@ class TestExtrinsic:
                            embedding=lambda s: [1.0 + 0.0 * s[0],
                                                 height + 0.0 * s[0]])
         with pytest.raises(DegenerateJacobian):
-            second_fundamental(bad, P0, point)
+            affine_mean_curvature(bad, P0, point)
 
 
     # A NaN Gram matrix is refused like a singular one; an SVD of it raises
@@ -145,7 +151,7 @@ class TestExtrinsic:
                            upper=(1.0,), periodic=(False,),
                            embedding=lambda s: [1.0 + 0.0 * s[0], nan * s[0]])
         with pytest.raises(DegenerateJacobian, match="not finite"):
-            second_fundamental(bad, P0, [0.5])
+            affine_mean_curvature(bad, P0, [0.5])
 
     # A parameter point needs exactly hyp.pdim coordinates.
     @pytest.mark.parametrize("name,s", [("s2-classical", [0.4, 9.0]),
@@ -153,31 +159,45 @@ class TestExtrinsic:
                                         ("s3-classical", [0.4])])
     def test_parameter_point_of_wrong_length_rejected(self, name, s):
         scenario = get_scenario(name)
-        with pytest.raises(PointOutOfDomain, match="coordinates, not [12]"):
-            second_fundamental(scenario.hypersurface(), scenario.params, s)
+        with pytest.raises(PointOutOfDomain,
+                           match="not one finite coordinate per axis"):
+            affine_mean_curvature(scenario.hypersurface(), scenario.params, s)
 
     # A non-periodic parameter axis ends at the hypersurface's own bounds.
-    @pytest.mark.parametrize("s", [[100.0, 0.4], [-5.0, 0.4], [math.nan, 0.4]])
+    @pytest.mark.parametrize("s", [[100.0, 0.4], [-5.0, 0.4]])
     def test_parameter_point_outside_the_bounds_rejected(self, s):
         scenario = get_scenario("s3-classical")
         with pytest.raises(PointOutOfDomain, match="outside"):
-            second_fundamental(scenario.hypersurface(), scenario.params, s)
+            affine_mean_curvature(scenario.hypersurface(), scenario.params, s)
+
+    # A coordinate is finite on every axis, the periodic ones included: the
+    # s2-classical equator has one periodic axis, s3-classical's second one
+    # is periodic.
+    @pytest.mark.parametrize("name,s", [
+        ("s2-classical", [math.nan]), ("s2-classical", [math.inf]),
+        ("s3-classical", [math.nan, 0.4]), ("s3-classical", [0.4, math.nan]),
+        ("s3-classical", [0.4, -math.inf])])
+    def test_parameter_point_not_finite_rejected(self, name, s):
+        scenario = get_scenario(name)
+        with pytest.raises(PointOutOfDomain,
+                           match="not one finite coordinate per axis"):
+            affine_mean_curvature(scenario.hypersurface(), scenario.params, s)
 
     def test_the_parameter_bounds_are_closed(self):
         arc = Hypersurface(ambient=sphere_chart(), lower=(0.0,),
                            upper=(1.0,), periodic=(False,),
                            embedding=lambda s: [1.0 + 0.0 * s[0], s[0]])
         for s in (0.0, 1.0):
-            data = second_fundamental(arc, P0, [s])
-            assert data.mean_curvature == pytest.approx(1.0 / np.tan(1.0))
+            assert affine_mean_curvature(arc, P0, [s]) == pytest.approx(
+                1.0 / np.tan(1.0))
         with pytest.raises(PointOutOfDomain, match="outside"):
-            second_fundamental(arc, P0, [math.nextafter(1.0, 2.0)])
+            affine_mean_curvature(arc, P0, [math.nextafter(1.0, 2.0)])
 
     def test_a_periodic_parameter_axis_has_no_bounds(self):
         scenario = get_scenario("s3-classical")
-        data = second_fundamental(scenario.hypersurface(), scenario.params,
-                                  [0.4, 100.4])
-        assert abs(data.mean_curvature_affine) <= 1e-12
+        h_aff = affine_mean_curvature(scenario.hypersurface(),
+                                      scenario.params, [0.4, 100.4])
+        assert abs(h_aff) <= 1e-12
 
 def rotated_gram(eigenvalues, angle):
     """R diag(eigenvalues) R^T, R the rotation by ``angle``, with its lower
