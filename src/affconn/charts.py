@@ -33,9 +33,9 @@ def checked_point(x, box, periodic, what):
 
 @dataclass(frozen=True)
 class ChartedManifold:
-    """A weighted Riemannian manifold described in one coordinate chart."""
+    """A weighted Riemannian manifold described in one coordinate chart;
+    its dimension is the number of axes of the box."""
 
-    dim: int
     lower: tuple
     upper: tuple
     periodic: tuple
@@ -47,8 +47,16 @@ class ChartedManifold:
     name: str = ""
 
     def __post_init__(self):
+        if not len(self.lower) == len(self.upper) == len(self.periodic):
+            raise ValueError(f"lower, upper and periodic need one entry per "
+                             f"axis, not {len(self.lower)}, {len(self.upper)}"
+                             f" and {len(self.periodic)}")
         if not 1 <= self.dim <= 3:
             raise ValueError(f"dimension must be 1, 2 or 3, not {self.dim}")
+
+    @property
+    def dim(self):
+        return len(self.lower)
 
     def admissible_box(self):
         """Per-axis (lo, hi) bounds with margins applied on non-periodic axes."""
@@ -138,7 +146,6 @@ def euclidean_chart():
     def metric(x):
         return algebra.identity(2)
     return ChartedManifold(
-        dim=2,
         lower=(-1.0, -1.0),
         upper=(1.0, 1.0),
         periodic=(False, False),
@@ -158,7 +165,6 @@ def sphere_chart(weight=zero_weight, radius=1.0):
         return [[r2, 0.0], [0.0, r2 * s * s]]
 
     return ChartedManifold(
-        dim=2,
         lower=(0.0, 0.0),
         upper=(np.pi, 2.0 * np.pi),
         periodic=(False, True),
@@ -180,7 +186,6 @@ def sphere3_chart(radius=1.0):
                 [0.0, 0.0, r2 * s0 * s0 * s1 * s1]]
 
     return ChartedManifold(
-        dim=3,
         lower=(0.0, 0.0, 0.0),
         upper=(np.pi, np.pi, 2.0 * np.pi),
         periodic=(False, False, True),
@@ -197,7 +202,6 @@ def polar_disk_chart():
         return [[1.0, 0.0], [0.0, x[0] * x[0]]]
 
     return ChartedManifold(
-        dim=2,
         lower=(0.0, 0.0),
         upper=(1.0, 2.0 * np.pi),
         periodic=(False, True),

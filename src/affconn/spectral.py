@@ -13,8 +13,9 @@ weak form
 
 which is what :func:`assemble` discretizes with piecewise-linear elements
 and cell-averaged weights.  :func:`eigenvalues` solves it by multigrid
-LOBPCG, and the Dirichlet problems are solved by multigrid PCG: nothing
-here factors a sparse matrix or needs scipy.linalg.
+LOBPCG at every mesh size, and the Dirichlet problems are solved by
+multigrid PCG: nothing here densifies or factors a sparse matrix or needs
+scipy.linalg.
 """
 
 import itertools
@@ -29,9 +30,8 @@ from .errors import (DegenerateCell, GeometryError, MeshNotTwoDim,
                      SingularSystem, SolverNoConvergence)
 from .meshes import SurfaceMesh
 
-# Below this many vertices the eigensolve is dense; LOBPCG is faster from
-# the 256-vertex circle on, dense up to the 162-vertex icosphere.
-DENSE_CUTOFF = 200
+# Read by no engine code, only by perfbench's path tag (ROADMAP item 14).
+DENSE_CUTOFF = 0
 PCG_RTOL, PCG_MAX_ITER = 1e-13, 100
 LOBPCG_RTOL, LOBPCG_MAX_ITER = 1e-7, 100
 
@@ -129,22 +129,12 @@ def assemble(mesh, params):
 def eigenvalues(prob):
     """lambda_0 and lambda_1, the two smallest eigenvalues of (A, B).
 
-    Dense below ``DENSE_CUTOFF`` vertices; from there block LOBPCG on four
-    columns, preconditioned with a multigrid V-cycle of A + sigma B
-    (:func:`_lobpcg`).  Both return the Rayleigh quotients of their two
-    lowest eigenvectors.
+    Block LOBPCG on four columns at every mesh size, preconditioned with
+    a multigrid V-cycle of A + sigma B (:func:`_lobpcg`); it returns the
+    Rayleigh quotients of the two lowest eigenvectors.
     """
     a, b = prob.stiffness, prob.mass
     n = prob.size
-    if n < DENSE_CUTOFF:
-        # B = L L^T; the eigenvectors of L^-1 A L^-T, mapped back by L^-T.
-        try:
-            l_inv = np.linalg.inv(np.linalg.cholesky(b.toarray()))
-        except np.linalg.LinAlgError as err:
-            raise SingularSystem(f"dense eigensolve: {err}") from err
-        x = l_inv.T @ np.linalg.eigh(l_inv @ a.toarray() @ l_inv.T)[1][:, :2]
-        return (np.einsum("ik,ik->k", x, a @ x)
-                / np.einsum("ik,ik->k", x, b @ x))
     # tr A / tr B grows like n^(2/d); dividing that out puts sigma at the
     # scale of the lowest eigenvalues, and A + sigma B is SPD.
     sigma = (a.diagonal().sum() / b.diagonal().sum()) / n ** (

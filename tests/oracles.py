@@ -251,11 +251,16 @@ def peak_bytes(call, *args):
         tracemalloc.stop()
 
 
-def force_path(monkeypatch, method):
-    """Send every eigensolve down one path, ``"dense"`` or ``"iterative"``
-    (multigrid LOBPCG), by moving ``spectral.DENSE_CUTOFF``."""
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF",
-                        np.inf if method == "dense" else 0)
+def dense_eigenvalues(prob):
+    """lambda_0 and lambda_1 of (A, B) by a dense Cholesky whitening, the
+    reference for the multigrid LOBPCG of ``spectral.eigenvalues``: with
+    B = L L^T, the two lowest eigenvectors of L^-1 A L^-T mapped back by
+    L^-T, and their Rayleigh quotients, whose error is eps times lambda
+    rather than eps times the largest eigenvalue."""
+    a, b = prob.stiffness, prob.mass
+    l_inv = np.linalg.inv(np.linalg.cholesky(b.toarray()))
+    x = l_inv.T @ np.linalg.eigh(l_inv @ a.toarray() @ l_inv.T)[1][:, :2]
+    return np.einsum("ik,ik->k", x, a @ x) / np.einsum("ik,ik->k", x, b @ x)
 
 
 # P1 assembly by the closed forms of each cell kind: the triangle Gram

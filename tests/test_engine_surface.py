@@ -265,6 +265,13 @@ def test_the_engine_factors_nothing():
                 | _scopes_loading("scipy.sparse.linalg"))
 
 
+def test_the_engine_densifies_no_sparse_matrix():
+    # Every eigensolve is the multigrid LOBPCG on the sparse pair; the one
+    # Cholesky factors the 1x1 to 3x3 metrics of the curvature scan.
+    assert _scopes_reading("toarray") == set()
+    assert _scopes_reading("cholesky") == {"curvature.py:curvature_bound_scan"}
+
+
 def test_only_spectral_imports_scipy():
     # The meshes hand the sparse layer their cells and the per-kind facts
     # of their levels; spectral builds every prolongation from them.

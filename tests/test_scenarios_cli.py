@@ -143,30 +143,36 @@ class TestSuite:
         # The proof-chain energy sums ~50,000 products; a BLAS dot product
         # splits that sum by thread count, which moves its last bit.  The
         # eigensolve sums by einsum for the same reason: s3-classical is an
-        # icosphere and s2-classical a circle.  disk-flat's harmonic
-        # extension is the flat disk's Dirichlet solve.
-        script = ("import sys; from affconn.suite import report_json, "
-                  "run_suite; sys.stdout.write(report_json(run_suite("
-                  "{'scenarios': ['disk-flat', 's2-classical', "
+        # icosphere and s2-classical a circle, and their converge ladders
+        # start at 12 and 16 vertices.  disk-flat's harmonic extension is
+        # the flat disk's Dirichlet solve.
+        script = ("import sys; from affconn.suite import emit_convergence, "
+                  "report_json, run_suite; sys.stdout.write(report_json("
+                  "run_suite({'scenarios': ['disk-flat', 's2-classical', "
                   "'s2-weighted-quadratic', 's3-classical'], 'checks': "
                   "['eigenvalue', 'choi-wang', 'harmonic-extension', "
-                  "'proof-inequality']})))")
+                  "'proof-inequality']})))\n"
+                  "for name in ('s2-classical', 's3-classical'):\n"
+                  "    emit_convergence(name, 'eigenvalue', range(5), "
+                  "sys.stdout)")
         src = os.path.dirname(os.path.dirname(affconn.__file__))
-        reports = []
+        outputs = []
         for threads in ("1", "2"):
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                    "OMP_NUM_THREADS": threads, "PYTHONPATH": src}
-            reports.append(subprocess.run(
+            outputs.append(subprocess.run(
                 [sys.executable, "-c", script], env=env, check=True,
                 capture_output=True, text=True, timeout=300).stdout)
-        records = json.loads(reports[0])["records"]
+        report, *ladders = outputs[0].split("level,h,value,error")
+        records = json.loads(report)["records"]
         assert {(r["scenario"], r["check"]) for r in records} >= {
             (name, check) for name in ("s2-classical", "s3-classical")
             for check in ("eigenvalue", "choi-wang")}
         assert sum(r["check"] == "proof-inequality" for r in records) == 2
         assert ("disk-flat", "harmonic-extension") in {
             (r["scenario"], r["check"]) for r in records}
-        assert reports[0] == reports[1]
+        assert [ladder.count("\n") for ladder in ladders] == [6, 6]
+        assert outputs[0] == outputs[1]
 
     def test_records_carry_values_and_threshold(self):
         report = run_suite(SMALL_CONFIG)

@@ -19,8 +19,8 @@ from affconn.spectral import (assemble, eigenvalues, harmonic_extension_2d,
                               smallest_nonzero_eigenvalue)
 from affconn.suite import check_choi_wang
 from oracles import (cell_measures, circle_collocation_eigenvalues,
-                     closed_form_assemble, dirichlet_lu, dot_kernel,
-                     force_path, full_product_flux, halved_scatter,
+                     closed_form_assemble, dense_eigenvalues, dirichlet_lu,
+                     dot_kernel, full_product_flux, halved_scatter,
                      nested_dissection,
                      peak_bytes, plain_assemble, polyline_flux,
                      polyline_pairing, shift_invert_eigenvalues,
@@ -41,6 +41,14 @@ def polygon_eigenvalues(n, k):
     h = 2.0 * np.sin(np.pi / n)
     one_minus_cos = 2.0 * np.sin(0.5 * t) ** 2
     return 6.0 * one_minus_cos / (h * h * (3.0 - one_minus_cos))
+
+
+def polygon_loop(n):
+    """The uniform n-gon inscribed in the unit circle, without a level."""
+    angles = 2.0 * np.pi * np.arange(n) / n
+    ids = np.arange(n)
+    return SurfaceMesh(vertices=np.c_[np.cos(angles), np.sin(angles)],
+                       cells=np.c_[ids, np.roll(ids, -1)], u=np.zeros(n))
 
 
 class TestAssembly:
@@ -283,18 +291,6 @@ class TestEigenvalues:
         assert abs(lam0) <= 1e-10
         assert abs(lam1 - exact) / exact <= 2e-11
 
-    # The rule that perfbench's layer trace mirrors to tag each call.
-    def test_the_solve_is_dense_exactly_below_the_cutoff(self, monkeypatch):
-        prob = assemble(circle_mesh(4), P0)
-        calls = []
-        lobpcg = spectral._lobpcg
-        monkeypatch.setattr(spectral, "_lobpcg",
-                            lambda *args: calls.append(1) or lobpcg(*args))
-        for cutoff, iterative in [(prob.size + 1, 0), (prob.size, 1)]:
-            monkeypatch.setattr(spectral, "DENSE_CUTOFF", cutoff)
-            eigenvalues(prob)
-            assert len(calls) == iterative
-
     def test_circle_level_11_converges(self):
         # 32,768 vertices; the rounded entries of the assembled pair put its
         # own lambda_1 3.5e-11 off the closed form.
@@ -349,35 +345,46 @@ class TestEigenvalues:
             assemble(build_mesh("icosphere", 4), P0))
         assert abs(lam - 2.0) / 2.0 <= 1e-2
 
-    def test_dense_vs_iterative(self, monkeypatch):
+    def test_dense_vs_iterative(self):
         prob = assemble(build_mesh("icosphere", 3), P0)
         assert prob.size < 2000
         iterative = smallest_nonzero_eigenvalue(prob)
-        force_path(monkeypatch, "dense")
-        dense = smallest_nonzero_eigenvalue(prob)
+        dense = dense_eigenvalues(prob)[1]
         assert abs(dense - iterative) / dense <= 1e-8
 
-    # Both paths return Rayleigh quotients; the dense Ritz values erred by
+    # Both return Rayleigh quotients; the dense Ritz values erred by
     # eps * ||A||, which put lambda_0 at 1.2e-11 on circle-6 at one BLAS
     # thread.
     @pytest.mark.parametrize("kind,level", [("circle", 4), ("circle", 5),
                                             ("circle", 6), ("icosphere", 2),
                                             ("icosphere", 3)])
-    def test_both_paths_give_lambda_0_and_one_lambda_1(self, kind, level,
-                                                       monkeypatch):
+    def test_both_paths_give_lambda_0_and_one_lambda_1(self, kind, level):
         prob = assemble(build_mesh(kind, level), P0)
-        force_path(monkeypatch, "iterative")
         iterative = eigenvalues(prob)
-        force_path(monkeypatch, "dense")
-        dense = eigenvalues(prob)
+        dense = dense_eigenvalues(prob)
         assert len(iterative) == len(dense) == 2
         assert max(abs(iterative[0]), abs(dense[0])) <= 1e-11
         assert abs(iterative[1] - dense[1]) <= 2e-11 * dense[1]
 
-    @pytest.mark.parametrize("method", ["iterative", "dense"])
-    def test_unused_vertex_in_closed_mesh_is_singular(self, method,
-                                                      monkeypatch):
-        force_path(monkeypatch, method)
+    # The smallest meshes, each generator's level 0 and loops of three and
+    # four segments (lambda_1 = 2 and 1.5), go through the multigrid LOBPCG
+    # too; the loops have no level, so a single Jacobi level, and fewer
+    # vertices than start columns.
+    @pytest.mark.parametrize("mesh,exact", [
+        (circle_mesh(0), polygon_eigenvalues(16, 1)), (icosphere(0), None),
+        (polygon_loop(3), polygon_eigenvalues(3, 1)),
+        (polygon_loop(4), polygon_eigenvalues(4, 1))],
+        ids=["circle-0", "icosphere-0", "loop-3", "loop-4"])
+    def test_the_smallest_meshes_match_the_dense_solve(self, mesh, exact):
+        prob = assemble(mesh, P0)
+        lam0, lam1 = eigenvalues(prob)
+        dense = dense_eigenvalues(prob)[1]
+        assert abs(lam0) <= 1e-13
+        assert abs(lam1 - dense) <= 1e-13 * dense
+        if exact is not None:
+            assert abs(lam1 - exact) <= 1e-13 * exact
+
+    def test_unused_vertex_in_closed_mesh_is_singular(self):
         sphere = build_mesh("icosphere", 3)
         verts = np.vstack([sphere.vertices, [[0.1, 0.2, 0.3]]])  # in no cell
         mesh = SurfaceMesh(vertices=verts, cells=sphere.cells,
@@ -385,13 +392,9 @@ class TestEigenvalues:
         with pytest.raises(SingularSystem):
             smallest_nonzero_eigenvalue(assemble(mesh, P0))
 
-    @pytest.mark.parametrize("kind,level,method", [
-        ("circle", 4, "dense"), ("circle", 5, "iterative"),
-        ("icosphere", 2, "dense"), ("icosphere", 3, "iterative"),
-    ])
-    def test_missing_constant_mode_is_refused(self, kind, level, method,
-                                              monkeypatch):
-        force_path(monkeypatch, method)
+    @pytest.mark.parametrize("kind,level", [
+        ("circle", 4), ("circle", 5), ("icosphere", 2), ("icosphere", 3)])
+    def test_missing_constant_mode_is_refused(self, kind, level):
         prob = assemble(build_mesh(kind, level), P0)
         # Adding c * B shifts every eigenvalue by c, the constant mode too.
         prob.stiffness = prob.stiffness + 0.5 * prob.mass
